@@ -526,6 +526,8 @@ def recurrence_map_deviation(
     maps = {"P1": (p1_map, 2), "P2": (p2_map, 2), "THREE_COPY": (three_copy_map, 3)}
     if variant not in maps:
         raise ValueError(f"unknown variant {variant!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     fast_map, pairs = maps[variant]
     _check_pair_limit(d, pairs)
     rng = np.random.default_rng(seed)

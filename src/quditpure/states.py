@@ -57,7 +57,11 @@ class CoeffMatrix:
             raise ValueError(f"negative weight {a.min():g} in state matrix")
         a = np.maximum(a, 0.0)
         drift = abs(a.sum() - 1.0)
-        if drift > RENORM_TOL:
+        # Written so that a NaN or infinite sum fails too: NaN compares
+        # False both ways, and a.min() above is NaN when any weight is.
+        if not drift <= RENORM_TOL:
+            if not np.isfinite(a).all():
+                raise ValueError("non-finite weight in state matrix")
             raise ValueError(
                 f"weights sum to {a.sum():.12g}, beyond renormalization tolerance"
             )

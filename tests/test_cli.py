@@ -57,6 +57,14 @@ class TestRecurrenceRun:
         assert code == 0
         assert out.splitlines()[1].startswith("0,INIT,0.6,")
 
+    def test_non_finite_state_file(self, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text('{"d": 2, "alpha": [[NaN, 0], [0, 1]]}')
+        code, out, err = run_cli(capsys, ["recurrence-run", "--state-file", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "non-finite" in err
+
     def test_output_to_file(self, capsys, tmp_path):
         out_path = tmp_path / "run.csv"
         code, out, _ = run_cli(
@@ -103,6 +111,16 @@ class TestThresholds:
         assert float(d5[3]) == pytest.approx(0.862204186139, abs=1e-10)
         assert "0.862204186139" in out  # 12 significant digits
         assert d5[6] == "true"
+
+    @pytest.mark.parametrize("grid", ["0", "1"])
+    def test_rejects_grid_below_two(self, capsys, grid):
+        code, out, err = run_cli(
+            capsys,
+            ["thresholds", "--protocol", "p1p2", "--d-range", "2", "--grid", grid],
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "grid" in err
 
     def test_rejects_three_copy(self, capsys):
         # argparse restricts --protocol to two-copy names and exits with 2
@@ -214,6 +232,14 @@ class TestGhz:
         assert doc["H_phase"] == pytest.approx(0.3159971329784248, abs=1e-10)
         assert doc["index_correlation"] > 0.0
 
+    def test_non_finite_state_file(self, capsys, tmp_path):
+        path = tmp_path / "ghz.json"
+        path.write_text('{"d": 2, "N": 2, "alpha": [NaN, 0, 0, 1]}')
+        code, out, err = run_cli(capsys, ["ghz", "--state-file", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "non-finite" in err
+
 
 class TestOracleCheck:
     def test_d2_passes(self, capsys):
@@ -230,6 +256,12 @@ class TestOracleCheck:
         code, _, err = run_cli(capsys, ["oracle-check", "--d", "7"])
         assert code == 2
         assert "limited to d <= 5" in err
+
+    def test_rejects_zero_trials(self, capsys):
+        code, out, err = run_cli(capsys, ["oracle-check", "--d", "2", "--trials", "0"])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "trials" in err
 
 
 class TestDeterminism:

@@ -44,6 +44,13 @@ class TestGhzCoeffs:
         with pytest.raises(ValueError):
             GhzCoeffs(2, 3, np.full(8, 0.2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        weights = np.full(4, 0.25)
+        weights[1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            GhzCoeffs(2, 2, weights)
+
     def test_rejects_single_party(self):
         with pytest.raises(ValueError):
             GhzCoeffs(2, 1, [1.0, 0.0])

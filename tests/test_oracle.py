@@ -160,6 +160,11 @@ class TestRecurrenceSimulation:
         with pytest.raises(ValueError):
             oracle.recurrence_map_deviation(5, "THREE_COPY", trials=1)
 
+    def test_rejects_zero_trials(self):
+        """A check that compares nothing must not report a deviation of 0."""
+        with pytest.raises(ValueError, match="trials"):
+            oracle.recurrence_map_deviation(2, "P1", trials=0)
+
 
 class TestDepolarization:
     def test_kraus_route_matches_coefficient_route(self):

@@ -126,6 +126,46 @@ class TestLabelAction:
         assert abs(prob - expected_prob) <= 1e-15
 
 
+def roll_phase_conv(a, b):
+    """Reference phase convolution: the loop of shifted copies that the
+    kernel replaced, ``out[k, j] = sum_m a[m, j] * b[(k - m) mod d, j]``."""
+    out = np.zeros_like(a)
+    for shift in range(a.shape[0]):
+        out += a[shift] * np.roll(b, shift, axis=0)
+    return out
+
+
+class TestPhaseKernel:
+    """The maps equal the roll-loop reference on both sides of the kernel's
+    size split (index gather up to d = 31, FFT above).  The x_only and
+    z_only presets have exact zeros, where FFT rounding lands on either
+    side of 0."""
+
+    @pytest.mark.parametrize("d", [2, 7, 31, 32, 37, 101])
+    def test_maps_match_roll_loop(self, d):
+        rng = np.random.default_rng(d)
+        for state in (
+            random_state(d, rng),
+            preset("x_only", d, 0.6),
+            preset("z_only", d, 0.6),
+        ):
+            for kernel, copies, transposed in (
+                (p1_map, 2, False),
+                (p2_map, 2, True),
+                (three_copy_map, 3, False),
+            ):
+                a = state.alpha.T if transposed else state.alpha
+                raw = a
+                for _ in range(copies - 1):
+                    raw = roll_phase_conv(raw, a)
+                expected = raw / raw.sum()
+                out, prob = kernel(state)
+                got = out.alpha.T if transposed else out.alpha
+                assert np.abs(got - expected).max() <= 1e-15
+                assert got.min() >= 0.0
+                assert abs(prob - (a.sum(axis=0) ** copies).sum()) <= 1e-12
+
+
 class TestThreeCopyMap:
     def test_x_only_d2_anchor(self):
         out, prob = three_copy_map(preset("x_only", 2, 0.6))
@@ -487,3 +527,10 @@ class TestScans:
             regime_scan(THREE_COPY, 2)
         with pytest.raises(ValueError):
             noise_threshold(THREE_COPY, 2)
+
+    @pytest.mark.parametrize("grid", [0, 1])
+    def test_scans_reject_grid_below_two(self, grid):
+        with pytest.raises(ValueError, match="grid"):
+            regime_scan(P1P2, 2, grid=grid)
+        with pytest.raises(ValueError, match="grid"):
+            noise_threshold(P1P2, 2, grid=grid)

@@ -39,6 +39,13 @@ class TestCoeffMatrix:
         with pytest.raises(ValueError):
             CoeffMatrix(np.ones((2, 3)) / 6.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            CoeffMatrix([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            CoeffMatrix([[0.5, bad], [0.0, 0.5]])
+
     def test_renormalizes_tiny_drift(self):
         m = CoeffMatrix(np.full((2, 2), 0.25) * (1.0 + 2e-10))
         assert m.alpha.sum() == pytest.approx(1.0, abs=1e-14)
