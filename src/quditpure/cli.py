@@ -80,6 +80,16 @@ def _write_output(path: str, text: str) -> None:
             fh.write(text)
 
 
+# Most values one range in a flag may stand for, checked from its bounds
+# before anything is built (the largest in use, 10:1000000:20, has 50,000).
+MAX_RANGE_VALUES = 10**6
+
+
+def _check_range_size(count: int, text: str) -> None:
+    if count > MAX_RANGE_VALUES:
+        raise ValueError(f"range {text!r} has {count} values, over {MAX_RANGE_VALUES}")
+
+
 def _parse_int_list(text: str) -> list[int]:
     """Parse "2", "2,3,5" or "a..b" (inclusive) into a sorted int list."""
     values: list[int] = []
@@ -90,6 +100,7 @@ def _parse_int_list(text: str) -> list[int]:
             lo, hi = int(lo_s), int(hi_s)
             if hi < lo:
                 raise ValueError(f"empty range {part!r}")
+            _check_range_size(hi - lo + 1, part)
             values.extend(range(lo, hi + 1))
         elif part:
             values.append(int(part))
@@ -104,8 +115,9 @@ def _parse_d_range(text: str) -> list[int]:
         body = text[len("primes:"):]
         if ".." not in body:
             raise ValueError(f"primes range must look like primes:a..b, got {text!r}")
-        lo_s, hi_s = body.split("..", 1)
-        values = primes_in(int(lo_s), int(hi_s))
+        lo, hi = (int(v) for v in body.split("..", 1))
+        _check_range_size(hi - lo + 1, text)
+        values = primes_in(lo, hi)
         if not values:
             raise ValueError(f"no primes in range {text!r}")
         return values
@@ -121,6 +133,7 @@ def _parse_float_grid(text: str) -> list[float]:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 1:
             raise ValueError(f"grid count must be positive, got {count}")
+        _check_range_size(count, text)
         return list(np.linspace(lo, hi, count))
     return [float(p) for p in text.split(",") if p.strip()]
 
@@ -134,6 +147,7 @@ def _parse_sweep(text: str) -> list[int]:
     step = int(parts[2]) if len(parts) == 3 else 1
     if step < 1 or hi < lo:
         raise ValueError(f"invalid sweep {text!r}")
+    _check_range_size((hi - lo) // step + 1, text)
     return list(range(lo, hi + 1, step))
 
 

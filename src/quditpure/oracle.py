@@ -340,6 +340,8 @@ def verify_depolarization_identity(d: int, trials: int = 5, seed: int = 0) -> fl
     d = check_dimension(d)
     if d > MAX_TWO_PAIR_D:
         raise ValueError(f"dense twirl check limited to d <= {MAX_TWO_PAIR_D}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     B = bell_basis(d)
     size = d * d

@@ -26,12 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .indices import check_dimension
+# make_preset stays bound here although the scans no longer call it:
+# bench/tracer.py wraps it in every module that imports it.
 from .states import (
-    CoeffMatrix,
-    StatePreset,
-    depolarize_channel,
-    make_preset,
-    twirl_isotropic,
+    CoeffMatrix, StatePreset, depolarize_channel, make_preset, twirl_isotropic,
 )
 
 __all__ = [
@@ -302,12 +300,8 @@ def bbpssw_step(F: float, d: int, Q: float = 1.0) -> tuple[float, float]:
         raise ValueError(f"fidelity must be in [0, 1], got {F}")
     if not 0.0 <= Q <= 1.0:
         raise ValueError(f"retention Q must be in [0, 1], got {Q}")
-    q2 = Q * Q
-    a1 = F * q2 + (1.0 - q2) / d**2
-    a2 = (1.0 - F) * q2 / (d**2 - 1.0) + (1.0 - q2) / d**2
-    num = a1 * a1 + a2 * a2 * (d - 1.0)
-    den = a1 * a1 + 2.0 * a1 * a2 * (d - 1.0) + a2 * a2 * (d**3 - 2.0 * d + 1.0)
-    return num / den, den
+    F, _, _, _, prob = _sector_round(BBPSSW, F, 0.0, 0.0, 0.0, d, Q)
+    return F, prob
 
 
 def bbpssw_map(F: float, d: int, Q: float = 1.0) -> float:
@@ -470,40 +464,80 @@ def yield_run(
     return traj.cumulative_yield if traj.reached_target else 0.0
 
 
-def _final_fidelity_scalar(F0: float, d: int, Q: float, iterations: int) -> float:
-    """Long-run fidelity of the twirl protocol via its closed-form map."""
+def _sector_round(protocol: str, F, x, z, w, d: int, Q: float):
+    """One noisy round on the preset sector, at a cost independent of d.
+
+    The sector ``[[F, x...], [z..., w...]]`` (x on row 0, z on column 0,
+    w elsewhere) holds the presets and is closed under depolarizing, P1,
+    the x <-> z swap of P2 and DEJMPS, and the twirl (x = z = w).  P1P2
+    picks P2 exactly when z > x, a swap F cannot see, so its state is
+    kept ordered with z <= x instead.  Takes floats or equal-length
+    arrays, each lane bit-identical to a one-lane run; returns
+    ``(F, x, z, w, success_prob)``.
+    """
+    if protocol == BBPSSW:
+        x = z = w = (1.0 - F) / (d * d - 1)
+    r = Q * Q
+    mix = (1.0 - r) / (d * d)
+    F, x, z, w = r * F + mix, r * x + mix, r * z + mix, r * w + mix
+    if protocol == P1P2:
+        x, z = np.maximum(x, z), np.minimum(x, z)
+    c0 = F + (d - 1.0) * z
+    c1 = x + (d - 1.0) * w
+    prob = c0 * c0 + (d - 1.0) * c1 * c1
+    F, x, z, w = (
+        (F * F + (d - 1.0) * z * z) / prob,
+        (x * x + (d - 1.0) * w * w) / prob,
+        (2.0 * F * z + (d - 2.0) * z * z) / prob,
+        (2.0 * x * w + (d - 2.0) * w * w) / prob,
+    )
+    if protocol == DEJMPS:
+        x, z = z, x
+    elif protocol == BBPSSW:
+        x = z = w = (1.0 - F) / (d * d - 1)
+    return F, x, z, w, prob
+
+
+def _lanes_improve(
+    protocol: str, d: int, Q: float, preset_kind: str, x_weight: float,
+    F0: np.ndarray, iterations: int,
+) -> np.ndarray:
+    """Whether iterating the protocol from each initial fidelity in F0
+    gains ground.  Each lane starts on the preset as :func:`make_preset`
+    builds it and follows the stall rule of :func:`run_protocol`; a lane
+    leaves the arrays once it stalls.
+    """
+    StatePreset(preset_kind, 1.0, x_weight)  # the preset's own validation
+    rest = 1.0 - F0
+    if preset_kind == "isotropic":
+        x = z = w = rest / (d * d - 1)
+    else:
+        share = {"x_only": 1.0, "z_only": 0.0}.get(preset_kind, x_weight)
+        x, z, w = share * rest / (d - 1), (1.0 - share) * rest / (d - 1), 0.0 * rest
+    final = F0.copy()
+    lanes = np.arange(F0.size)
     F = F0
-    stall = 0
+    stall = np.zeros(F0.size, dtype=int)
     for _ in range(iterations):
-        new_F = bbpssw_map(F, d, Q)
-        stall = stall + 1 if new_F - F < STALL_TOL else 0
+        new_F, x, z, w, _ = _sector_round(protocol, F, x, z, w, d, Q)
+        stall = (stall + 1) * (new_F - F < STALL_TOL)
         F = new_F
-        if stall >= STALL_RUNS:
-            break
-    return F
-
-
-def _final_fidelity_state(
-    protocol: str, state: CoeffMatrix, Q: float, iterations: int
-) -> float:
-    """Long-run fidelity of a coefficient-level protocol iteration."""
-    F = state.fidelity
-    stall = 0
-    for _ in range(iterations):
-        _, state, _ = _advance(protocol, state, Q)
-        new_F = state.fidelity
-        stall = stall + 1 if new_F - F < STALL_TOL else 0
-        F = new_F
-        if stall >= STALL_RUNS:
-            break
-    return F
+        done = stall >= STALL_RUNS
+        if np.count_nonzero(done):
+            final[lanes[done]] = F[done]
+            keep = ~done
+            lanes, F, x, z, w, stall = (v[keep] for v in (lanes, F, x, z, w, stall))
+            if not lanes.size:
+                break
+    final[lanes] = F
+    return final > F0 + IMPROVE_TOL
 
 
 def _middle_out(n: int) -> list[int]:
     """Indices 0..n-1 ordered from the middle outward.
 
-    Purification regimes sit around mid-range fidelities, so scanning
-    from the middle finds a purifiable point quickly in the common case.
+    Purification regimes sit around mid-range fidelities, so a hit found
+    from the middle outward is the common-case regime.
     """
     mid = n // 2
     order = [mid]
@@ -514,22 +548,46 @@ def _middle_out(n: int) -> list[int]:
     return order
 
 
-def _improves(
-    protocol: str,
-    d: int,
-    Q: float,
-    preset_kind: str,
-    x_weight: float,
-    F0: float,
-    iterations: int,
-) -> bool:
-    """Whether iterating the protocol from fidelity F0 gains ground."""
-    if protocol == BBPSSW:
-        final = _final_fidelity_scalar(F0, d, Q, iterations)
-    else:
-        state = make_preset(StatePreset(preset_kind, F0, x_weight), d)
-        final = _final_fidelity_state(protocol, state, Q, iterations)
-    return final > F0 + IMPROVE_TOL
+def _bisect(improves, bad: float, good: float, tol: float, levels: int) -> float:
+    """Bisect the edge between a failing and an improving value.
+
+    ``improves`` maps an array of values to one verdict each.  It gets the
+    midpoints of the next ``levels`` sequential steps at once, as a tree
+    in level order (node i has children 2i + 1 if its midpoint fails,
+    2i + 2 if it improves), computed as the sequential steps compute them;
+    the walk follows the verdicts, so the result is sequential bisection's.
+    """
+    n = 2**levels - 1
+    while abs(good - bad) > tol:
+        lo, hi = [bad], [good]
+        for i in range(n // 2):
+            mid = 0.5 * (lo[i] + hi[i])
+            lo += [mid, lo[i]]
+            hi += [hi[i], mid]
+        mids = 0.5 * (np.array(lo) + np.array(hi))
+        ok = improves(mids)
+        i = 0
+        while i < n and abs(good - bad) > tol:
+            if ok[i]:
+                good, i = mids[i], 2 * i + 2
+            else:
+                bad, i = mids[i], 2 * i + 1
+    return 0.5 * (bad + good)
+
+
+def _scan_grid(protocol: str, d, grid: int, iterations: int, tol: float):
+    """Check a scan's arguments; return d and the initial fidelities,
+    from just above 1/d**2 to just below 1."""
+    if protocol not in (P1P2, DEJMPS, BBPSSW):
+        raise ValueError(f"scans support two-copy protocols, got {protocol!r}")
+    d = check_dimension(d)
+    if grid < 2:
+        raise ValueError(f"fidelity grid needs at least 2 points, got {grid}")
+    if iterations < 1:
+        raise ValueError(f"iterations must be at least 1, got {iterations}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"bisection tolerance must be finite and positive, got {tol}")
+    return d, np.linspace(1.0 / (d * d) + 1e-9, 1.0 - 1e-6, grid)
 
 
 def regime_scan(
@@ -546,53 +604,40 @@ def regime_scan(
     """Numerically locate the interval of purifiable initial fidelities.
 
     Initial states are drawn from the given preset family parameterized
-    by F.  A grid over F finds a purifiable point (scanned from the
-    middle outward so the common case exits early), then bisection
-    sharpens both edges to ``refine_tol``.  The convergence test iterates
-    the noisy protocol up to ``iterations`` rounds with the stall rule of
-    :func:`run_protocol`.  For the twirl protocol the closed-form
-    fidelity map is iterated instead of coefficient matrices, and the
-    edges agree with :func:`bbpssw_fixed_points` to bisection accuracy.
+    by F.  The whole F-grid is iterated at once; the first purifiable
+    point from the middle outward is walked to both grid edges of its
+    interval, and bisection sharpens each edge to ``refine_tol``.  The
+    convergence test iterates the noisy protocol up to ``iterations``
+    rounds with the stall rule of :func:`run_protocol`, on the preset
+    sector (see :func:`_sector_round`), so it costs the same at any d.
+    For the twirl protocol the edges agree with
+    :func:`bbpssw_fixed_points` to bisection accuracy.
     """
-    if protocol not in (P1P2, DEJMPS, BBPSSW):
-        raise ValueError(f"regime scan supports two-copy protocols, got {protocol!r}")
-    d = check_dimension(d)
+    d, Fs = _scan_grid(protocol, d, grid, iterations, refine_tol)
     if not 0.0 <= Q <= 1.0:
         raise ValueError(f"retention Q must be in [0, 1], got {Q}")
-    if grid < 2:
-        raise ValueError(f"fidelity grid needs at least 2 points, got {grid}")
 
-    lo = 1.0 / (d * d) + 1e-9
-    hi = 1.0 - 1e-6
-    Fs = np.linspace(lo, hi, grid)
+    def improves(Fs: np.ndarray) -> np.ndarray:
+        return _lanes_improve(protocol, d, Q, preset_kind, x_weight, Fs, iterations)
 
-    def improves(F0: float) -> bool:
-        return _improves(protocol, d, Q, preset_kind, x_weight, F0, iterations)
-
-    hit = next((i for i in _middle_out(grid) if improves(Fs[i])), None)
+    ok = improves(Fs)
+    hit = next((i for i in _middle_out(grid) if ok[i]), None)
     if hit is None:
-        center = min(max((d + 1.0) / (2.0 * d), lo), hi)
+        center = min(max((d + 1.0) / (2.0 * d), float(Fs[0])), float(Fs[-1]))
         return PurificationRegime(F_min=center, F_max=center, purifiable=False)
 
     # Walk outward from the hit to bracket both edges on the grid.
     left = hit
-    while left > 0 and improves(Fs[left - 1]):
+    while left > 0 and ok[left - 1]:
         left -= 1
     right = hit
-    while right < grid - 1 and improves(Fs[right + 1]):
+    while right < grid - 1 and ok[right + 1]:
         right += 1
 
-    def bisect(bad: float, good: float) -> float:
-        while abs(good - bad) > refine_tol:
-            mid_F = 0.5 * (bad + good)
-            if improves(mid_F):
-                good = mid_F
-            else:
-                bad = mid_F
-        return 0.5 * (bad + good)
-
-    F_min = bisect(Fs[left - 1], Fs[left]) if left > 0 else Fs[0]
-    F_max = 1.0 if right == grid - 1 else bisect(Fs[right + 1], Fs[right])
+    # One 31-lane call holds every midpoint of an edge's next five steps.
+    edge = functools.partial(_bisect, improves, tol=refine_tol, levels=5)
+    F_min = edge(Fs[left - 1], Fs[left]) if left > 0 else Fs[0]
+    F_max = 1.0 if right == grid - 1 else edge(Fs[right + 1], Fs[right])
     return PurificationRegime(F_min=F_min, F_max=F_max, purifiable=True)
 
 
@@ -611,25 +656,18 @@ def noise_threshold(
     """Smallest gate retention Q at which any initial fidelity purifies.
 
     Bisects Q on the predicate "the purification regime is non-empty",
-    each evaluation being a fidelity-grid search as in
-    :func:`regime_scan`.  For the twirl protocol prefer the closed form
+    each evaluation iterating the fidelity grid of :func:`regime_scan`.
+    For the twirl protocol prefer the closed form
     :func:`bbpssw_threshold`; the numeric route exists to cross-check it
     and to handle the adaptive and fixed-swap protocols.
     """
-    if protocol not in (P1P2, DEJMPS, BBPSSW):
-        raise ValueError(f"threshold scan supports two-copy protocols, got {protocol!r}")
-    d = check_dimension(d)
-    if grid < 2:
-        raise ValueError(f"fidelity grid needs at least 2 points, got {grid}")
-    lo_F = 1.0 / (d * d) + 1e-9
-    hi_F = 1.0 - 1e-6
+    d, Fs = _scan_grid(protocol, d, grid, iterations, q_tol)
+    if not (0.0 <= q_lo <= 1.0 and 0.0 <= q_hi <= 1.0):
+        raise ValueError(f"retentions q_lo, q_hi must be in [0, 1], got {q_lo}, {q_hi}")
 
     def purifiable(Q: float) -> bool:
-        Fs = np.linspace(lo_F, hi_F, grid)
-        return any(
-            _improves(protocol, d, Q, preset_kind, x_weight, Fs[i], iterations)
-            for i in _middle_out(grid)
-        )
+        ok = _lanes_improve(protocol, d, Q, preset_kind, x_weight, Fs, iterations)
+        return bool(ok.any())
 
     if not purifiable(q_hi):
         raise ValueError(
@@ -640,10 +678,5 @@ def noise_threshold(
         q_lo -= 0.1
         if q_lo <= 0.0:
             return 0.0
-    while q_hi - q_lo > q_tol:
-        mid_Q = 0.5 * (q_lo + q_hi)
-        if purifiable(mid_Q):
-            q_hi = mid_Q
-        else:
-            q_lo = mid_Q
-    return 0.5 * (q_lo + q_hi)
+    # One level per call: a Q evaluation is already a whole grid of lanes.
+    return float(_bisect(lambda Qs: [purifiable(Q) for Q in Qs], q_lo, q_hi, q_tol, 1))

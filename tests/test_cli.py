@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from quditpure import cli, recurrence
 from quditpure.cli import main
 
 
@@ -121,6 +122,60 @@ class TestThresholds:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "grid" in err
+
+    @pytest.mark.parametrize(
+        "flags, word",
+        [
+            (["--q-tol", "0"], "tolerance"),
+            (["--q-tol", "-1"], "tolerance"),
+            (["--q-tol", "nan"], "tolerance"),
+            (["--iterations", "0"], "iterations"),
+            (["--iterations", "-5"], "iterations"),
+        ],
+    )
+    def test_rejects_bad_tolerance_or_iterations(
+        self, capsys, monkeypatch, flags, word
+    ):
+        """Rejected before any lane runs: a tolerance of 0 used to bisect
+        forever, NaN skipped the bisection, and 0 iterations was reported
+        as "does not purify"."""
+
+        def no_lanes(*args):
+            raise AssertionError("scan ran before its arguments were checked")
+
+        monkeypatch.setattr(recurrence, "_lanes_improve", no_lanes)
+        code, out, err = run_cli(
+            capsys,
+            ["thresholds", "--protocol", "dejmps", "--d-range", "2", "--grid", "4"]
+            + flags,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert word in err
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (
+                ["--protocol", "p1p2", "--d-range", "2,6"],
+                "d,protocol,Q,Q_th,F_min,F_max,purifiable\n"
+                "2,P1P2,1,0.93701171875,0.500000000556,1,true\n"
+                "6,P1P2,1,0.82392578125,0.166666670158,1,true\n",
+            ),
+            (
+                ["--protocol", "dejmps", "--d-range", "2..3", "--preset", "xz_mixture"],
+                "d,protocol,Q,Q_th,F_min,F_max,purifiable\n"
+                "2,DEJMPS,1,0.366015625,0.717283415642,1,true\n"
+                "3,DEJMPS,1,0.374609375,0.599989711135,1,true\n",
+            ),
+        ],
+        ids=["p1p2", "dejmps_xz"],
+    )
+    def test_scan_tables_golden_bytes(self, capsys, argv, golden):
+        """Byte for byte the output of the matrix-path scans."""
+        code, out, err = run_cli(capsys, ["thresholds", *argv])
+        assert code == 0 and err == ""
+        assert out == golden
 
     def test_rejects_three_copy(self, capsys):
         # argparse restricts --protocol to two-copy names and exits with 2
@@ -262,6 +317,45 @@ class TestOracleCheck:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "trials" in err
+
+
+class TestRangeLimit:
+    """Ranges in flags are checked from their bounds before being built.
+
+    Each command below also carries an input that fails right after
+    parsing, so without the check it would fail fast with another
+    message instead of working through two million values."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["thresholds", "--protocol", "bbpssw", "--d-range", "2..2000001",
+             "--Q", "2"],
+            ["thresholds", "--protocol", "bbpssw", "--d-range", "primes:2..2000001"],
+            ["hashing", "--d", "5", "--F", "1.5", "--n-sweep", "2:2000001"],
+            ["ghz", "--d-list", "1", "--F-grid", "0.5:1:2000000"],
+            ["oracle-check", "--d", "2..2000001"],
+        ],
+    )
+    def test_rejects_more_than_a_million_values(self, capsys, monkeypatch, argv):
+        def no_primes(lo, hi):
+            raise AssertionError("primes listed before the range was checked")
+
+        monkeypatch.setattr(cli, "primes_in", no_primes)
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "2000000 values" in err
+
+    def test_limit_is_inclusive(self):
+        cli._check_range_size(cli.MAX_RANGE_VALUES, "a..b")
+        with pytest.raises(ValueError, match="values"):
+            cli._check_range_size(cli.MAX_RANGE_VALUES + 1, "a..b")
+
+    def test_stepped_sweep_counts_its_values(self):
+        assert len(cli._parse_sweep("10:1000000:20")) == 50000
+        with pytest.raises(ValueError, match="1000001 values"):
+            cli._parse_sweep("0:2000000:2")
 
 
 class TestDeterminism:

@@ -183,6 +183,12 @@ class TestDepolarization:
         worst_off = oracle.verify_depolarization_identity(d, trials=3, seed=0)
         assert worst_off < 1e-10
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_rejects_no_trials(self, trials):
+        """A twirl check that draws no state must not report 0.0."""
+        with pytest.raises(ValueError, match="trials"):
+            oracle.verify_depolarization_identity(2, trials=trials)
+
 
 class TestGhzGate:
     def test_worked_example_d2(self):

@@ -1,8 +1,12 @@
 """Tests for the recurrence purification protocols and their scans."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
 
+from quditpure import recurrence
 from quditpure.indices import bgxor_index_map, bqft_index_map
 from quditpure.recurrence import (
     BBPSSW,
@@ -31,7 +35,13 @@ from quditpure.recurrence import (
     three_copy_map,
     yield_run,
 )
-from quditpure.states import CoeffMatrix, StatePreset, make_preset, random_state
+from quditpure.states import (
+    PRESET_KINDS,
+    CoeffMatrix,
+    StatePreset,
+    make_preset,
+    random_state,
+)
 
 
 def preset(kind, d, F, x_weight=0.25):
@@ -534,3 +544,136 @@ class TestScans:
             regime_scan(P1P2, 2, grid=grid)
         with pytest.raises(ValueError, match="grid"):
             noise_threshold(P1P2, 2, grid=grid)
+
+    @pytest.mark.parametrize("iterations", [0, -5])
+    def test_scans_reject_iterations_below_one(self, monkeypatch, iterations):
+        monkeypatch.setattr(recurrence, "_lanes_improve", _no_lanes)
+        with pytest.raises(ValueError, match="iterations"):
+            regime_scan(P1P2, 2, iterations=iterations)
+        with pytest.raises(ValueError, match="iterations"):
+            noise_threshold(P1P2, 2, iterations=iterations)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_scans_reject_bad_tolerance(self, monkeypatch, tol):
+        """0 used to bisect forever once the float bracket stopped
+        shrinking; NaN skipped the bisection and returned the midpoint."""
+        monkeypatch.setattr(recurrence, "_lanes_improve", _no_lanes)
+        with pytest.raises(ValueError, match="tolerance"):
+            regime_scan(P1P2, 2, refine_tol=tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            noise_threshold(P1P2, 2, q_tol=tol)
+
+    @pytest.mark.parametrize("bounds", [(0.7, 1.5), (-0.1, 1.0), (math.nan, 1.0)])
+    def test_noise_threshold_rejects_retention_outside_unit_interval(self, bounds):
+        """The sector round has no state validation to catch Q > 1."""
+        q_lo, q_hi = bounds
+        with pytest.raises(ValueError, match="retention"):
+            noise_threshold(P1P2, 2, q_lo=q_lo, q_hi=q_hi)
+
+    @pytest.mark.parametrize("d", [1000, 10**6])
+    def test_adaptive_threshold_follows_twirl_asymptote(self, d):
+        """At large d the adaptive threshold approaches the twirl
+        protocol's sqrt(2) * d**(-1/4).  No d x d matrix fits at
+        d = 10**6, so the scan runs on the preset sector."""
+        assert abs(noise_threshold(P1P2, d) - bbpssw_threshold_asymptote(d)) < 2e-3
+
+
+def _no_lanes(*args):
+    raise AssertionError("scan ran before its arguments were checked")
+
+
+def sector_of(state):
+    """(F, x, z, w) of a matrix on the preset sector."""
+    a = state.alpha
+    return a[0, 0], a[0, 1], a[1, 0], a[1, 1]
+
+
+def assert_on_sector(state, F, x, z, w, unordered_xz, atol=1e-13):
+    """Every entry of the matrix matches its sector value: row 0 is x,
+    column 0 is z and the interior is w."""
+    expected = np.full(state.alpha.shape, w)
+    expected[0, 0] = F
+    expected[0, 1:], expected[1:, 0] = x, z
+    deviation = np.abs(state.alpha - expected).max()
+    if unordered_xz:
+        deviation = min(deviation, np.abs(state.alpha - expected.T).max())
+    assert deviation <= atol
+
+
+class TestSector:
+    @pytest.mark.parametrize("protocol", [P1P2, DEJMPS, BBPSSW])
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 11])
+    def test_rounds_match_matrix_path(self, protocol, d):
+        """30 noisy rounds from each preset: fidelity, success probability
+        and the three error weights agree with the matrix path.  P1P2's
+        sector keeps z <= x, so its x and z are compared as a pair."""
+        for kind in PRESET_KINDS:
+            for Q in (1.0, 0.95):
+                state = preset(kind, d, 0.5)
+                sector = sector_of(state)
+                for _ in range(30):
+                    _, state, prob = recurrence._advance(protocol, state, Q)
+                    *sector, sector_prob = recurrence._sector_round(
+                        protocol, *sector, d, Q
+                    )
+                    assert abs(sector_prob - prob) <= 1e-13
+                    assert_on_sector(state, *sector, unordered_xz=protocol == P1P2)
+
+    def test_lanes_match_one_lane_runs(self):
+        """A lane vector gives, bit for bit, what each lane gives alone."""
+        d, Q = 5, 0.97
+        F = np.linspace(0.15, 0.95, 9)
+        rest = 1.0 - F
+        start = (F, 0.2 * rest / (d - 1), 0.5 * rest / (d - 1), 0.3 * rest / (d - 1)**2)
+        for protocol in (P1P2, DEJMPS, BBPSSW):
+            lanes = start
+            singles = [tuple(float(v[i]) for v in start) for i in range(F.size)]
+            for _ in range(30):
+                *lanes, prob = recurrence._sector_round(protocol, *lanes, d, Q)
+                for i, single in enumerate(singles):
+                    *single, single_prob = recurrence._sector_round(
+                        protocol, *single, d, Q
+                    )
+                    assert [v[i] for v in (*lanes, prob)] == [*single, single_prob]
+                    singles[i] = single
+        for kind in PRESET_KINDS:
+            Fs = np.linspace(0.05, 0.99, 16)
+            lanes_improve = functools.partial(
+                recurrence._lanes_improve, P1P2, 7, 0.9, kind, 0.3, iterations=200
+            )
+            together = lanes_improve(Fs)
+            alone = [lanes_improve(Fs[i : i + 1])[0] for i in range(Fs.size)]
+            assert together.tolist() == alone
+
+    def test_batched_bisection_matches_sequential(self):
+        """Evaluating five levels per call returns the float that one
+        midpoint per call returns."""
+
+        def improves(Fs):
+            return recurrence._lanes_improve(P1P2, 3, 1.0, "xz_mixture", 0.25, Fs, 200)
+
+        edge = regime_scan(P1P2, 3, 1.0, "xz_mixture").F_min
+        bad, good = edge - 0.01, edge + 0.01
+        assert improves(np.array([bad, good])).tolist() == [False, True]
+        expected = sequential_bisection(improves, bad, good, 1e-8)
+        for levels in (1, 2, 5):
+            assert recurrence._bisect(improves, bad, good, 1e-8, levels) == expected
+
+        # An edge approached from above, as regime_scan's upper edge is.
+        def below_third(xs):
+            return xs < 1 / 3
+
+        assert recurrence._bisect(below_third, 1.0, 0.0, 1e-12, 5) == (
+            sequential_bisection(below_third, 1.0, 0.0, 1e-12)
+        )
+
+
+def sequential_bisection(improves, bad, good, tol):
+    """Reference: one midpoint per call, as the scans bisected before."""
+    while abs(good - bad) > tol:
+        mid = 0.5 * (bad + good)
+        if improves(np.array([mid]))[0]:
+            good = mid
+        else:
+            bad = mid
+    return 0.5 * (bad + good)
