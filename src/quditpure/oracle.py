@@ -13,6 +13,7 @@ three-pair simulations d <= 3.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -135,15 +136,41 @@ class DenseState:
     rho: np.ndarray
 
     def check(self) -> "DenseState":
-        """Validate trace, Hermiticity and positivity within tolerances."""
+        """Validate shape, finiteness, trace, Hermiticity and positivity.
+
+        Positivity is tested on the full matrix: the Hermitian part minus
+        ``PSD_TOL`` times the identity must admit a Cholesky factor, which
+        holds exactly when every eigenvalue lies above ``PSD_TOL``.
+        """
+        self._check_shape()
         rho = self.rho
+        if not np.isfinite(rho).all():
+            raise ValueError("density matrix has non-finite entries")
         if abs(np.trace(rho).real - 1.0) > TRACE_TOL or abs(np.trace(rho).imag) > TRACE_TOL:
             raise ValueError(f"density matrix trace {np.trace(rho):.12g} is not 1")
-        if np.abs(rho - rho.conj().T).max() > HERM_TOL:
+        rho_h = rho.conj().T
+        if np.abs(rho - rho_h).max() > HERM_TOL:
             raise ValueError("density matrix is not Hermitian")
-        if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < PSD_TOL:
-            raise ValueError("density matrix has a significantly negative eigenvalue")
+        shifted = rho + rho_h
+        del rho_h
+        shifted *= 0.5
+        shifted.flat[:: shifted.shape[0] + 1] -= PSD_TOL
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            raise ValueError(
+                "density matrix has a significantly negative eigenvalue"
+            ) from None
         return self
+
+    def _check_shape(self) -> None:
+        """Raise unless ``rho`` is square of side d**(2*pairs)."""
+        size = self.d ** (2 * self.pairs)
+        if self.rho.shape != (size, size):
+            raise ValueError(
+                f"density matrix shape {self.rho.shape} does not match "
+                f"d={self.d}, pairs={self.pairs}: expected {(size, size)}"
+            )
 
 
 def _check_pair_limit(d: int, pairs: int) -> None:
@@ -183,19 +210,13 @@ def _gxor_permutation(d: int, pairs: int) -> np.ndarray:
     target digits become (control - target) mod d.  Returns ``inv`` such
     that conjugation acts as rho[np.ix_(inv, inv)].
     """
-    n = 2 * pairs
-    dims = (d,) * n
-    size = d**n
-    perm = np.empty(size, dtype=np.intp)
-    for x in range(size):
-        digits = list(np.unravel_index(x, dims))
-        a1, b1 = digits[0], digits[1]
-        for copy in range(1, pairs):
-            digits[2 * copy] = (a1 - digits[2 * copy]) % d
-            digits[2 * copy + 1] = (b1 - digits[2 * copy + 1]) % d
-        perm[x] = np.ravel_multi_index(digits, dims)
+    dims = (d,) * (2 * pairs)
+    digits = np.indices(dims).reshape(len(dims), -1)
+    digits[2::2] = (digits[0] - digits[2::2]) % d
+    digits[3::2] = (digits[1] - digits[3::2]) % d
+    perm = np.ravel_multi_index(digits, dims)
     inv = np.empty_like(perm)
-    inv[perm] = np.arange(size)
+    inv[perm] = np.arange(perm.size)
     return inv
 
 
@@ -211,6 +232,43 @@ def _bilateral_qft(d: int, copies: int) -> np.ndarray:
     for _ in range(copies - 1):
         out = np.kron(out, single)
     return out
+
+
+def _fourier_conjugate(rho: np.ndarray, d: int, pairs: int) -> np.ndarray:
+    """B rho B^dagger for B = _bilateral_qft(d, pairs), one copy at a time.
+
+    Each pass multiplies the leading copy axis (size d**2) by kron(Q, Q*)
+    on the row side or its conjugate on the column side, then rotates that
+    axis to the back; after 2 * pairs passes the axis order is restored.
+    That costs d**(4 * pairs + 2) operations instead of d**(6 * pairs).
+    """
+    single = _bilateral_qft(d, 1)
+    size = d * d
+    out = rho
+    for M in (single,) * pairs + (single.conj(),) * pairs:
+        out = (M @ out.reshape(size, -1)).T
+    return out.reshape(rho.shape)
+
+
+def _gated(state: DenseState, variant: str) -> np.ndarray:
+    """Validate a round's variant against the state; return rho after its gates.
+
+    The gates are the forward bilateral Fourier transform on every copy
+    (P2 only), then the bilateral controlled-difference gates from copy 1.
+    """
+    d, pairs = state.d, state.pairs
+    _check_pair_limit(d, pairs)
+    if variant in ("P1", "P2") and pairs != 2:
+        raise ValueError(f"variant {variant} needs 2 pairs, got {pairs}")
+    if variant == "THREE_COPY" and pairs != 3:
+        raise ValueError(f"variant THREE_COPY needs 3 pairs, got {pairs}")
+    if variant not in ("P1", "P2", "THREE_COPY"):
+        raise ValueError(f"unknown variant {variant!r}")
+    state._check_shape()
+    rho = state.rho
+    if variant == "P2":
+        rho = _fourier_conjugate(rho, d, pairs)
+    return _apply_permutation(rho, _gxor_permutation(d, pairs))
 
 
 def _postselect_even(
@@ -266,19 +324,7 @@ def simulate_recurrence_step(
     Returns the kept copy's weight matrix and the branch probability.
     """
     d, pairs = state.d, state.pairs
-    _check_pair_limit(d, pairs)
-    if variant in ("P1", "P2") and pairs != 2:
-        raise ValueError(f"variant {variant} needs 2 pairs, got {pairs}")
-    if variant == "THREE_COPY" and pairs != 3:
-        raise ValueError(f"variant THREE_COPY needs 3 pairs, got {pairs}")
-    if variant not in ("P1", "P2", "THREE_COPY"):
-        raise ValueError(f"unknown variant {variant!r}")
-
-    rho = state.rho
-    if variant == "P2":
-        BQ = _bilateral_qft(d, pairs)
-        rho = BQ @ rho @ BQ.conj().T
-    rho = _apply_permutation(rho, _gxor_permutation(d, pairs))
+    rho = _gated(state, variant)
     sigma, prob = _postselect_even(rho, d, pairs, (0,) * (pairs - 1))
     if prob <= 0.0:
         raise ValueError("postselected branch has zero probability")
@@ -295,11 +341,7 @@ def outcome_class_probabilities(state: DenseState, variant: str) -> np.ndarray:
     entries sum to 1.
     """
     d, pairs = state.d, state.pairs
-    rho = state.rho
-    if variant == "P2":
-        BQ = _bilateral_qft(d, pairs)
-        rho = BQ @ rho @ BQ.conj().T
-    rho = _apply_permutation(rho, _gxor_permutation(d, pairs))
+    rho = _gated(state, variant)
     shape = (d,) * (pairs - 1)
     probs = np.empty(shape)
     for classes in np.ndindex(*shape):
@@ -423,31 +465,39 @@ def verify_mgxor_index_map(d: int, atol: float = 1e-10) -> bool:
     # Trilateral controlled-difference permutation on 2N qudits
     # (copy-major order: A1, B1, C1, A2, B2, C2).
     reg_dims = (d,) * (2 * N)
-    reg_size = d ** (2 * N)
-    perm = np.empty(reg_size, dtype=np.intp)
-    for x in range(reg_size):
-        digits = list(np.unravel_index(x, reg_dims))
-        for party in range(N):
-            digits[N + party] = (digits[party] - digits[N + party]) % d
-        perm[x] = np.ravel_multi_index(digits, reg_dims)
+    digits = np.indices(reg_dims).reshape(2 * N, -1)
+    digits[N:] = (digits[:N] - digits[N:]) % d
+    perm = np.ravel_multi_index(digits, reg_dims)
 
-    for c_flat in range(size):
-        c_digits = np.unravel_index(c_flat, dims)
-        control = (int(c_digits[0]), tuple(int(a) for a in c_digits[1:]))
-        for t_flat in range(size):
-            t_digits = np.unravel_index(t_flat, dims)
-            target = (int(t_digits[0]), tuple(int(a) for a in t_digits[1:]))
-            vin = np.kron(G[:, c_flat], W @ G[:, t_flat])
-            vout = np.empty_like(vin)
-            vout[perm] = vin
-            (mc, ac), (mt, at) = ghz_pair_index_map(control, target, d)
-            expected = np.kron(
-                ghz_vector(d, mc, ac), ghz_vector(d, mt, at)
-            )
-            overlap = abs(np.vdot(expected, vout))
-            if abs(overlap - 1.0) > atol:
-                return False
-    return True
+    # Column c * size + t of a product holds the input pair (c, t).
+    vout = np.empty((size * size, size * size), dtype=complex)
+    vout[perm] = np.kron(G, W @ G)
+    labels = [(label[0], label[1:]) for label in np.ndindex(dims)]
+    cols = _mapped_columns(labels, lambda c, t: ghz_pair_index_map(c, t, d))
+    return bool((_overlap_error(np.kron(G, G)[:, cols], vout) <= atol).all())
+
+
+def _mapped_columns(labels: list, pair_map) -> np.ndarray:
+    """Where ``pair_map`` sends each column of kron(basis, basis).
+
+    ``labels[i]`` names basis column i, so product column i * n + j holds
+    the pair (labels[i], labels[j]).  Returns the product column of each
+    mapped pair.
+    """
+    flat = {label: i for i, label in enumerate(labels)}
+    n = len(labels)
+    return np.array(
+        [
+            flat[c] * n + flat[t]
+            for c, t in itertools.starmap(pair_map, itertools.product(labels, repeat=2))
+        ],
+        dtype=np.intp,
+    )
+
+
+def _overlap_error(expected: np.ndarray, actual: np.ndarray) -> np.ndarray:
+    """Per column, | |<expected|actual>| - 1 |: 0 when the states agree up to phase."""
+    return np.abs(np.abs(np.vecdot(expected, actual, axis=0)) - 1.0)
 
 
 def verify_bell_index_maps(d: int) -> dict[str, float]:
@@ -475,22 +525,11 @@ def verify_bell_index_maps(d: int) -> dict[str, float]:
         raise ValueError(f"dense index-map check limited to d <= {MAX_TWO_PAIR_D}")
     devs = {"bgxor": 0.0, "bqft": 0.0, "pauli": 0.0}
 
-    inv = _gxor_permutation(d, 2)
-    perm = np.empty_like(inv)
-    perm[inv] = np.arange(inv.size)
-    for k1 in range(d):
-        for j1 in range(d):
-            vc = bell_vector(d, k1, j1)
-            for k2 in range(d):
-                for j2 in range(d):
-                    vin = np.kron(vc, bell_vector(d, k2, j2))
-                    vout = np.empty_like(vin)
-                    vout[perm] = vin
-                    (kc, jc), (kt, jt) = bgxor_index_map((k1, j1), (k2, j2), d)
-                    expected = np.kron(bell_vector(d, kc, jc), bell_vector(d, kt, jt))
-                    devs["bgxor"] = max(
-                        devs["bgxor"], abs(abs(np.vdot(expected, vout)) - 1.0)
-                    )
+    # Column c * d**2 + t of a product holds the input pair (c, t).
+    BB = np.kron(bell_basis(d), bell_basis(d))
+    vout = BB[_gxor_permutation(d, 2)]
+    cols = _mapped_columns(list(np.ndindex(d, d)), lambda c, t: bgxor_index_map(c, t, d))
+    devs["bgxor"] = float(_overlap_error(BB[:, cols], vout).max())
 
     BQ = _bilateral_qft(d, 1)
     for m in range(d):

@@ -78,6 +78,104 @@ class TestDenseStates:
             oracle.build_bell_pairs(preset("isotropic", 2, 0.9), 4)
 
 
+def random_unitary(n, rng):
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def with_spectrum(eigenvalues, rng):
+    """Density-like matrix with the given spectrum in a random eigenbasis."""
+    U = random_unitary(len(eigenvalues), rng)
+    return (U * np.asarray(eigenvalues)) @ U.conj().T
+
+
+class TestDenseStateCheck:
+    """``DenseState.check`` tolerances: trace and Hermiticity to 1e-10,
+    eigenvalues down to -1e-9 accepted."""
+
+    @pytest.mark.parametrize("d, pairs", [(2, 2), (3, 2)])
+    def test_eigenvalue_tolerance(self, d, pairs):
+        rng = np.random.default_rng(17)
+        n = d ** (2 * pairs)
+        for negative, accepted in ((-5e-10, True), (-2e-9, False)):
+            spectrum = np.full(n, (1.0 - negative) / (n - 1))
+            spectrum[n // 2] = negative
+            state = oracle.DenseState(d, pairs, with_spectrum(spectrum, rng))
+            if accepted:
+                assert state.check() is state
+            else:
+                with pytest.raises(ValueError, match="negative eigenvalue"):
+                    state.check()
+
+    def test_rejects_trace_off_by_1e_9(self):
+        rng = np.random.default_rng(3)
+        rho = with_spectrum(np.full(16, (1.0 + 1e-9) / 16), rng)
+        with pytest.raises(ValueError, match="trace"):
+            oracle.DenseState(2, 2, rho).check()
+
+    def test_rejects_non_hermitian(self):
+        rho = np.eye(16, dtype=complex) / 16
+        rho[0, 1] = 1e-9
+        with pytest.raises(ValueError, match="not Hermitian"):
+            oracle.DenseState(2, 2, rho).check()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, value):
+        rho = oracle.build_bell_pairs(preset("isotropic", 2, 0.8), 2).rho.copy()
+        rho[3, 5] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            oracle.DenseState(2, 2, rho).check()
+
+    @pytest.mark.parametrize("side", [8, 64])
+    def test_rejects_wrong_shape(self, side):
+        rho = np.eye(side, dtype=complex) / side
+        with pytest.raises(ValueError, match="shape"):
+            oracle.DenseState(2, 2, rho).check()
+        with pytest.raises(ValueError, match="shape"):
+            oracle.outcome_class_probabilities(oracle.DenseState(2, 2, rho), "P1")
+
+
+def loop_gxor_permutation(d, pairs):
+    """Reference GXOR permutation: the per-index loop that the array
+    construction replaced."""
+    n = 2 * pairs
+    dims = (d,) * n
+    size = d**n
+    perm = np.empty(size, dtype=np.intp)
+    for x in range(size):
+        digits = list(np.unravel_index(x, dims))
+        a1, b1 = digits[0], digits[1]
+        for copy in range(1, pairs):
+            digits[2 * copy] = (a1 - digits[2 * copy]) % d
+            digits[2 * copy + 1] = (b1 - digits[2 * copy + 1]) % d
+        perm[x] = np.ravel_multi_index(digits, dims)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(size)
+    return inv
+
+
+class TestGateKernels:
+    @pytest.mark.parametrize("d, pairs", [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3)])
+    def test_gxor_permutation_matches_loop(self, d, pairs):
+        np.testing.assert_array_equal(
+            oracle._gxor_permutation(d, pairs), loop_gxor_permutation(d, pairs)
+        )
+
+    @pytest.mark.parametrize("d, pairs", [(2, 2), (3, 2), (2, 3), (3, 3)])
+    def test_fourier_conjugation_matches_dense_product(self, d, pairs):
+        """Per-copy conjugation equals B rho B^dagger with the full
+        bilateral Fourier matrix, on a matrix with no structure."""
+        rng = np.random.default_rng(d * 10 + pairs)
+        n = d ** (2 * pairs)
+        rho = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        B = oracle._bilateral_qft(d, pairs)
+        np.testing.assert_allclose(
+            oracle._fourier_conjugate(rho, d, pairs), B @ rho @ B.conj().T,
+            rtol=0, atol=1e-13,
+        )
+
+
 class TestIndexMapValidation:
     @pytest.mark.parametrize("d", [2, 3])
     def test_label_maps_match_unitaries(self, d):
@@ -113,6 +211,16 @@ class TestIndexMapValidation:
     def test_limit_enforced(self):
         with pytest.raises(ValueError):
             oracle.verify_bell_index_maps(7)
+
+    def test_wrong_gxor_map_is_detected(self, monkeypatch):
+        """A label map that disagrees with the gate shows as a deviation."""
+        from quditpure import indices
+
+        def swapped(control, target, d):
+            return target, control
+
+        monkeypatch.setattr(indices, "bgxor_index_map", swapped)
+        assert oracle.verify_bell_index_maps(2)["bgxor"] > 0.5
 
 
 class TestRecurrenceSimulation:
@@ -159,6 +267,20 @@ class TestRecurrenceSimulation:
             oracle.simulate_recurrence_step(dense, "THREE_COPY")
         with pytest.raises(ValueError):
             oracle.recurrence_map_deviation(5, "THREE_COPY", trials=1)
+
+    def test_outcome_classes_validate_variant(self):
+        two = oracle.build_bell_pairs(preset("isotropic", 2, 0.9), 2)
+        three = oracle.build_bell_pairs(preset("isotropic", 2, 0.9), 3)
+        with pytest.raises(ValueError, match="unknown variant"):
+            oracle.outcome_class_probabilities(two, "BOGUS")
+        with pytest.raises(ValueError, match="needs 3 pairs"):
+            oracle.outcome_class_probabilities(two, "THREE_COPY")
+        with pytest.raises(ValueError, match="needs 2 pairs"):
+            oracle.outcome_class_probabilities(three, "P2")
+        with pytest.raises(ValueError, match="limited to d <= 5"):
+            oracle.outcome_class_probabilities(
+                oracle.DenseState(7, 2, np.zeros((1, 1))), "P1"
+            )
 
     def test_rejects_zero_trials(self):
         """A check that compares nothing must not report a deviation of 0."""
@@ -221,3 +343,10 @@ class TestGhzGate:
     def test_limit_enforced(self):
         with pytest.raises(ValueError):
             oracle.verify_mgxor_index_map(5)
+
+    def test_wrong_map_is_detected(self, monkeypatch):
+        def swapped(control, target, d):
+            return target, control
+
+        monkeypatch.setattr(oracle, "ghz_pair_index_map", swapped)
+        assert not oracle.verify_mgxor_index_map(2)
