@@ -63,6 +63,7 @@ from .hashing import (
     asymptotic_yield,
     entropy_based,
     finite_size_report,
+    finite_size_sweep,
     isotropic_entropy,
     lemma1_montecarlo,
     min_fidelity,

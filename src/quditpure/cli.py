@@ -16,6 +16,7 @@ involved).  Exit codes: 0 success, 1 I/O failure, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -52,9 +53,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# printf codes that give _fmt's text for values of exactly these types.
+_CODES = {int: "%d", float: "%.12g", str: "%s"}
+
+
+@functools.cache
+def _row_formatter(types: tuple):
+    """Format a CSV row of these value types as _fmt would, value by value."""
+    codes = [_CODES.get(t) for t in types]
+    template = ",".join(c or "%s" for c in codes)
+    if None not in codes:
+        return template.__mod__
+    return lambda row: template % tuple(v if c else _fmt(v) for v, c in zip(row, codes))
+
+
 def _csv(header: list[str], rows: list[tuple]) -> str:
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(_row_formatter(tuple(map(type, row)))(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -134,7 +149,7 @@ def _parse_float_grid(text: str) -> list[float]:
         if count < 1:
             raise ValueError(f"grid count must be positive, got {count}")
         _check_range_size(count, text)
-        return list(np.linspace(lo, hi, count))
+        return np.linspace(lo, hi, count).tolist()
     return [float(p) for p in text.split(",") if p.strip()]
 
 
@@ -271,32 +286,14 @@ def cmd_hashing(args) -> str:
 
     if args.n is not None:
         report = hashing.finite_size_report(args.d, args.n, args.F, args.delta)
-        obj = {
-            "d": report.d,
-            "n": report.n,
-            "F": report.F,
-            "delta": report.delta,
-            "S": report.S,
-            "r": report.r,
-            "yield": report.yield_,
-            "p1_bound": report.p1_bound,
-            "p2": report.p2,
-            "F_out_bound": report.F_out_bound,
-            "yield_raw": report.yield_raw,
-            "F_out_raw": report.F_out_raw,
-            "feasible": report.feasible,
-        }
+        obj = {k.rstrip("_"): v for k, v in report._asdict().items()}
         if args.format == "csv":
             header = list(obj)
             return _csv(header, [tuple(obj[k] for k in header)])
         return _json(obj)
 
-    rows = []
-    for n in _parse_sweep(args.n_sweep):
-        rep = hashing.finite_size_report(args.d, n, args.F, args.delta)
-        rows.append(
-            (n, rep.delta, rep.S, rep.r, rep.yield_, rep.p1_bound, rep.p2, rep.F_out_bound)
-        )
+    reports = hashing.finite_size_sweep(args.d, _parse_sweep(args.n_sweep), args.F, args.delta)
+    rows = [(r.n, r.delta, r.S, r.r, r.yield_, r.p1_bound, r.p2, r.F_out_bound) for r in reports]
     header = ["n", "delta", "S", "r", "yield", "p1_bound", "p2", "F_out_bound"]
     if args.format == "json":
         return _json([dict(zip(header, map(_jsonable, row))) for row in rows])
@@ -356,11 +353,12 @@ def cmd_oracle_check(args) -> str:
         index_devs = oracle.verify_bell_index_maps(d)
         for name, dev in index_devs.items():
             checks[f"{name}_index_map_d{d}"] = dev
-        for variant, pairs in (("P1", 2), ("P2", 2), ("THREE_COPY", 3)):
+        for k, (variant, pairs) in enumerate((("P1", 2), ("P2", 2), ("THREE_COPY", 3))):
             if d > oracle.MAX_THREE_PAIR_D and pairs == 3:
                 continue
+            # One seed per variant, so that P2 is not checked on P1's states.
             state_dev, prob_dev = oracle.recurrence_map_deviation(
-                d, variant, trials=args.trials, seed=args.seed
+                d, variant, trials=args.trials, seed=np.random.SeedSequence([args.seed, k])
             )
             checks[f"{variant}_state_d{d}"] = state_dev
             checks[f"{variant}_prob_d{d}"] = prob_dev

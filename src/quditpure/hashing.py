@@ -16,7 +16,7 @@ in a finite field and random parities are uniform (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "asymptotic_yield",
     "entropy_based",
     "finite_size_report",
+    "finite_size_sweep",
     "isotropic_entropy",
     "lemma1_montecarlo",
     "min_fidelity",
@@ -128,27 +129,31 @@ def resolve_delta(policy, n: int, S: float) -> float:
     delta = ((n - 1)/n - S) / 2, possibly non-positive when the entropy
     is too large for that to be feasible.
     """
+    return _delta_rule(policy, S)(n)
+
+
+def _delta_rule(policy, S: float):
+    """Parse a delta policy once into a function of the block size n."""
     if isinstance(policy, (int, float)) and not isinstance(policy, bool):
         delta = float(policy)
         if delta <= 0.0:
             raise ValueError(f"fixed delta must be positive, got {delta}")
-        return delta
+        return lambda n: delta
     if not isinstance(policy, str):
         raise ValueError(f"unrecognized delta policy {policy!r}")
     if policy == "n_to_1":
-        return 0.5 * ((n - 1.0) / n - S)
+        return lambda n: 0.5 * ((n - 1.0) / n - S)
     if policy.startswith("fixed:"):
-        return resolve_delta(float(policy[len("fixed:"):]), n, S)
+        return _delta_rule(float(policy[len("fixed:"):]), S)
     if policy.startswith("npow:"):
         power = float(policy[len("npow:"):])
         if power >= 0.0:
             raise ValueError(f"npow exponent must be negative, got {power}")
-        return float(n) ** power
+        return lambda n: float(n) ** power
     raise ValueError(f"unrecognized delta policy {policy!r}")
 
 
-@dataclass(frozen=True)
-class HashingReport:
+class HashingReport(NamedTuple):
     """Finite-size hashing figures for one (d, n, F, delta) choice.
 
     yield_ and F_out_bound are clamped to [0, 1]; the raw values are kept
@@ -175,7 +180,12 @@ class HashingReport:
 
 
 def finite_size_report(d: int, n: int, F: float, delta_policy="npow:-0.25") -> HashingReport:
-    """Finite-block accounting for hashing isotropic states.
+    """One block size of :func:`finite_size_sweep`."""
+    return finite_size_sweep(d, [n], F, delta_policy)[0]
+
+
+def finite_size_sweep(d: int, ns, F: float, delta_policy="npow:-0.25") -> list[HashingReport]:
+    """Finite-block accounting for hashing isotropic states, per block size n.
 
     Uses r = ceil(n (S + 2 delta)) parity rounds, the collision bound
     p2 = d**(-n delta), and a Bennett-type concentration bound
@@ -184,59 +194,54 @@ def finite_size_report(d: int, n: int, F: float, delta_policy="npow:-0.25") -> H
 
     where a = |log_d((1 - F)/(d**2 - 1))| + S bounds the per-pair
     log-weight and g = Var[log_d weight] / a.  The distillable fraction
-    is 1 - S - 2 delta of the block.
+    is 1 - S - 2 delta of the block.  Every input is validated, and the
+    terms that do not depend on n are computed, before the first report.
     """
     d = require_prime(d)
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"block size n must be at least 2, got {n}")
+    ns = [int(n) for n in ns]
+    for n in ns:
+        if n < 2:
+            raise ValueError(f"block size n must be at least 2, got {n}")
     if not 1.0 / d**2 < F <= 1.0:
         raise ValueError(f"fidelity must be in (1/d**2, 1], got {F}")
 
     S = isotropic_entropy(d, F)
-    delta = resolve_delta(delta_policy, n, S)
-    feasible = delta > 0.0
+    delta_of = _delta_rule(delta_policy, S)
 
-    yield_raw = 1.0 - S - 2.0 * delta
-    r = max(0, math.ceil(n * (S + 2.0 * delta) - 1e-12))
-
-    if not feasible:
-        return HashingReport(
-            d=d, n=n, F=F, delta=delta, S=S, r=r,
-            yield_=0.0, p1_bound=1.0, p2=1.0, F_out_bound=0.0,
-            yield_raw=yield_raw, F_out_raw=-1.0, feasible=False,
-        )
-
-    p2 = float(d) ** (-n * delta)
-
-    log_d = math.log(d)
     if F >= 1.0:
         # Pure input: the index string is deterministic, nothing atypical.
-        p1 = 0.0
+        a = g = 0.0
     else:
+        log_d = math.log(d)
         tail = (1.0 - F) / (d * d - 1.0)
         a = abs(math.log(tail) / log_d) + S
         lF = math.log(F) / log_d
         lt = math.log(tail) / log_d
         variance = F * lF * lF + (1.0 - F) * lt * lt - S * S
         g = max(variance, 0.0) / a
+
+    reports = []
+    for n in ns:
+        delta = delta_of(n)
+        yield_raw = 1.0 - S - 2.0 * delta
+        r = max(0, math.ceil(n * (S + 2.0 * delta) - 1e-12))
+        if not delta > 0.0:
+            reports.append(HashingReport(
+                d, n, F, delta, S, r, 0.0, 1.0, 1.0, 0.0, yield_raw, -1.0, False
+            ))
+            continue
+        p2 = float(d) ** (-n * delta)
         if g <= 0.0:
             p1 = 0.0
         else:
             exponent = -(n / a) * ((g + delta) * math.log1p(delta / g) - delta)
             p1 = 2.0 * math.exp(exponent)
-
-    F_out_raw = 1.0 - p1 - p2
-    return HashingReport(
-        d=d, n=n, F=F, delta=delta, S=S, r=r,
-        yield_=max(0.0, yield_raw),
-        p1_bound=p1,
-        p2=p2,
-        F_out_bound=min(1.0, max(0.0, F_out_raw)),
-        yield_raw=yield_raw,
-        F_out_raw=F_out_raw,
-        feasible=True,
-    )
+        F_out_raw = 1.0 - p1 - p2
+        reports.append(HashingReport(
+            d, n, F, delta, S, r, max(0.0, yield_raw), p1, p2,
+            min(1.0, max(0.0, F_out_raw)), yield_raw, F_out_raw, True,
+        ))
+    return reports
 
 
 def lemma1_montecarlo(
@@ -271,7 +276,8 @@ def lemma1_montecarlo(
             y[collide] = rng.integers(0, d, size=(int(collide.sum()), width))
             collide = (x == y).all(axis=1)
         s = rng.integers(0, d, size=(size, width))
-        parity = (s * ((x - y) % d)).sum(axis=1) % d
+        # s.(x - y) mod d, summed exactly: every term is below d**2 in size.
+        parity = np.einsum("ij,ij->i", s, np.subtract(x, y, out=x)) % d
         hits += int((parity == 0).sum())
         remaining -= size
     return hits / trials

@@ -554,7 +554,7 @@ def verify_bell_index_maps(d: int) -> dict[str, float]:
 
 
 def recurrence_map_deviation(
-    d: int, variant: str, trials: int = 20, seed: int = 12345
+    d: int, variant: str, trials: int = 20, seed: int | np.random.SeedSequence = 12345
 ) -> tuple[float, float]:
     """Compare a coefficient-level map against the dense simulation.
 

@@ -1,10 +1,13 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from quditpure import cli, recurrence
+from quditpure import cli, oracle, recurrence
+from quditpure.states import random_state
 from quditpure.cli import main
 
 
@@ -261,6 +264,93 @@ class TestHashing:
         assert code == 2
 
 
+class TestTableGoldens:
+    """SHA-256 of stdout, byte for byte, for the hashing sweep, GHZ and
+    BBPSSW tables: every delta policy, infeasible rows, a pure input, both
+    formats."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["hashing", "--d", "5", "--F", "0.9", "--n-sweep", "2:5000:61"],
+                "b56998c440642bea926d1ba47207ad5635fa2214614ba24e82438f6296c09a04",
+            ),
+            (
+                ["hashing", "--d", "3", "--F", "0.95", "--n-sweep", "2:3000:41",
+                 "--delta", "fixed:0.05"],
+                "1093c46242a6d237c3279f26ebee9c067af059a17df9d1ebb496070c7c5430d8",
+            ),
+            (
+                ["hashing", "--d", "2", "--F", "0.85", "--n-sweep", "2:400:3",
+                 "--delta", "n_to_1"],
+                "48800f8d1723c94853eed2d0d36f7ebb7d3769b404f0abf0410dcb95da0bf156",
+            ),
+            (
+                ["hashing", "--d", "7", "--F", "1", "--n-sweep", "2:200:9",
+                 "--delta", "n_to_1"],
+                "339d529d0c72cd338240260909000aa3001773582183082cdf8367f0698324bd",
+            ),
+            (
+                ["hashing", "--d", "2", "--F", "0.85", "--n-sweep", "2:400:3",
+                 "--delta", "n_to_1", "--format", "json"],
+                "52c02395b6d5075efeadf383fdeaba03ebb1992c37cc874598fcee6aa84dbf36",
+            ),
+            (
+                ["hashing", "--d", "2", "--F", "0.95", "--n", "10", "--delta", "n_to_1",
+                 "--format", "csv"],
+                "7bacf319bc0e966805bea07897fba2ab0c93cd303ee6b19e72f65ab5ad6af61b",
+            ),
+            (
+                ["hashing", "--d", "2", "--F", "0.95", "--n", "10", "--delta", "n_to_1"],
+                "981d358f5b6ec6fee568da7353a075c7e170a893c2abd25b4d2ccdd68c1fb5be",
+            ),
+            (
+                ["ghz", "--d-list", "primes:2..13", "--N-list", "2..4",
+                 "--F-grid", "0.5:1:11"],
+                "b855beaa9b567b7f75180e8e60387b3c5c9ef9adc25b344474fa1a83b3544683",
+            ),
+            (
+                ["ghz", "--d-list", "primes:2..13", "--N-list", "2..4",
+                 "--F-grid", "0.5:1:11", "--format", "json"],
+                "86c4cf7deb9892bcbae29db14fc92be5ec3b45e30090a390f5474ac149014639",
+            ),
+            (
+                ["thresholds", "--protocol", "bbpssw", "--d-range", "2..50"],
+                "6e3e73292ea6135555d047bbc54e02dac2254b17abb0568cf8a7e49d57d3886f",
+            ),
+        ],
+        ids=["npow", "fixed", "n_to_1", "pure", "n_to_1_json", "single_csv",
+             "single_json", "ghz", "ghz_json", "bbpssw"],
+    )
+    def test_golden_sha256(self, capsys, argv, digest):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestCsvFormatting:
+    @staticmethod
+    def join_fmt(header, rows):
+        lines = [",".join(header)] + [",".join(cli._fmt(v) for v in row) for row in rows]
+        return "\n".join(lines) + "\n"
+
+    def test_matches_per_value_formatting(self):
+        rows = [
+            (True, False, np.float64(0.1), np.int64(-7), float("nan"), float("inf"),
+             float("-inf"), -0.0, "P1P2", 10**30, -(10**20), 1 / 3, 1e-300, 2.5e17),
+            (1, 0.0, np.float32(0.1), np.bool_(True), None, 5e-324, -1.0, 0.1 + 0.2,
+             "", 2**63, 7, 123456789012.5, 1e16, np.int32(3)),
+            (0.5, "x", 3),
+            (),
+        ]
+        header = [f"c{i}" for i in range(14)]
+        assert cli._csv(header, rows) == self.join_fmt(header, rows)
+
+    def test_float_grid_is_python_floats(self):
+        assert all(type(v) is float for v in cli._parse_float_grid("0.5:1:11"))
+
+
 class TestGhz:
     def test_grid_csv(self, capsys):
         code, out, _ = run_cli(
@@ -306,6 +396,23 @@ class TestOracleCheck:
         assert doc["max_abs_deviation"] < 1e-10
         assert doc["tolerance"] == 1e-10
         assert "P1_state_d2" in doc["checks"]
+
+    def test_variants_draw_different_states(self, capsys, monkeypatch):
+        seeds = {}
+        checked = oracle.recurrence_map_deviation
+
+        def spy(d, variant, trials, seed):
+            seeds[variant] = seed
+            return checked(d, variant, trials=trials, seed=seed)
+
+        monkeypatch.setattr(oracle, "recurrence_map_deviation", spy)
+        code, out, _ = run_cli(capsys, ["oracle-check", "--d", "2", "--trials", "2"])
+        assert code == 0 and json.loads(out)["pass"] is True
+        assert sorted(seeds) == ["P1", "P2", "THREE_COPY"]
+        first = {v: random_state(2, np.random.default_rng(s)).alpha for v, s in seeds.items()}
+        assert not np.array_equal(first["P1"], first["P2"])
+        assert not np.array_equal(first["P1"], first["THREE_COPY"])
+        assert not np.array_equal(first["P2"], first["THREE_COPY"])
 
     def test_dimension_limit(self, capsys):
         code, _, err = run_cli(capsys, ["oracle-check", "--d", "7"])

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from quditpure import hashing
 from quditpure.hashing import (
     HashingReport,
     asymptotic_yield,
     entropy_based,
     finite_size_report,
+    finite_size_sweep,
     isotropic_entropy,
     lemma1_montecarlo,
     min_fidelity,
@@ -266,7 +268,80 @@ class TestFiniteSizeReport:
             report.yield_ = 0.5
 
 
+class TestFiniteSizeSweep:
+    """The sweep is the one finite-size code path; a report is one of its rows."""
+
+    @pytest.mark.parametrize(
+        "d, F, policy",
+        [
+            (5, 0.9, "npow:-0.25"),
+            (5, 0.99, "npow:-0.2"),
+            (3, 0.95, "fixed:0.05"),
+            (3, 0.97, 0.02),
+            (2, 0.85, "n_to_1"),  # infeasible below n = 7
+            (2, 0.7, "n_to_1"),  # infeasible everywhere
+            (7, 1.0, "n_to_1"),  # pure input
+            (11, 1.0, "npow:-0.25"),
+        ],
+    )
+    def test_rows_equal_single_reports(self, d, F, policy):
+        ns = [2, 3, 7, 10, 43, 99, 1000, 12345, 10**6]
+        sweep = finite_size_sweep(d, ns, F, policy)
+        assert len(sweep) == len(ns)
+        for n, row in zip(ns, sweep):
+            single = finite_size_report(d, n, F, policy)
+            for field in HashingReport._fields:
+                a, b = getattr(row, field), getattr(single, field)
+                assert type(a) is type(b) and a == b, (n, field, a, b)
+        assert any(not row.feasible for row in sweep) == (policy == "n_to_1" and F < 0.9)
+
+    def test_empty_sweep(self):
+        assert finite_size_sweep(5, [], 0.9) == []
+
+    @pytest.mark.parametrize(
+        "d, ns, F, policy, message",
+        [
+            (5, [10, 20, 1], 0.9, "npow:-0.25", "block size"),
+            (5, [0, 20], 0.9, "npow:-0.25", "block size"),
+            (4, [10, 20], 0.9, "npow:-0.25", "prime"),
+            (5, [10, 20], 0.04, "npow:-0.25", "fidelity"),
+            (5, [10, 20], 1.1, "npow:-0.25", "fidelity"),
+            (5, [10, 20], 0.9, "npow:0.5", "exponent"),
+            (5, [10, 20], 0.9, "fixed:-0.1", "positive"),
+            (5, [10, 20], 0.9, -0.1, "positive"),
+            (5, [10, 20], 0.9, "bogus", "unrecognized"),
+            (5, [10, 20], 0.9, None, "unrecognized"),
+        ],
+    )
+    def test_rejects_bad_input_before_any_row(self, monkeypatch, d, ns, F, policy, message):
+        def no_rows(*args):
+            raise AssertionError("a row was built before the input was checked")
+
+        monkeypatch.setattr(hashing, "HashingReport", no_rows)
+        with pytest.raises(ValueError, match=message):
+            finite_size_sweep(d, ns, F, policy)
+        if min(ns) >= 2:
+            with pytest.raises(ValueError, match=message):
+                finite_size_report(d, ns[0], F, policy)
+
+
 class TestLemma1MonteCarlo:
+    @pytest.mark.parametrize(
+        "d, n, trials, seed, rate",
+        [
+            (2, 8, 10_000, 0, 0.4961),
+            (2, 1, 10_007, 42, 0.5046467472769062),
+            (3, 5, 250_000, 7, 0.331844),
+            (5, 20, 130_001, 11, 0.19980615533726664),
+            (7, 3, 100_000, 3, 0.14108),
+        ],
+    )
+    def test_pinned_rates(self, d, n, trials, seed, rate):
+        """Exact floats, so any change to the draws or to the parity
+        arithmetic shows; 130,001 and 250,000 trials end on a partial
+        100,000-row chunk."""
+        assert lemma1_montecarlo(d, n, trials=trials, seed=seed) == rate
+
     @pytest.mark.parametrize("d", [2, 3, 5, 7])
     def test_collision_rate_matches_1_over_d(self, d):
         trials = 100_000
