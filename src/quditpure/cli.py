@@ -77,6 +77,18 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _table(fmt: str, header: list[str], rows: list[tuple]) -> str:
+    if fmt == "json":
+        return _json([dict(zip(header, map(_jsonable, row))) for row in rows])
+    return _csv(header, rows)
+
+
+def _record(fmt: str, obj: dict) -> str:
+    if fmt == "csv":
+        return _csv(list(obj), [tuple(obj.values())])
+    return _json(obj)
+
+
 def _jsonable(value):
     if isinstance(value, (np.integer,)):
         return int(value)
@@ -195,6 +207,7 @@ def cmd_recurrence_run(args) -> str:
                 "Q": args.Q,
                 "target_fidelity": traj.target_fidelity,
                 "reached_target": traj.reached_target,
+                "stop_reason": traj.stop_reason,
                 "steps": [
                     {
                         "iter": r[0],
@@ -242,9 +255,7 @@ def cmd_thresholds(args) -> str:
             (d, protocol, args.Q, q_th, regime.F_min, regime.F_max, regime.purifiable)
         )
     header = ["d", "protocol", "Q", "Q_th", "F_min", "F_max", "purifiable"]
-    if args.format == "json":
-        return _json([dict(zip(header, map(_jsonable, row))) for row in rows])
-    return _csv(header, rows)
+    return _table(args.format, header, rows)
 
 
 def cmd_hashing(args) -> str:
@@ -256,10 +267,7 @@ def cmd_hashing(args) -> str:
     if args.fmin:
         if args.d is None:
             raise ValueError("--fmin needs --d")
-        result = {"d": args.d, "F_min": hashing.min_fidelity(args.d)}
-        if args.format == "csv":
-            return _csv(["d", "F_min"], [(args.d, result["F_min"])])
-        return _json(result)
+        return _record(args.format, {"d": args.d, "F_min": hashing.min_fidelity(args.d)})
 
     if args.threshold:
         d_values = (
@@ -277,27 +285,19 @@ def cmd_hashing(args) -> str:
             p_min, q_min = hashing.noisy_thresholds(d)
             rows.append((d, F_min, p_min, q_min, hashing.universal_threshold(d)))
         header = ["d", "F_min", "p_min", "q_min", "universal_q_th"]
-        if args.format == "json":
-            return _json([dict(zip(header, map(_jsonable, row))) for row in rows])
-        return _csv(header, rows)
+        return _table(args.format, header, rows)
 
     if args.d is None or args.F is None:
         raise ValueError("finite-size hashing needs --d and --F")
 
     if args.n is not None:
         report = hashing.finite_size_report(args.d, args.n, args.F, args.delta)
-        obj = {k.rstrip("_"): v for k, v in report._asdict().items()}
-        if args.format == "csv":
-            header = list(obj)
-            return _csv(header, [tuple(obj[k] for k in header)])
-        return _json(obj)
+        return _record(args.format, {k.rstrip("_"): v for k, v in report._asdict().items()})
 
     reports = hashing.finite_size_sweep(args.d, _parse_sweep(args.n_sweep), args.F, args.delta)
     rows = [(r.n, r.delta, r.S, r.r, r.yield_, r.p1_bound, r.p2, r.F_out_bound) for r in reports]
     header = ["n", "delta", "S", "r", "yield", "p1_bound", "p2", "F_out_bound"]
-    if args.format == "json":
-        return _json([dict(zip(header, map(_jsonable, row))) for row in rows])
-    return _csv(header, rows)
+    return _table(args.format, header, rows)
 
 
 def cmd_ghz(args) -> str:
@@ -319,10 +319,7 @@ def cmd_ghz(args) -> str:
             "yield": multipartite.multipartite_yield(state),
             "index_correlation": multipartite.index_correlation(state),
         }
-        if args.format == "csv":
-            header = list(report)
-            return _csv(header, [tuple(report[k] for k in header)])
-        return _json(report)
+        return _record(args.format, report)
 
     ds = _parse_d_range(args.d_list)
     Ns = _parse_int_list(args.N_list)
@@ -333,9 +330,7 @@ def cmd_ghz(args) -> str:
             for F in Fs:
                 rows.append((d, N, F, multipartite.isotropic_yield_formula(d, N, F)))
     header = ["d", "N", "F", "yield"]
-    if args.format == "json":
-        return _json([dict(zip(header, map(_jsonable, row))) for row in rows])
-    return _csv(header, rows)
+    return _table(args.format, header, rows)
 
 
 def cmd_oracle_check(args) -> str:

@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .indices import check_dimension
-# make_preset stays bound here although the scans no longer call it:
-# bench/tracer.py wraps it in every module that imports it.
+# make_preset and depolarize_channel stay bound here although nothing here
+# calls them: bench/tracer.py wraps them in every module that imports them.
 from .states import (
-    CoeffMatrix, StatePreset, depolarize_channel, make_preset, twirl_isotropic,
+    CoeffMatrix, StatePreset, depolarize_channel, depolarized, isotropic, make_preset,
 )
 
 __all__ = [
@@ -130,6 +130,7 @@ class Trajectory:
     target_fidelity: float
     steps: list[TrajectoryStep] = field(default_factory=list)
     reached_target: bool = False
+    stop_reason: str | None = None  # "target", else "max_iters", else "stall"
 
     @property
     def final_state(self) -> CoeffMatrix:
@@ -183,7 +184,8 @@ def _phase_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     and the rest, ``conv(a, b) = a[0] * b + b[0] * ra + conv(ra, rb)``.
     Row 0 holds the fidelity, which dominates a purifying state, so the
     FFT's rounding scales with the other weights only.  It can still
-    leave exact zeros slightly negative; :class:`CoeffMatrix` clamps them.
+    leave exact zeros slightly negative; they are clamped once per round,
+    when :class:`CoeffMatrix` validates the state the round returns.
     """
     d = a.shape[0]
     if d <= GATHER_MAX_D:
@@ -200,6 +202,20 @@ def _phase_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fft.irfft(fa * fb, n=d, axis=0) + a[0] * b + b[0] * ra
 
 
+def _conv_round(a: np.ndarray, copies: int, rows: bool) -> tuple[np.ndarray, float]:
+    """Normalized output weights and success probability of a round on
+    ``copies`` copies of ``a``; with ``rows`` the convolution runs along
+    rows (the Fourier-conjugated round)."""
+    if rows:
+        a = np.ascontiguousarray(a.T)
+    raw = _phase_conv(a, a) if copies == 2 else _phase_conv(_phase_conv(a, a), a)
+    prob = raw.sum()
+    if prob <= 0.0:
+        raise ValueError("no surviving branch; state weights are degenerate")
+    raw /= prob
+    return (raw.T if rows else raw), float(prob)
+
+
 def p1_map(state: CoeffMatrix) -> tuple[CoeffMatrix, float]:
     """Two-copy subroutine that purifies amplitude errors.
 
@@ -214,12 +230,8 @@ def p1_map(state: CoeffMatrix) -> tuple[CoeffMatrix, float]:
     Returns the normalized output state and the success probability
     (the sum of squared column sums).
     """
-    a = state.alpha
-    raw = _phase_conv(a, a)
-    prob = raw.sum()
-    if prob <= 0.0:
-        raise ValueError("no surviving branch; state weights are degenerate")
-    return CoeffMatrix(raw / prob), float(prob)
+    mapped, prob = _conv_round(state.alpha, 2, False)
+    return CoeffMatrix(mapped), prob
 
 
 def p2_map(state: CoeffMatrix) -> tuple[CoeffMatrix, float]:
@@ -241,12 +253,8 @@ def three_copy_map(state: CoeffMatrix) -> tuple[CoeffMatrix, float]:
     weights are the cyclic triple self-convolution of each amplitude
     column, and the success probability is the sum of cubed column sums.
     """
-    a = state.alpha
-    raw = _phase_conv(_phase_conv(a, a), a)
-    prob = raw.sum()
-    if prob <= 0.0:
-        raise ValueError("no surviving branch; state weights are degenerate")
-    return CoeffMatrix(raw / prob), float(prob)
+    mapped, prob = _conv_round(state.alpha, 3, False)
+    return CoeffMatrix(mapped), prob
 
 
 def choose_subroutine(state: CoeffMatrix) -> str:
@@ -256,9 +264,12 @@ def choose_subroutine(state: CoeffMatrix) -> str:
     pure amplitude errors (row 0) and returns ``P2`` when phase errors
     dominate, ``P1`` otherwise (ties go to ``P1``).
     """
-    col0 = float(state.alpha[:, 0].sum())
-    row0 = float(state.alpha[0, :].sum())
-    return P1 if col0 <= row0 else P2
+    return P2 if _phase_dominates(state.alpha) else P1
+
+
+def _phase_dominates(a: np.ndarray) -> bool:
+    """The choice rule of :func:`choose_subroutine` on a weight array."""
+    return float(a[:, 0].sum()) > float(a[0, :].sum())
 
 
 def noisy_step(state: CoeffMatrix, Q: float) -> CoeffMatrix:
@@ -268,7 +279,7 @@ def noisy_step(state: CoeffMatrix, Q: float) -> CoeffMatrix:
     retention Q, which at the coefficient level is a single depolarizing
     mix with retention Q**2.
     """
-    return depolarize_channel(state, Q * Q)
+    return CoeffMatrix(depolarized(state.alpha, Q, 2))
 
 
 def dejmps_map(state: CoeffMatrix, Q: float = 1.0) -> tuple[CoeffMatrix, float]:
@@ -278,8 +289,8 @@ def dejmps_map(state: CoeffMatrix, Q: float = 1.0) -> tuple[CoeffMatrix, float]:
     bilateral Fourier swap so that phase and amplitude errors trade
     places between rounds, as in the DEJMPS qubit protocol.
     """
-    mapped, prob = p1_map(noisy_step(state, Q))
-    return mapped.transpose(), prob
+    mapped, prob = _conv_round(depolarized(state.alpha, Q, 2), 2, False)
+    return CoeffMatrix(mapped.T), prob
 
 
 def bbpssw_step(F: float, d: int, Q: float = 1.0) -> tuple[float, float]:
@@ -362,30 +373,25 @@ def bbpssw_threshold_asymptote(d: int) -> float:
 def _advance(
     protocol: str, state: CoeffMatrix, Q: float
 ) -> tuple[str, CoeffMatrix, float]:
-    """One noisy round of a protocol: returns (label, new state, success prob)."""
-    if protocol == BBPSSW:
-        # The twirl protocol lives on isotropic states; twirling the input
-        # is a no-op once the iteration is underway.
-        noisy = noisy_step(twirl_isotropic(state), Q)
-        mapped, prob = p1_map(noisy)
-        return BBPSSW, twirl_isotropic(mapped), prob
+    """One noisy round of a protocol: returns (label, new state, success prob).
+    It runs on bare arrays and validates one state, the one it returns."""
     if protocol == DEJMPS:
         mapped, prob = dejmps_map(state, Q)
         return DEJMPS, mapped, prob
-    if protocol == P1P2:
-        noisy = noisy_step(state, Q)
-        sub = choose_subroutine(noisy)
-        mapped, prob = p1_map(noisy) if sub == P1 else p2_map(noisy)
-        return sub, mapped, prob
-    if protocol == THREE_COPY:
-        noisy = noisy_step(state, Q)
-        if choose_subroutine(noisy) == P1:
-            mapped, prob = three_copy_map(noisy)
-        else:
-            mapped, prob = three_copy_map(noisy.transpose())
-            mapped = mapped.transpose()
-        return THREE_COPY, mapped, prob
-    raise ValueError(f"unknown protocol {protocol!r}")
+    if protocol == BBPSSW:
+        # The twirl protocol lives on isotropic states; twirling the input
+        # is a no-op once the iteration is underway.
+        noisy = depolarized(isotropic(state.d, state.fidelity), Q, 2)
+        mapped, prob = _conv_round(noisy, 2, False)
+        return BBPSSW, CoeffMatrix(isotropic(state.d, mapped[0, 0])), prob
+    if protocol not in (P1P2, THREE_COPY):
+        raise ValueError(f"unknown protocol {protocol!r}")
+    a = depolarized(state.alpha, Q, 2)
+    rows = _phase_dominates(a)
+    copies = 3 if protocol == THREE_COPY else 2
+    mapped, prob = _conv_round(a, copies, rows)
+    label = protocol if copies == 3 else P2 if rows else P1
+    return label, CoeffMatrix(mapped), prob
 
 
 def run_protocol(
@@ -400,7 +406,7 @@ def run_protocol(
 
     Stops early after ``max_iters`` rounds or once the fidelity gain
     stays below STALL_TOL for STALL_RUNS consecutive rounds, in which
-    case ``reached_target`` is False.
+    case ``reached_target`` is False; ``stop_reason`` says which.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
@@ -425,6 +431,8 @@ def run_protocol(
         if stall >= STALL_RUNS:
             break
     traj.reached_target = F >= target
+    traj.stop_reason = ("target" if traj.reached_target else
+                        "max_iters" if len(traj.steps) >= max_iters else "stall")
     return traj
 
 

@@ -114,13 +114,12 @@ def make_preset(preset: StatePreset, d: int) -> CoeffMatrix:
     """Build the coefficient matrix for a preset at dimension d."""
     d = check_dimension(d)
     F = preset.F
+    if preset.kind == "isotropic":
+        return CoeffMatrix(isotropic(d, F))
     a = np.zeros((d, d))
     a[0, 0] = F
     rest = 1.0 - F
-    if preset.kind == "isotropic":
-        a += rest / (d * d - 1)
-        a[0, 0] = F
-    elif preset.kind == "x_only":
+    if preset.kind == "x_only":
         a[0, 1:] = rest / (d - 1)
     elif preset.kind == "z_only":
         a[1:, 0] = rest / (d - 1)
@@ -144,11 +143,15 @@ def depolarize_channel(state: CoeffMatrix, retention: float) -> CoeffMatrix:
     pair is exactly this channel with retention q**2, because the
     non-identity Pauli branches shift the basis labels uniformly.
     """
-    if not 0.0 <= retention <= 1.0:
-        raise ValueError(f"retention must be in [0, 1], got {retention}")
-    d = state.d
-    a = retention * state.alpha + (1.0 - retention) / (d * d)
-    return CoeffMatrix(a)
+    return CoeffMatrix(depolarized(state.alpha, retention))
+
+
+def depolarized(alpha: np.ndarray, q: float, qudits: int = 1) -> np.ndarray:
+    """Bare weights after local noise of retention q on 1 or 2 qudits of the pair."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"retention must be in [0, 1], got {q}")
+    r = q * q if qudits == 2 else q
+    return r * alpha + (1.0 - r) / alpha.size
 
 
 def twirl_isotropic(state: CoeffMatrix) -> CoeffMatrix:
@@ -157,11 +160,14 @@ def twirl_isotropic(state: CoeffMatrix) -> CoeffMatrix:
     The result is the isotropic state with the same entry [0, 0]; the
     other d**2 - 1 weights are averaged into a single value.
     """
-    d = state.d
-    F = state.fidelity
+    return CoeffMatrix(isotropic(state.d, state.fidelity))
+
+
+def isotropic(d: int, F: float) -> np.ndarray:
+    """Weight array of the isotropic state of fidelity F."""
     a = np.full((d, d), (1.0 - F) / (d * d - 1))
     a[0, 0] = F
-    return CoeffMatrix(a)
+    return a
 
 
 def random_state(d: int, rng: np.random.Generator) -> CoeffMatrix:

@@ -54,6 +54,19 @@ class TestRecurrenceRun:
             "cum_yield": 1.0,
         }
 
+    def test_json_stop_reason(self, capsys):
+        """JSON says why the run stopped; the default CSV is unchanged."""
+        argv = ["recurrence-run", "--d", "2", "--F", "0.45"]
+        code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["reached_target"] is False and doc["stop_reason"] == "stall"
+        code, out, _ = run_cli(capsys, argv + ["--max-iters", "3", "--format", "json"])
+        assert json.loads(out)["stop_reason"] == "max_iters"
+        code, out, _ = run_cli(capsys, argv)
+        assert out.splitlines()[0] == "iter,step,F,success_prob,cum_yield"
+        assert "stall" not in out
+
     def test_state_file_input(self, capsys, tmp_path):
         path = tmp_path / "state.json"
         path.write_text(json.dumps({"d": 2, "preset": "x_only", "F": 0.6}))

@@ -41,6 +41,7 @@ from quditpure.states import (
     StatePreset,
     make_preset,
     random_state,
+    twirl_isotropic,
 )
 
 
@@ -418,6 +419,99 @@ class TestDejmps:
         assert adaptive.F_min == pytest.approx(0.330989, abs=1e-4)
         assert fixed.F_min == pytest.approx(0.495401, abs=1e-4)
         assert adaptive.F_max == pytest.approx(fixed.F_max, abs=1e-6)
+
+
+def composed_round(protocol, state, Q):
+    """One round of ``protocol`` through the public maps."""
+    if protocol == BBPSSW:
+        mapped, prob = p1_map(noisy_step(twirl_isotropic(state), Q))
+        return BBPSSW, twirl_isotropic(mapped), prob
+    noisy = noisy_step(state, Q)
+    if protocol == DEJMPS:
+        mapped, prob = p1_map(noisy)
+        return DEJMPS, mapped.transpose(), prob
+    sub = choose_subroutine(noisy)
+    if protocol == P1P2:
+        return (sub, *(p1_map(noisy) if sub == P1 else p2_map(noisy)))
+    if sub == P1:
+        return (THREE_COPY, *three_copy_map(noisy))
+    mapped, prob = three_copy_map(noisy.transpose())
+    return THREE_COPY, mapped.transpose(), prob
+
+
+class TestAdvance:
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 31, 32, 37, 101])
+    def test_matches_public_maps_bit_for_bit(self, protocol, d):
+        """20 rounds of ``_advance`` give the label, weight bytes and
+        success probability of the public maps composed, on both sides of
+        GATHER_MAX_D, and every stored state is clamped non-negative."""
+        rng = np.random.default_rng(d)
+        starts = [random_state(d, rng), preset("x_only", d, 0.5), preset("z_only", d, 0.5)]
+        orientations = set()
+        for Q in (1.0, 0.95):
+            for state in starts:
+                for _ in range(20):
+                    label, mapped, prob = recurrence._advance(protocol, state, Q)
+                    ref_label, ref_mapped, ref_prob = composed_round(protocol, state, Q)
+                    assert (label, prob) == (ref_label, ref_prob)
+                    assert mapped.alpha.tobytes() == ref_mapped.alpha.tobytes()
+                    assert mapped.alpha.min() >= 0.0
+                    orientations.add(choose_subroutine(noisy_step(state, Q)))
+                    state = mapped
+        if protocol in (P1P2, THREE_COPY):
+            # Both orientations ran at this d: P2 and the transposed
+            # three-copy round are covered on the gather and the FFT kernel.
+            assert orientations == {P1, P2}
+
+    def test_unknown_protocol(self):
+        with pytest.raises(ValueError, match="unknown protocol"):
+            recurrence._advance("bogus", preset("isotropic", 2, 0.8), 1.0)
+
+
+class TestRetentionRange:
+    """Gate retention outside [0, 1] is rejected, not squared into range."""
+
+    @pytest.mark.parametrize("Q", [-0.5, -1.0, -0.9, 1.01, math.nan])
+    def test_noisy_step(self, Q):
+        with pytest.raises(ValueError, match="retention"):
+            noisy_step(preset("isotropic", 3, 0.8), Q)
+
+    @pytest.mark.parametrize("Q", [-0.5, -1.0, -0.9, 1.01, math.nan])
+    def test_dejmps_map(self, Q):
+        with pytest.raises(ValueError, match="retention"):
+            dejmps_map(preset("isotropic", 3, 0.8), Q)
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("Q", [-0.5, -1.0, -0.9, 1.01, math.nan])
+    def test_advance(self, protocol, Q):
+        with pytest.raises(ValueError, match="retention"):
+            recurrence._advance(protocol, preset("isotropic", 3, 0.8), Q)
+
+
+class TestStopReason:
+    def test_target(self):
+        traj = run_protocol(P1P2, preset("isotropic", 5, 0.5))
+        assert traj.reached_target and traj.stop_reason == "target"
+
+    def test_input_already_at_target(self):
+        traj = run_protocol(P1P2, preset("isotropic", 2, 1.0))
+        assert traj.iterations == 0 and traj.stop_reason == "target"
+
+    def test_stall(self):
+        traj = run_protocol(P1P2, preset("isotropic", 2, 0.45))
+        assert traj.iterations == 3 and traj.stop_reason == "stall"
+
+    def test_max_iters(self):
+        traj = run_protocol(P1P2, preset("isotropic", 5, 0.5), max_iters=2)
+        assert traj.iterations == 2 and traj.stop_reason == "max_iters"
+
+    def test_stall_on_last_round_counts_as_max_iters(self):
+        """A stall on the max_iters-th round reports max_iters; one round
+        more of budget reports the stall."""
+        state = preset("isotropic", 2, 0.45)
+        assert run_protocol(P1P2, state, max_iters=3).stop_reason == "max_iters"
+        assert run_protocol(P1P2, state, max_iters=4).stop_reason == "stall"
 
 
 class TestRunProtocol:
