@@ -24,7 +24,7 @@ import numpy as np
 
 from . import hashing, multipartite, oracle, recurrence
 from .indices import check_dimension, is_prime, primes_in
-from .states import StatePreset, make_preset, read_state_file
+from .states import StatePreset, make_preset, read_json_file, read_state_file
 
 __all__ = [
     "cmd_ghz",
@@ -200,6 +200,7 @@ def cmd_recurrence_run(args) -> str:
         (i, s.step, s.state.fidelity, s.success_prob, s.cumulative_yield)
         for i, s in enumerate(traj.steps, start=1)
     )
+    header = ["iter", "step", "F", "success_prob", "cum_yield"]
     if args.format == "json":
         return _json(
             {
@@ -208,19 +209,10 @@ def cmd_recurrence_run(args) -> str:
                 "target_fidelity": traj.target_fidelity,
                 "reached_target": traj.reached_target,
                 "stop_reason": traj.stop_reason,
-                "steps": [
-                    {
-                        "iter": r[0],
-                        "step": r[1],
-                        "F": r[2],
-                        "success_prob": r[3],
-                        "cum_yield": r[4],
-                    }
-                    for r in rows
-                ],
+                "steps": [dict(zip(header, r)) for r in rows],
             }
         )
-    return _csv(["iter", "step", "F", "success_prob", "cum_yield"], rows)
+    return _csv(header, rows)
 
 
 def cmd_thresholds(args) -> str:
@@ -230,7 +222,6 @@ def cmd_thresholds(args) -> str:
         raise ValueError("thresholds are defined for two-copy protocols")
     rows = []
     for d in _parse_d_range(args.d_range):
-        check_dimension(d)
         if protocol == recurrence.BBPSSW:
             q_th = recurrence.bbpssw_threshold(d)
             regime = recurrence.bbpssw_fixed_points(d, args.Q)
@@ -303,12 +294,7 @@ def cmd_hashing(args) -> str:
 def cmd_ghz(args) -> str:
     """Multiparty hashing yields over a (d, N, F) grid or one explicit state."""
     if args.state_file is not None:
-        with open(args.state_file, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"invalid JSON in state file: {exc}") from exc
-        state = multipartite.ghz_from_json(obj)
+        state = multipartite.ghz_from_json(read_json_file(args.state_file))
         h_phase, h_amp = multipartite.index_entropies(state)
         report = {
             "d": state.d,

@@ -20,12 +20,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .indices import check_dimension, require_prime
+from .indices import check_dimension, check_unit_interval, require_prime
 from .states import CoeffMatrix
 
 __all__ = [
     "HashingReport",
     "asymptotic_yield",
+    "base_d_entropy",
     "entropy_based",
     "finite_size_report",
     "finite_size_sweep",
@@ -44,8 +45,13 @@ def entropy_based(state: CoeffMatrix) -> float:
     For diagonal states this is the Shannon entropy of the weight matrix;
     it ranges from 0 (a basis state) to 2 (the maximally mixed state).
     """
-    a = state.alpha[state.alpha > 0.0]
-    return float(-(a * np.log(a)).sum() / math.log(state.d))
+    return base_d_entropy(state.alpha, state.d)
+
+
+def base_d_entropy(p: np.ndarray, d: int) -> float:
+    """Shannon entropy of the weights ``p``, in base d."""
+    p = p[p > 0.0]
+    return float(-(p * np.log(p)).sum() / math.log(d))
 
 
 def isotropic_entropy(d: int, F: float) -> float:
@@ -55,8 +61,7 @@ def isotropic_entropy(d: int, F: float) -> float:
     for very large d.
     """
     d = check_dimension(d)
-    if not 0.0 <= F <= 1.0:
-        raise ValueError(f"fidelity must be in [0, 1], got {F}")
+    check_unit_interval(F, "fidelity")
     tail = (1.0 - F) / (d * d - 1.0)
     s = 0.0
     if F > 0.0:

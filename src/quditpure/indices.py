@@ -11,14 +11,19 @@ against literal unitary conjugation.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 BellIndex = tuple[int, int]
 
 __all__ = [
     "BellIndex",
     "bgxor_index_map",
     "bqft_index_map",
+    "as_integer",
     "check_bell_index",
     "check_dimension",
+    "check_unit_interval",
     "is_prime",
     "pauli_on_bell",
     "primes_in",
@@ -28,10 +33,31 @@ __all__ = [
 
 def check_dimension(d: int) -> int:
     """Validate a qudit dimension and return it as a plain int."""
-    d = int(d)
+    if type(d) is not int:
+        d = as_integer(d, "qudit dimension")
     if d < 2:
         raise ValueError(f"qudit dimension must be at least 2, got {d}")
     return d
+
+
+def as_integer(value, name: str) -> int:
+    """``value`` as a plain int; anything but an integral number raises ValueError."""
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_unit_interval(value, name: str):
+    """Return ``value`` if it is a number in [0, 1]; NaN, bools and other
+    non-numbers raise ValueError."""
+    try:
+        if type(value) is not bool and 0.0 <= value <= 1.0:
+            return value
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
 def is_prime(n: int) -> bool:

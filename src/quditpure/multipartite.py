@@ -18,7 +18,9 @@ import math
 
 import numpy as np
 
-from .indices import check_dimension, require_prime
+from .hashing import base_d_entropy
+from .indices import as_integer, check_dimension, check_unit_interval, require_prime
+from .states import checked_weights, json_weights
 
 __all__ = [
     "GhzCoeffs",
@@ -30,11 +32,6 @@ __all__ = [
     "isotropic_yield_formula",
     "multipartite_yield",
 ]
-
-SUM_TOL = 1e-12
-RENORM_TOL = 1e-9
-NEG_TOL = -1e-12
-
 
 class GhzCoeffs:
     """Diagonal N-party GHZ-basis state as a flat weight vector.
@@ -48,30 +45,13 @@ class GhzCoeffs:
 
     def __init__(self, d: int, N: int, alpha):
         d = check_dimension(d)
-        N = int(N)
-        if N < 2:
-            raise ValueError(f"party count N must be at least 2, got {N}")
+        N = _check_parties(N)
         a = np.array(alpha, dtype=float).reshape(-1)
         if a.size != d**N:
             raise ValueError(
                 f"weight vector has {a.size} entries, expected d**N = {d**N}"
             )
-        if a.min() < NEG_TOL:
-            raise ValueError(f"negative weight {a.min():g} in state vector")
-        a = np.maximum(a, 0.0)
-        drift = abs(a.sum() - 1.0)
-        # Written so that a NaN or infinite sum fails too: NaN compares
-        # False both ways, and a.min() above is NaN when any weight is.
-        if not drift <= RENORM_TOL:
-            if not np.isfinite(a).all():
-                raise ValueError("non-finite weight in state vector")
-            raise ValueError(
-                f"weights sum to {a.sum():.12g}, beyond renormalization tolerance"
-            )
-        if drift > SUM_TOL:
-            a = a / a.sum()
-        a.setflags(write=False)
-        self.alpha = a
+        self.alpha = checked_weights(a, "vector")
         self.d = d
         self.N = N
 
@@ -87,22 +67,29 @@ class GhzCoeffs:
         return f"GhzCoeffs(d={self.d}, N={self.N}, F={self.fidelity:.6g})"
 
 
+def _check_parties(N) -> int:
+    if type(N) is not int:
+        N = as_integer(N, "party count N")
+    if N < 2:
+        raise ValueError(f"party count N must be at least 2, got {N}")
+    return N
+
+
+def _isotropic_size(d: int, N, F: float) -> int:
+    """d**N, once N and the isotropic fidelity range [1/d**N, 1] are checked."""
+    size = d ** _check_parties(N)
+    if not 1.0 / size <= F <= 1.0:
+        raise ValueError(f"fidelity must be in [1/d**N, 1], got {F}")
+    return size
+
+
 def ghz_isotropic(d: int, N: int, F: float) -> GhzCoeffs:
     """GHZ-diagonal state with weight F on the target and a uniform tail."""
     d = check_dimension(d)
-    if N < 2:
-        raise ValueError(f"party count N must be at least 2, got {N}")
-    size = d**N
-    if not 1.0 / size <= F <= 1.0:
-        raise ValueError(f"fidelity must be in [1/d**N, 1], got {F}")
+    size = _isotropic_size(d, N, F)
     a = np.full(size, (1.0 - F) / (size - 1))
     a[0] = F
     return GhzCoeffs(d, N, a)
-
-
-def _entropy(p: np.ndarray, d: int) -> float:
-    p = p[p > 0.0]
-    return float(-(p * np.log(p)).sum() / math.log(d))
 
 
 def index_entropies(state: GhzCoeffs) -> tuple[float, float]:
@@ -110,14 +97,18 @@ def index_entropies(state: GhzCoeffs) -> tuple[float, float]:
 
     Returns (phase entropy, largest amplitude entropy).
     """
+    h = _marginal_entropies(state)
+    return h[0], max(h[1:])
+
+
+def _marginal_entropies(state: GhzCoeffs) -> list[float]:
+    """Base-d entropy of each index's marginal, phase index first."""
     t = state.tensor()
-    axes = tuple(range(state.N))
-    h_phase = _entropy(t.sum(axis=axes[1:]), state.d)
-    h_amp = max(
-        _entropy(t.sum(axis=tuple(ax for ax in axes if ax != i)), state.d)
-        for i in range(1, state.N)
-    )
-    return h_phase, h_amp
+    axes = range(state.N)
+    return [
+        base_d_entropy(t.sum(axis=tuple(ax for ax in axes if ax != i)), state.d)
+        for i in axes
+    ]
 
 
 def index_correlation(state: GhzCoeffs) -> float:
@@ -128,14 +119,8 @@ def index_correlation(state: GhzCoeffs) -> float:
     positive value here flags inputs whose indices carry correlations the
     protocol does not exploit.
     """
-    t = state.tensor()
-    axes = tuple(range(state.N))
-    joint = _entropy(state.alpha, state.d)
-    marginals = sum(
-        _entropy(t.sum(axis=tuple(ax for ax in axes if ax != i)), state.d)
-        for i in range(state.N)
-    )
-    return max(0.0, marginals - joint)
+    joint = base_d_entropy(state.alpha, state.d)
+    return max(0.0, sum(_marginal_entropies(state)) - joint)
 
 
 def multipartite_yield(state: GhzCoeffs) -> float:
@@ -166,11 +151,7 @@ def isotropic_yield_formula(d: int, N: int, F: float) -> float:
     :func:`ghz_isotropic` inputs.
     """
     d = require_prime(d)
-    if N < 2:
-        raise ValueError(f"party count N must be at least 2, got {N}")
-    size = d**N
-    if not 1.0 / size <= F <= 1.0:
-        raise ValueError(f"fidelity must be in [1/d**N, 1], got {F}")
+    size = _isotropic_size(d, N, F)
     p_a = F + (1.0 - F) * (d ** (N - 1) - 1.0) / (size - 1.0)
     p_b = (1.0 - F) * d ** (N - 1) / (size - 1.0)
     log_d = math.log(d)
@@ -197,9 +178,9 @@ def ghz_from_json(obj: dict) -> GhzCoeffs:
         if key not in obj:
             raise ValueError(f"state description is missing {key!r}")
     d = check_dimension(obj["d"])
-    N = int(obj["N"])
+    N = _check_parties(obj["N"])
     if "alpha" in obj:
-        return GhzCoeffs(d, N, obj["alpha"])
+        return GhzCoeffs(d, N, json_weights(obj["alpha"]))
     if obj.get("preset") == "ghz_isotropic":
-        return ghz_isotropic(d, N, float(obj.get("F", 1.0)))
+        return ghz_isotropic(d, N, check_unit_interval(obj.get("F", 1.0), "fidelity"))
     raise ValueError("state description needs 'alpha' or preset 'ghz_isotropic'")

@@ -3,9 +3,10 @@
 Everything here works with explicit complex matrices and literal
 basis-state definitions: maximally entangled pairs are built as state
 vectors, gates as permutation or Fourier matrices, measurements as
-projector sums.  The coefficient-level shortcuts used elsewhere in the
-package are validated against this module, which never imports from
-:mod:`quditpure.recurrence`.
+projector sums.  A Bell pair is the N = 2 GHZ state, so one vector
+builder serves both bases.  The coefficient-level shortcuts used
+elsewhere in the package are validated against this module, which never
+imports from :mod:`quditpure.recurrence`.
 
 Sizes are deliberately tiny: two-pair simulations allow d <= 5 and
 three-pair simulations d <= 3.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indices import check_dimension
+from .indices import check_dimension, check_unit_interval
 from .states import CoeffMatrix
 
 __all__ = [
@@ -60,21 +61,12 @@ def bell_vector(d: int, phase: int, amplitude: int) -> np.ndarray:
 
     Qudit order is (A, B); the computational index is a*d + b.
     """
-    d = check_dimension(d)
-    w = _omega(d)
-    v = np.zeros(d * d, dtype=complex)
-    for r in range(d):
-        v[r * d + (r - amplitude) % d] = w ** (phase * r)
-    return v / math.sqrt(d)
+    return ghz_vector(d, phase, (amplitude,))
 
 
 def bell_basis(d: int) -> np.ndarray:
     """Unitary whose column phase*d + amplitude is the matching bell_vector."""
-    B = np.empty((d * d, d * d), dtype=complex)
-    for m in range(d):
-        for n in range(d):
-            B[:, m * d + n] = bell_vector(d, m, n)
-    return B
+    return ghz_basis(d, 2)
 
 
 def ghz_vector(d: int, phase: int, amplitudes: tuple[int, ...]) -> np.ndarray:
@@ -95,9 +87,8 @@ def ghz_basis(d: int, N: int) -> np.ndarray:
     """Columns are GHZ vectors in mixed-radix order, phase index slowest."""
     size = d**N
     G = np.empty((size, size), dtype=complex)
-    for flat in range(size):
-        digits = np.unravel_index(flat, (d,) * N)
-        G[:, flat] = ghz_vector(d, digits[0], tuple(digits[1:]))
+    for flat, digits in enumerate(np.ndindex((d,) * N)):
+        G[:, flat] = ghz_vector(d, digits[0], digits[1:])
     return G
 
 
@@ -356,8 +347,7 @@ def depolarize_oracle(state: CoeffMatrix, retention: float) -> CoeffMatrix:
     and re-extracts the diagonal weights.  Matches the coefficient-level
     :func:`quditpure.states.depolarize_channel` exactly.
     """
-    if not 0.0 <= retention <= 1.0:
-        raise ValueError(f"retention must be in [0, 1], got {retention}")
+    check_unit_interval(retention, "retention")
     d = state.d
     rho = bell_diagonal_density(state)
     eye = np.eye(d)
@@ -456,8 +446,7 @@ def verify_mgxor_index_map(d: int, atol: float = 1e-10) -> bool:
     # Amplitude-sign flip on one copy, as a GHZ-basis permutation.
     W = np.zeros((size, size), dtype=complex)
     dims = (d,) * N
-    for flat in range(size):
-        digits = np.unravel_index(flat, dims)
+    for flat, digits in enumerate(np.ndindex(dims)):
         flipped = (digits[0],) + tuple((-a) % d for a in digits[1:])
         W[:, flat] = G[:, np.ravel_multi_index(flipped, dims)]
     W = W @ G.conj().T
@@ -526,9 +515,11 @@ def verify_bell_index_maps(d: int) -> dict[str, float]:
     devs = {"bgxor": 0.0, "bqft": 0.0, "pauli": 0.0}
 
     # Column c * d**2 + t of a product holds the input pair (c, t).
-    BB = np.kron(bell_basis(d), bell_basis(d))
+    B = bell_basis(d)
+    BB = np.kron(B, B)
     vout = BB[_gxor_permutation(d, 2)]
-    cols = _mapped_columns(list(np.ndindex(d, d)), lambda c, t: bgxor_index_map(c, t, d))
+    labels = list(np.ndindex(d, d))
+    cols = _mapped_columns(labels, lambda c, t: bgxor_index_map(c, t, d))
     devs["bgxor"] = float(_overlap_error(BB[:, cols], vout).max())
 
     BQ = _bilateral_qft(d, 1)
@@ -540,16 +531,10 @@ def verify_bell_index_maps(d: int) -> dict[str, float]:
             devs["bqft"] = max(devs["bqft"], abs(abs(np.vdot(expected, vout)) - 1.0))
 
     eye = np.eye(d)
-    for a in range(d):
-        for b in range(d):
-            U = np.kron(eye, pauli_matrix(d, a, b))
-            for m in range(d):
-                for n in range(d):
-                    vout = U @ bell_vector(d, m, n)
-                    expected = bell_vector(d, *pauli_on_bell(a, b, (m, n), d))
-                    devs["pauli"] = max(
-                        devs["pauli"], abs(abs(np.vdot(expected, vout)) - 1.0)
-                    )
+    for a, b in labels:
+        vout = np.kron(eye, pauli_matrix(d, a, b)) @ B
+        cols = [m * d + n for m, n in (pauli_on_bell(a, b, label, d) for label in labels)]
+        devs["pauli"] = max(devs["pauli"], float(_overlap_error(B[:, cols], vout).max()))
     return devs
 
 

@@ -25,11 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .indices import check_dimension
+from .indices import check_dimension, check_unit_interval
 # make_preset and depolarize_channel stay bound here although nothing here
 # calls them: bench/tracer.py wraps them in every module that imports them.
 from .states import (
     CoeffMatrix, StatePreset, depolarize_channel, depolarized, isotropic, make_preset,
+    preset_weights,
 )
 
 __all__ = [
@@ -83,25 +84,24 @@ STALL_RUNS = 3
 IMPROVE_TOL = 1e-9
 
 
+def _stall_count(stall, new_F, F):
+    """Consecutive stalled rounds after one that took F to new_F; works
+    on floats and, lane by lane, on arrays."""
+    return (stall + 1) * (new_F - F < STALL_TOL)
+
+
 @dataclass(frozen=True)
 class NoiseParams:
     """Error parameters of the apparatus.
 
     Q is the per-qudit depolarizing retention of the two-qudit gates used
-    inside each purification round; p and q describe the source state
-    (global and per-particle retention) and are carried along for
-    threshold bookkeeping.  All default to the noiseless value 1.
+    inside each purification round; it defaults to the noiseless value 1.
     """
 
     Q: float = 1.0
-    p: float = 1.0
-    q: float = 1.0
 
     def __post_init__(self):
-        for name in ("Q", "p", "q"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"noise parameter {name} must be in [0, 1], got {value}")
+        check_unit_interval(self.Q, "noise parameter Q")
 
 
 NOISELESS = NoiseParams()
@@ -307,10 +307,8 @@ def bbpssw_step(F: float, d: int, Q: float = 1.0) -> tuple[float, float]:
     with the denominator equal to the round's success probability.
     """
     d = check_dimension(d)
-    if not 0.0 <= F <= 1.0:
-        raise ValueError(f"fidelity must be in [0, 1], got {F}")
-    if not 0.0 <= Q <= 1.0:
-        raise ValueError(f"retention Q must be in [0, 1], got {Q}")
+    check_unit_interval(F, "fidelity")
+    check_unit_interval(Q, "retention Q")
     F, _, _, _, prob = _sector_round(BBPSSW, F, 0.0, 0.0, 0.0, d, Q)
     return F, prob
 
@@ -335,8 +333,7 @@ def bbpssw_fixed_points(d: int, Q: float = 1.0) -> PurificationRegime:
     midpoint (d + 1) / (2 d), clamped into the physical range.
     """
     d = check_dimension(d)
-    if not 0.0 <= Q <= 1.0:
-        raise ValueError(f"retention Q must be in [0, 1], got {Q}")
+    check_unit_interval(Q, "retention Q")
     lo_phys, hi_phys = 1.0 / d**2, 1.0
     center = (d + 1.0) / (2.0 * d)
     q2 = Q * Q
@@ -426,7 +423,7 @@ def run_protocol(
         cum_yield *= prob / copies
         traj.steps.append(TrajectoryStep(label, current, prob, cum_yield))
         new_F = current.fidelity
-        stall = stall + 1 if new_F - F < STALL_TOL else 0
+        stall = _stall_count(stall, new_F, F)
         F = new_F
         if stall >= STALL_RUNS:
             break
@@ -516,19 +513,14 @@ def _lanes_improve(
     leaves the arrays once it stalls.
     """
     StatePreset(preset_kind, 1.0, x_weight)  # the preset's own validation
-    rest = 1.0 - F0
-    if preset_kind == "isotropic":
-        x = z = w = rest / (d * d - 1)
-    else:
-        share = {"x_only": 1.0, "z_only": 0.0}.get(preset_kind, x_weight)
-        x, z, w = share * rest / (d - 1), (1.0 - share) * rest / (d - 1), 0.0 * rest
+    x, z, w = preset_weights(preset_kind, d, F0, x_weight)
     final = F0.copy()
     lanes = np.arange(F0.size)
     F = F0
     stall = np.zeros(F0.size, dtype=int)
     for _ in range(iterations):
         new_F, x, z, w, _ = _sector_round(protocol, F, x, z, w, d, Q)
-        stall = (stall + 1) * (new_F - F < STALL_TOL)
+        stall = _stall_count(stall, new_F, F)
         F = new_F
         done = stall >= STALL_RUNS
         if np.count_nonzero(done):
@@ -622,8 +614,7 @@ def regime_scan(
     :func:`bbpssw_fixed_points` to bisection accuracy.
     """
     d, Fs = _scan_grid(protocol, d, grid, iterations, refine_tol)
-    if not 0.0 <= Q <= 1.0:
-        raise ValueError(f"retention Q must be in [0, 1], got {Q}")
+    check_unit_interval(Q, "retention Q")
 
     def improves(Fs: np.ndarray) -> np.ndarray:
         return _lanes_improve(protocol, d, Q, preset_kind, x_weight, Fs, iterations)
@@ -670,8 +661,8 @@ def noise_threshold(
     and to handle the adaptive and fixed-swap protocols.
     """
     d, Fs = _scan_grid(protocol, d, grid, iterations, q_tol)
-    if not (0.0 <= q_lo <= 1.0 and 0.0 <= q_hi <= 1.0):
-        raise ValueError(f"retentions q_lo, q_hi must be in [0, 1], got {q_lo}, {q_hi}")
+    check_unit_interval(q_lo, "retention q_lo")
+    check_unit_interval(q_hi, "retention q_hi")
 
     def purifiable(Q: float) -> bool:
         ok = _lanes_improve(protocol, d, Q, preset_kind, x_weight, Fs, iterations)

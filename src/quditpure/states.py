@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indices import check_dimension
+from .indices import check_dimension, check_unit_interval
 
 __all__ = [
     "CoeffMatrix",
@@ -43,6 +43,28 @@ NEG_TOL = -1e-12
 PRESET_KINDS = ("isotropic", "x_only", "z_only", "xz_mixture")
 
 
+def checked_weights(a: np.ndarray, kind: str) -> np.ndarray:
+    """Apply the policy above to the fresh float array ``a`` of a state
+    ``kind`` ("matrix" or "vector"), clamping negatives down to NEG_TOL
+    to 0; returns the weights read-only."""
+    if a.min() < NEG_TOL:
+        raise ValueError(f"negative weight {a.min():g} in state {kind}")
+    a = np.maximum(a, 0.0)
+    drift = abs(a.sum() - 1.0)
+    # Written so that a NaN or infinite sum fails too: NaN compares
+    # False both ways, and a.min() above is NaN when any weight is.
+    if not drift <= RENORM_TOL:
+        if not np.isfinite(a).all():
+            raise ValueError(f"non-finite weight in state {kind}")
+        raise ValueError(
+            f"weights sum to {a.sum():.12g}, beyond renormalization tolerance"
+        )
+    if drift > SUM_TOL:
+        a = a / a.sum()
+    a.setflags(write=False)
+    return a
+
+
 class CoeffMatrix:
     """Immutable Bell-diagonal state given by its basis-weight matrix."""
 
@@ -53,22 +75,7 @@ class CoeffMatrix:
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"weight matrix must be square, got shape {a.shape}")
         check_dimension(a.shape[0])
-        if a.min() < NEG_TOL:
-            raise ValueError(f"negative weight {a.min():g} in state matrix")
-        a = np.maximum(a, 0.0)
-        drift = abs(a.sum() - 1.0)
-        # Written so that a NaN or infinite sum fails too: NaN compares
-        # False both ways, and a.min() above is NaN when any weight is.
-        if not drift <= RENORM_TOL:
-            if not np.isfinite(a).all():
-                raise ValueError("non-finite weight in state matrix")
-            raise ValueError(
-                f"weights sum to {a.sum():.12g}, beyond renormalization tolerance"
-            )
-        if drift > SUM_TOL:
-            a = a / a.sum()
-        a.setflags(write=False)
-        self.alpha = a
+        self.alpha = checked_weights(a, "matrix")
 
     @property
     def d(self) -> int:
@@ -104,29 +111,30 @@ class StatePreset:
     def __post_init__(self):
         if self.kind not in PRESET_KINDS:
             raise ValueError(f"unknown preset kind {self.kind!r}")
-        if not 0.0 <= self.F <= 1.0:
-            raise ValueError(f"preset fidelity must be in [0, 1], got {self.F}")
-        if not 0.0 <= self.x_weight <= 1.0:
-            raise ValueError(f"x_weight must be in [0, 1], got {self.x_weight}")
+        check_unit_interval(self.F, "preset fidelity")
+        check_unit_interval(self.x_weight, "x_weight")
 
 
 def make_preset(preset: StatePreset, d: int) -> CoeffMatrix:
     """Build the coefficient matrix for a preset at dimension d."""
     d = check_dimension(d)
-    F = preset.F
-    if preset.kind == "isotropic":
-        return CoeffMatrix(isotropic(d, F))
-    a = np.zeros((d, d))
-    a[0, 0] = F
-    rest = 1.0 - F
-    if preset.kind == "x_only":
-        a[0, 1:] = rest / (d - 1)
-    elif preset.kind == "z_only":
-        a[1:, 0] = rest / (d - 1)
-    else:  # xz_mixture
-        a[0, 1:] = preset.x_weight * rest / (d - 1)
-        a[1:, 0] = (1.0 - preset.x_weight) * rest / (d - 1)
+    x, z, w = preset_weights(preset.kind, d, preset.F, preset.x_weight)
+    a = np.full((d, d), w)
+    a[0, 1:] = x
+    a[1:, 0] = z
+    a[0, 0] = preset.F
     return CoeffMatrix(a)
+
+
+def preset_weights(kind: str, d: int, F, x_weight: float):
+    """Weights (x, z, w) of a preset at fidelity F, a float or an array:
+    x on the rest of row 0, z on the rest of column 0, w elsewhere."""
+    rest = 1.0 - F
+    if kind == "isotropic":
+        x = rest / (d * d - 1)
+        return x, x, x
+    share = {"x_only": 1.0, "z_only": 0.0}.get(kind, x_weight)
+    return share * rest / (d - 1), (1.0 - share) * rest / (d - 1), 0.0 * rest
 
 
 def fidelity(state: CoeffMatrix) -> float:
@@ -148,8 +156,7 @@ def depolarize_channel(state: CoeffMatrix, retention: float) -> CoeffMatrix:
 
 def depolarized(alpha: np.ndarray, q: float, qudits: int = 1) -> np.ndarray:
     """Bare weights after local noise of retention q on 1 or 2 qudits of the pair."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"retention must be in [0, 1], got {q}")
+    check_unit_interval(q, "retention")
     r = q * q if qudits == 2 else q
     return r * alpha + (1.0 - r) / alpha.size
 
@@ -194,27 +201,35 @@ def state_from_json(obj: dict) -> CoeffMatrix:
         raise ValueError("state description is missing 'd'")
     d = check_dimension(obj["d"])
     if "alpha" in obj:
-        a = np.asarray(obj["alpha"], dtype=float)
+        a = json_weights(obj["alpha"])
         if a.shape != (d, d):
             raise ValueError(
                 f"alpha has shape {a.shape}, expected ({d}, {d}) for d={d}"
             )
         return CoeffMatrix(a)
     if "preset" in obj:
-        preset = StatePreset(
-            kind=obj["preset"],
-            F=float(obj.get("F", 1.0)),
-            x_weight=float(obj.get("x_weight", 0.25)),
-        )
+        preset = StatePreset(obj["preset"], obj.get("F", 1.0), obj.get("x_weight", 0.25))
         return make_preset(preset, d)
     raise ValueError("state description needs either 'alpha' or 'preset'")
 
 
-def read_state_file(path: str) -> CoeffMatrix:
-    """Load a state from a JSON file (see :func:`state_from_json`)."""
+def json_weights(value) -> np.ndarray:
+    """The ``"alpha"`` of a state description as a float array."""
+    a = np.asarray(value)
+    if a.dtype.kind not in "iuf":
+        raise ValueError("'alpha' must be an array of numbers")
+    return a.astype(float)
+
+
+def read_json_file(path: str):
+    """Parse a JSON state file; invalid JSON raises ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid JSON in state file {path}: {exc}") from exc
-    return state_from_json(obj)
+
+
+def read_state_file(path: str) -> CoeffMatrix:
+    """Load a state from a JSON file (see :func:`state_from_json`)."""
+    return state_from_json(read_json_file(path))

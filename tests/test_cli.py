@@ -1,10 +1,16 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
 import hashlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quditpure import cli, oracle, recurrence
 from quditpure.states import random_state
@@ -342,6 +348,60 @@ class TestTableGoldens:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestCommandGoldens:
+    """SHA-256 of stdout for the commands TestTableGoldens leaves out, so
+    that every subcommand has a byte golden: trajectories of all four
+    protocols, the dense oracle at every dimension it allows, and a GHZ
+    report on an explicit weight vector."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["recurrence-run", "--protocol", "p1p2", "--d", "7", "--preset",
+                 "xz_mixture", "--F", "0.6", "--Q", "0.98"],
+                "1f3e89013cdbe57030a1d4376ba9035d29ee434702d58d6caac2a5798f4ecc71",
+            ),
+            (
+                ["recurrence-run", "--protocol", "three-copy", "--d", "5", "--F", "0.7",
+                 "--format", "json"],
+                "a2879b8a18967bbe853959923f2358b83a046d32a7d15a5fca116f52a78f62a3",
+            ),
+            (
+                ["recurrence-run", "--protocol", "dejmps", "--d", "3", "--preset",
+                 "x_only", "--F", "0.6"],
+                "bc4a28cde856cfcd5727c5cb673850b3f1608c7eea8c721cdb5a8e984f30f707",
+            ),
+            (
+                ["recurrence-run", "--protocol", "bbpssw", "--d", "4", "--F", "0.7",
+                 "--Q", "0.99"],
+                "d96ff7948e5a9527b4e45fe030f1d5756b6a3825564a3a214d9b4ed44a2becbe",
+            ),
+            (
+                ["oracle-check", "--d", "2,3,4,5", "--trials", "3", "--seed", "1"],
+                "0b9ed0f4003dcdd5300e578622e3e6c3296a48c9ef3e2dab58c45cb4cd3ea12d",
+            ),
+        ],
+        ids=["p1p2_xz_d7", "three_copy_json", "dejmps", "bbpssw", "oracle"],
+    )
+    def test_golden_sha256(self, capsys, argv, digest):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_ghz_state_file_golden_sha256(self, capsys, tmp_path):
+        # Weights 2**-1, ..., 2**-26, 2**-26: exact binary fractions summing to 1.
+        alpha = [2.0 ** -(k + 1) for k in range(26)] + [2.0**-26]
+        path = tmp_path / "ghz.json"
+        path.write_text(json.dumps({"d": 3, "N": 3, "alpha": alpha}))
+        code, out, err = run_cli(capsys, ["ghz", "--state-file", str(path)])
+        assert code == 0 and err == ""
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "9f746b5828456560b366d264eda631256e55dfbce959348f7c40b18d948b8c48"
+        )
+
+
 class TestCsvFormatting:
     @staticmethod
     def join_fmt(header, rows):
@@ -397,6 +457,83 @@ class TestGhz:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "non-finite" in err
+
+
+def run_quietly(argv):
+    """main() with stdout and stderr captured, for use inside @given."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def corrupt_state_files(draw):
+    """A state file for recurrence-run or ghz whose weights hold one
+    non-finite value, a negative below NEG_TOL, a sum off by more than
+    RENORM_TOL, or the wrong count."""
+    command = draw(st.sampled_from(["recurrence-run", "ghz"]))
+    d = draw(st.integers(2, 3))
+    N = 2 if command == "recurrence-run" else draw(st.integers(2, 3))
+    w = [1.0] + [0.0] * (d**N - 1)
+    if draw(st.booleans()):
+        bad = st.sampled_from([math.nan, math.inf, -math.inf])
+        w[draw(st.integers(0, d**N - 1))] = draw(
+            bad | st.floats(-1e6, -2e-12) | st.floats(1.0 + 2e-9, 1e6)
+        )
+    else:
+        del w[draw(st.integers(1, d**N - 1)):]
+    doc = {"d": d, "alpha": w}
+    if command == "ghz":
+        doc["N"] = N
+    elif len(w) == d * d:
+        doc["alpha"] = np.reshape(w, (d, d)).tolist()
+    return command, json.dumps(doc)
+
+
+class TestMalformedStateFiles:
+    """Wrongly typed or non-integral fields exit 2 with a one-line error,
+    never a traceback or a silently truncated value."""
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("recurrence-run", '{"d": null, "preset": "isotropic", "F": 0.8}'),
+            ("recurrence-run", '{"d": [2], "preset": "isotropic", "F": 0.8}'),
+            ("recurrence-run", '{"d": 2, "preset": "isotropic", "F": null}'),
+            ("recurrence-run", '{"d": 2, "preset": "xz_mixture", "F": 0.8, "x_weight": null}'),
+            ("recurrence-run", '{"d": Infinity, "preset": "isotropic", "F": 0.8}'),
+            ("recurrence-run", '{"d": 1e400, "preset": "isotropic", "F": 0.8}'),
+            ("recurrence-run", '{"d": 2.7, "preset": "isotropic", "F": 0.8}'),
+            ("recurrence-run", '{"d": 2, "alpha": {"a": 1}}'),
+            ("recurrence-run", '{"d": 2, "alpha": [["0.7", "0.1"], ["0.1", "0.1"]]}'),
+            ("recurrence-run", '{"d": 2, "preset": "isotropic", "F": true}'),
+            ("ghz", '{"d": 2, "N": null, "alpha": [1, 0, 0, 0]}'),
+            ("ghz", '{"d": 2, "N": 2, "alpha": {"a": 1}}'),
+            ("ghz", '{"d": 2, "N": 2.5, "preset": "ghz_isotropic", "F": 0.9}'),
+            ("ghz", '{"d": 2, "N": 2, "preset": "ghz_isotropic", "F": null}'),
+        ],
+        ids=["d_null", "d_list", "F_null", "x_weight_null", "d_inf", "d_1e400",
+             "d_2.7", "alpha_object", "alpha_strings", "F_true", "N_null",
+             "ghz_alpha_object", "N_2.5", "ghz_F_null"],
+    )
+    def test_exits_2_with_one_line_error(self, capsys, tmp_path, command, text):
+        path = tmp_path / "state.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, [command, "--state-file", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @settings(deadline=None, max_examples=60)
+    @given(corrupt_state_files())
+    def test_corrupt_weights_exit_2(self, case):
+        command, text = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "state.json"
+            path.write_text(text)
+            code, out, err = run_quietly([command, "--state-file", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestOracleCheck:

@@ -1,5 +1,8 @@
 """Tests for modular index arithmetic and basis-label maps."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +11,7 @@ from quditpure.indices import (
     bqft_index_map,
     check_bell_index,
     check_dimension,
+    check_unit_interval,
     is_prime,
     pauli_on_bell,
     primes_in,
@@ -25,6 +29,16 @@ class TestDimensionChecks:
         with pytest.raises(ValueError):
             check_dimension(bad)
 
+    @pytest.mark.parametrize("bad", [2.7, None, [2], "3", math.inf, math.nan, 1e400])
+    def test_rejects_non_integral(self, bad):
+        with pytest.raises(ValueError, match="must be an integer"):
+            check_dimension(bad)
+
+    @pytest.mark.parametrize("value", [3, 3.0, np.int64(3), np.float64(3.0)])
+    def test_integral_values_become_plain_int(self, value):
+        d = check_dimension(value)
+        assert d == 3 and type(d) is int
+
     def test_is_prime_small(self):
         primes = [n for n in range(2, 60) if is_prime(n)]
         assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
@@ -41,6 +55,19 @@ class TestDimensionChecks:
     def test_primes_in(self):
         assert primes_in(2, 13) == [2, 3, 5, 7, 11, 13]
         assert primes_in(8, 10) == []
+
+
+class TestUnitInterval:
+    @pytest.mark.parametrize("value", [0, 0.0, 0.5, 1, 1.0, np.float64(0.25)])
+    def test_returns_value_inside(self, value):
+        assert check_unit_interval(value, "x") is value
+
+    @pytest.mark.parametrize(
+        "bad", [-0.1, 1.0000001, math.nan, math.inf, None, True, "0.5", [0.5]]
+    )
+    def test_rejects_outside_nan_and_non_numbers(self, bad):
+        with pytest.raises(ValueError, match=r"^retention q must be in \[0, 1\], got "):
+            check_unit_interval(bad, "retention q")
 
 
 class TestBellIndexValidation:

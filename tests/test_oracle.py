@@ -4,6 +4,8 @@ These pin the coefficient-level machinery in the rest of the package to
 literal quantum mechanics on explicit (small) Hilbert spaces.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,29 @@ def preset(kind, d, F):
     return make_preset(StatePreset(kind, F), d)
 
 
+def loop_bell_basis(d):
+    """The Bell basis as built before it became ``ghz_basis(d, 2)``: column
+    phase * d + amplitude from its own loop, kept as the byte reference."""
+    w = np.exp(2j * math.pi / d)
+    B = np.empty((d * d, d * d), dtype=complex)
+    for m in range(d):
+        for n in range(d):
+            v = np.zeros(d * d, dtype=complex)
+            for r in range(d):
+                v[r * d + (r - n) % d] = w ** (m * r)
+            B[:, m * d + n] = v / math.sqrt(d)
+    return B
+
+
 class TestBasisConstruction:
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_bell_basis_orthonormal(self, d):
         B = oracle.bell_basis(d)
         assert np.abs(B.conj().T @ B - np.eye(d * d)).max() < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_bell_basis_matches_per_column_build(self, d):
+        assert oracle.bell_basis(d).tobytes() == loop_bell_basis(d).tobytes()
 
     def test_bell_vector_normalized(self):
         v = oracle.bell_vector(3, 2, 1)
@@ -221,6 +241,20 @@ class TestIndexMapValidation:
 
         monkeypatch.setattr(indices, "bgxor_index_map", swapped)
         assert oracle.verify_bell_index_maps(2)["bgxor"] > 0.5
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_wrong_pauli_map_is_detected(self, monkeypatch, d):
+        """Exchanging the phase and shift powers sends some basis state to
+        an orthogonal one: an overlap of 0, a deviation of 1."""
+        from quditpure import indices
+
+        def exchanged(a, b, index, d):
+            return (index[0] + b) % d, (index[1] + a) % d
+
+        monkeypatch.setattr(indices, "pauli_on_bell", exchanged)
+        devs = oracle.verify_bell_index_maps(d)
+        assert devs["pauli"] == pytest.approx(1.0, abs=1e-12)
+        assert devs["bgxor"] < 1e-12
 
 
 class TestRecurrenceSimulation:

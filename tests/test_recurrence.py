@@ -258,13 +258,11 @@ class TestP1P2Run:
 
 class TestNoiseParams:
     def test_defaults_noiseless(self):
-        assert NOISELESS.Q == 1.0 and NOISELESS.p == 1.0 and NOISELESS.q == 1.0
+        assert NOISELESS.Q == 1.0
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             NoiseParams(Q=1.2)
-        with pytest.raises(ValueError):
-            NoiseParams(q=-0.1)
 
 
 class TestBbpssw:

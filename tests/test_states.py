@@ -1,17 +1,24 @@
 """Tests for weight-matrix states, presets, channels, and serialization."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from quditpure.multipartite import GhzCoeffs
 from quditpure.states import (
+    NEG_TOL,
     PRESET_KINDS,
+    RENORM_TOL,
+    SUM_TOL,
     CoeffMatrix,
     StatePreset,
     depolarize_channel,
     fidelity,
     make_preset,
+    preset_weights,
     random_state,
     read_state_file,
     state_from_json,
@@ -63,7 +70,44 @@ class TestCoeffMatrix:
             m.alpha[0, 0] = 0.9
 
 
+def loop_make_preset(kind, F, x_weight, d):
+    """The preset weight matrix as built before ``preset_weights``: one
+    branch per kind, kept as the byte-for-byte reference."""
+    if kind == "isotropic":
+        a = np.full((d, d), (1.0 - F) / (d * d - 1))
+        a[0, 0] = F
+        return a
+    a = np.zeros((d, d))
+    a[0, 0] = F
+    rest = 1.0 - F
+    if kind == "x_only":
+        a[0, 1:] = rest / (d - 1)
+    elif kind == "z_only":
+        a[1:, 0] = rest / (d - 1)
+    else:
+        a[0, 1:] = x_weight * rest / (d - 1)
+        a[1:, 0] = (1.0 - x_weight) * rest / (d - 1)
+    return a
+
+
 class TestPresets:
+    @pytest.mark.parametrize("d", [2, 3, 7, 31])
+    @pytest.mark.parametrize("kind", PRESET_KINDS)
+    def test_matches_branch_per_kind_construction(self, kind, d):
+        """Byte for byte, and the (x, z, w) of a lane vector of F equal
+        the one-F values, as the preset-sector scans need.  x_weight 0.1
+        is inexact in binary, so it also pins the order of the products."""
+        Fs = [0.0, 1.0 / d**2, 0.37, 1.0]
+        for x_weight in (0.0, 0.25, 1.0, 0.1):
+            for F in Fs:
+                got = make_preset(StatePreset(kind, F, x_weight), d).alpha
+                want = CoeffMatrix(loop_make_preset(kind, F, x_weight, d)).alpha
+                assert got.tobytes() == want.tobytes(), (F, x_weight)
+            lanes = preset_weights(kind, d, np.array(Fs), x_weight)
+            ones = [preset_weights(kind, d, F, x_weight) for F in Fs]
+            for lane, one in zip(lanes, zip(*ones)):
+                assert np.asarray(lane).tobytes() == np.array(one).tobytes()
+
     def test_kinds_tuple(self):
         assert PRESET_KINDS == ("isotropic", "x_only", "z_only", "xz_mixture")
 
@@ -213,3 +257,63 @@ class TestSerialization:
         path.write_text("{not json")
         with pytest.raises(ValueError):
             read_state_file(str(path))
+
+
+# The two state types share one weight policy; "matrix" is a CoeffMatrix
+# of side d, "vector" a GhzCoeffs of d**N entries.
+SHAPES = st.one_of(
+    st.tuples(st.just("matrix"), st.integers(2, 5), st.just(2)),
+    st.tuples(st.just("vector"), st.integers(2, 3), st.integers(2, 3)),
+)
+
+
+def build(kind, d, N, flat, wrong_shape=False):
+    if kind == "matrix":
+        a = np.reshape(flat, (d, d))
+        return CoeffMatrix(a[:, 1:] if wrong_shape else a)
+    return GhzCoeffs(d, N, flat[1:] if wrong_shape else flat)
+
+
+@st.composite
+def distributions(draw):
+    """A state shape and a normalized weight vector for it."""
+    kind, d, N = draw(SHAPES)
+    raw = draw(
+        st.lists(st.floats(0.0, 1.0), min_size=d**N, max_size=d**N).filter(
+            lambda v: sum(v) > 0.01
+        )
+    )
+    w = np.array(raw)
+    return kind, d, N, w / w.sum()
+
+
+class TestWeightPolicyProperties:
+    @settings(deadline=None)
+    @given(distributions(), st.data())
+    def test_rejects_corrupt_weights(self, case, data):
+        kind, d, N, w = case
+        i = data.draw(st.integers(0, w.size - 1))
+        defect = data.draw(st.sampled_from(["non_finite", "negative", "drift", "shape"]))
+        if defect == "non_finite":
+            w[i] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        elif defect == "negative":
+            w[i] = data.draw(st.floats(-1e6, NEG_TOL, exclude_max=True))
+        elif defect == "drift":
+            w *= 1.0 + data.draw(
+                st.floats(-0.99, -2 * RENORM_TOL) | st.floats(2 * RENORM_TOL, 10.0)
+            )
+        with pytest.raises(ValueError):
+            build(kind, d, N, w, wrong_shape=defect == "shape")
+
+    @settings(deadline=None)
+    @given(distributions(), st.data())
+    def test_accepted_weights_are_a_read_only_distribution(self, case, data):
+        """Drift up to RENORM_TOL is renormalized and rounding negatives
+        down to NEG_TOL are clamped to 0."""
+        kind, d, N, w = case
+        w *= 1.0 + data.draw(st.floats(-RENORM_TOL / 2, RENORM_TOL / 2))
+        w[data.draw(st.integers(0, w.size - 1))] -= data.draw(st.floats(0.0, -NEG_TOL))
+        a = build(kind, d, N, w).alpha
+        assert not a.flags.writeable
+        assert a.min() >= 0.0
+        assert abs(a.sum() - 1.0) <= SUM_TOL
