@@ -23,8 +23,8 @@ import sys
 import numpy as np
 
 from . import hashing, multipartite, oracle, recurrence
-from .indices import check_dimension, is_prime, primes_in
-from .states import StatePreset, make_preset, read_json_file, read_state_file
+from .indices import is_prime, primes_in
+from .states import PRESET_KINDS, StatePreset, make_preset, read_json_file, read_state_file
 
 __all__ = [
     "cmd_ghz",
@@ -322,45 +322,8 @@ def cmd_ghz(args) -> str:
 def cmd_oracle_check(args) -> str:
     """Dense-simulation validation suite; reports max deviations per check."""
     d_values = _parse_int_list(args.d)
-    for d in d_values:
-        check_dimension(d)
-        if d > oracle.MAX_TWO_PAIR_D:
-            raise ValueError(
-                f"oracle checks are limited to d <= {oracle.MAX_TWO_PAIR_D}, got {d}"
-            )
-    checks: dict[str, float] = {}
-    mgxor_ok = True
-    for d in d_values:
-        index_devs = oracle.verify_bell_index_maps(d)
-        for name, dev in index_devs.items():
-            checks[f"{name}_index_map_d{d}"] = dev
-        for k, (variant, pairs) in enumerate((("P1", 2), ("P2", 2), ("THREE_COPY", 3))):
-            if d > oracle.MAX_THREE_PAIR_D and pairs == 3:
-                continue
-            # One seed per variant, so that P2 is not checked on P1's states.
-            state_dev, prob_dev = oracle.recurrence_map_deviation(
-                d, variant, trials=args.trials, seed=np.random.SeedSequence([args.seed, k])
-            )
-            checks[f"{variant}_state_d{d}"] = state_dev
-            checks[f"{variant}_prob_d{d}"] = prob_dev
-        checks[f"twirl_offdiag_d{d}"] = oracle.verify_depolarization_identity(
-            d, trials=3, seed=args.seed
-        )
-        if d <= oracle.MAX_THREE_PAIR_D:
-            mgxor_ok = mgxor_ok and oracle.verify_mgxor_index_map(d)
-    worst = max(checks.values())
-    return _json(
-        {
-            "d": d_values,
-            "seed": args.seed,
-            "trials": args.trials,
-            "checks": {k: _jsonable(v) for k, v in sorted(checks.items())},
-            "mgxor_index_map_ok": mgxor_ok,
-            "max_abs_deviation": worst,
-            "tolerance": 1e-10,
-            "pass": bool(mgxor_ok and worst < 1e-10),
-        }
-    )
+    report = oracle.run_checks(d_values, args.trials, args.seed)
+    return _json({"d": d_values, "seed": args.seed, "trials": args.trials, **report})
 
 
 def _add_output_flags(sub) -> None:
@@ -377,8 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recurrence-run", help="iterate a purification protocol")
     p.add_argument("--d", type=int)
-    p.add_argument("--preset", choices=("isotropic", "x_only", "z_only", "xz_mixture"),
-                   default="isotropic")
+    p.add_argument("--preset", choices=PRESET_KINDS, default="isotropic")
     p.add_argument("--F", type=float)
     p.add_argument("--x-weight", dest="x_weight", type=float, default=0.25)
     p.add_argument("--state-file")
@@ -393,8 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=("bbpssw", "p1p2", "dejmps"), default="bbpssw")
     p.add_argument("--d-range", dest="d_range", default="2..8")
     p.add_argument("--Q", type=float, default=1.0)
-    p.add_argument("--preset", choices=("isotropic", "x_only", "z_only", "xz_mixture"),
-                   default="isotropic")
+    p.add_argument("--preset", choices=PRESET_KINDS, default="isotropic")
     p.add_argument("--q-tol", dest="q_tol", type=float, default=1e-3)
     p.add_argument("--grid", type=int, default=128)
     p.add_argument("--iterations", type=int, default=160)

@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 
 BellIndex = tuple[int, int]
 
 __all__ = [
     "BellIndex",
+    "MAX_DIMENSION",
+    "MAX_INDEX",
     "bgxor_index_map",
     "bqft_index_map",
     "as_integer",
@@ -31,12 +34,20 @@ __all__ = [
 ]
 
 
+# Largest array size (numpy's intp is Py_ssize_t), and the largest d whose
+# d x d weight matrix fits it.
+MAX_INDEX = sys.maxsize
+MAX_DIMENSION = math.isqrt(MAX_INDEX)
+
+
 def check_dimension(d: int) -> int:
     """Validate a qudit dimension and return it as a plain int."""
     if type(d) is not int:
         d = as_integer(d, "qudit dimension")
     if d < 2:
         raise ValueError(f"qudit dimension must be at least 2, got {d}")
+    if d > MAX_DIMENSION:
+        raise ValueError(f"qudit dimension must be at most {MAX_DIMENSION}, got {d}")
     return d
 
 

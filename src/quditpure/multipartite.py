@@ -19,7 +19,9 @@ import math
 import numpy as np
 
 from .hashing import base_d_entropy
-from .indices import as_integer, check_dimension, check_unit_interval, require_prime
+from .indices import (
+    MAX_INDEX, as_integer, check_dimension, check_unit_interval, require_prime,
+)
 from .states import checked_weights, json_weights
 
 __all__ = [
@@ -45,7 +47,7 @@ class GhzCoeffs:
 
     def __init__(self, d: int, N: int, alpha):
         d = check_dimension(d)
-        N = _check_parties(N)
+        N = _check_parties(N, d)
         a = np.array(alpha, dtype=float).reshape(-1)
         if a.size != d**N:
             raise ValueError(
@@ -67,17 +69,21 @@ class GhzCoeffs:
         return f"GhzCoeffs(d={self.d}, N={self.N}, F={self.fidelity:.6g})"
 
 
-def _check_parties(N) -> int:
+def _check_parties(N, d: int) -> int:
+    """Validate a party count for dimension d: d**N must be an array size.
+    As d >= 2, an N at or past MAX_INDEX's bit length fails before d**N."""
     if type(N) is not int:
         N = as_integer(N, "party count N")
     if N < 2:
         raise ValueError(f"party count N must be at least 2, got {N}")
+    if N >= MAX_INDEX.bit_length() or d**N > MAX_INDEX:
+        raise ValueError(f"d**N must be at most {MAX_INDEX}, got d={d}, N={N}")
     return N
 
 
 def _isotropic_size(d: int, N, F: float) -> int:
     """d**N, once N and the isotropic fidelity range [1/d**N, 1] are checked."""
-    size = d ** _check_parties(N)
+    size = d ** _check_parties(N, d)
     if not 1.0 / size <= F <= 1.0:
         raise ValueError(f"fidelity must be in [1/d**N, 1], got {F}")
     return size
@@ -178,7 +184,7 @@ def ghz_from_json(obj: dict) -> GhzCoeffs:
         if key not in obj:
             raise ValueError(f"state description is missing {key!r}")
     d = check_dimension(obj["d"])
-    N = _check_parties(obj["N"])
+    N = _check_parties(obj["N"], d)
     if "alpha" in obj:
         return GhzCoeffs(d, N, json_weights(obj["alpha"]))
     if obj.get("preset") == "ghz_isotropic":

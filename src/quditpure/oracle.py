@@ -8,8 +8,9 @@ builder serves both bases.  The coefficient-level shortcuts used
 elsewhere in the package are validated against this module, which never
 imports from :mod:`quditpure.recurrence`.
 
-Sizes are deliberately tiny: two-pair simulations allow d <= 5 and
-three-pair simulations d <= 3.
+Sizes are deliberately tiny: ``PAIR_LIMITS`` gives the largest d for
+each number of copies.  :func:`run_checks` is the whole validation suite
+that ``quditpure oracle-check`` prints.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .states import CoeffMatrix
 
 __all__ = [
     "DenseState",
-    "MAX_THREE_PAIR_D",
-    "MAX_TWO_PAIR_D",
+    "PAIR_LIMITS",
+    "VARIANT_PAIRS",
     "bell_basis",
     "bell_vector",
     "build_bell_pairs",
@@ -38,15 +39,18 @@ __all__ = [
     "pauli_matrix",
     "qft_matrix",
     "recurrence_map_deviation",
+    "run_checks",
     "simulate_recurrence_step",
     "verify_bell_index_maps",
     "verify_depolarization_identity",
     "verify_mgxor_index_map",
 ]
 
-MAX_TWO_PAIR_D = 5
-MAX_THREE_PAIR_D = 3
+# Largest d a dense simulation allows, per number of two-qudit copies.
+PAIR_LIMITS = {2: 5, 3: 3}
+VARIANT_PAIRS = {"P1": 2, "P2": 2, "THREE_COPY": 3}
 
+CHECK_TOL = 1e-10
 TRACE_TOL = 1e-10
 HERM_TOL = 1e-10
 PSD_TOL = -1e-9
@@ -164,17 +168,17 @@ class DenseState:
             )
 
 
-def _check_pair_limit(d: int, pairs: int) -> None:
-    if pairs == 2:
-        limit = MAX_TWO_PAIR_D
-    elif pairs == 3:
-        limit = MAX_THREE_PAIR_D
-    else:
-        raise ValueError(f"pair count must be 2 or 3, got {pairs}")
+def _check_pair_limit(d, pairs: int) -> int:
+    """Validate d for a dense simulation over ``pairs`` copies; return it."""
+    d = check_dimension(d)
+    limit = PAIR_LIMITS.get(pairs)
+    if limit is None:
+        raise ValueError(f"pair count must be one of {list(PAIR_LIMITS)}, got {pairs}")
     if d > limit:
         raise ValueError(
             f"dense simulation limited to d <= {limit} for {pairs} pairs, got d={d}"
         )
+    return d
 
 
 def bell_diagonal_density(state: CoeffMatrix) -> np.ndarray:
@@ -194,25 +198,19 @@ def build_bell_pairs(coeffs: CoeffMatrix, pairs: int) -> DenseState:
     return DenseState(d=d, pairs=pairs, rho=rho).check()
 
 
-def _gxor_permutation(d: int, pairs: int) -> np.ndarray:
-    """Inverse-permutation index array for the bilateral controlled gates.
+def _gxor_permutation(d: int, copies: int, parties: int = 2) -> np.ndarray:
+    """Index array of the controlled-difference gates from copy 1.
 
-    Copy 1 controls every other copy on both sides:
-    target digits become (control - target) mod d.  Returns ``inv`` such
-    that conjugation acts as rho[np.ix_(inv, inv)].
+    Qudit order is copy-major, ``parties`` qudits per copy.  Each party's
+    copy-1 qudit controls its qudit in every other copy: target digits
+    become (control - target) mod d.  The gate is its own inverse, so
+    conjugation acts as rho[np.ix_(perm, perm)] and maps the rows of a
+    matrix X to X[perm].
     """
-    dims = (d,) * (2 * pairs)
-    digits = np.indices(dims).reshape(len(dims), -1)
-    digits[2::2] = (digits[0] - digits[2::2]) % d
-    digits[3::2] = (digits[1] - digits[3::2]) % d
-    perm = np.ravel_multi_index(digits, dims)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
-    return inv
-
-
-def _apply_permutation(rho: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    return rho[np.ix_(inv, inv)]
+    dims = (d,) * (parties * copies)
+    digits = np.indices(dims).reshape(copies, parties, -1)
+    digits[1:] = (digits[0] - digits[1:]) % d
+    return np.ravel_multi_index(digits.reshape(len(dims), -1), dims)
 
 
 def _bilateral_qft(d: int, copies: int) -> np.ndarray:
@@ -249,17 +247,17 @@ def _gated(state: DenseState, variant: str) -> np.ndarray:
     """
     d, pairs = state.d, state.pairs
     _check_pair_limit(d, pairs)
-    if variant in ("P1", "P2") and pairs != 2:
-        raise ValueError(f"variant {variant} needs 2 pairs, got {pairs}")
-    if variant == "THREE_COPY" and pairs != 3:
-        raise ValueError(f"variant THREE_COPY needs 3 pairs, got {pairs}")
-    if variant not in ("P1", "P2", "THREE_COPY"):
+    if variant not in VARIANT_PAIRS:
         raise ValueError(f"unknown variant {variant!r}")
+    needed = VARIANT_PAIRS[variant]
+    if pairs != needed:
+        raise ValueError(f"variant {variant} needs {needed} pairs, got {pairs}")
     state._check_shape()
     rho = state.rho
     if variant == "P2":
         rho = _fourier_conjugate(rho, d, pairs)
-    return _apply_permutation(rho, _gxor_permutation(d, pairs))
+    perm = _gxor_permutation(d, pairs)
+    return rho[np.ix_(perm, perm)]
 
 
 def _postselect_even(
@@ -340,6 +338,16 @@ def outcome_class_probabilities(state: DenseState, variant: str) -> np.ndarray:
     return probs
 
 
+def _pauli_sum(rho: np.ndarray, d: int, gate) -> np.ndarray:
+    """Sum of g rho g^dagger over the d**2 Paulis P, with g = gate(P)."""
+    acc = np.zeros_like(rho)
+    for k in range(d):
+        for j in range(d):
+            g = gate(pauli_matrix(d, k, j))
+            acc += g @ rho @ g.conj().T
+    return acc
+
+
 def depolarize_oracle(state: CoeffMatrix, retention: float) -> CoeffMatrix:
     """One-sided uniform Pauli noise as an explicit Kraus sum.
 
@@ -351,11 +359,7 @@ def depolarize_oracle(state: CoeffMatrix, retention: float) -> CoeffMatrix:
     d = state.d
     rho = bell_diagonal_density(state)
     eye = np.eye(d)
-    acc = np.zeros_like(rho)
-    for k in range(d):
-        for j in range(d):
-            kraus = np.kron(eye, pauli_matrix(d, k, j))
-            acc += kraus @ rho @ kraus.conj().T
+    acc = _pauli_sum(rho, d, lambda P: np.kron(eye, P))
     mixed = retention * rho + (1.0 - retention) / (d * d) * acc
     return CoeffMatrix(_extract_coefficients(mixed, d))
 
@@ -369,9 +373,7 @@ def verify_depolarization_identity(d: int, trials: int = 5, seed: int = 0) -> fl
     any diagonal entry moved by more than 1e-10; returns the largest
     off-diagonal magnitude after the twirl (should be ~0).
     """
-    d = check_dimension(d)
-    if d > MAX_TWO_PAIR_D:
-        raise ValueError(f"dense twirl check limited to d <= {MAX_TWO_PAIR_D}")
+    d = _check_pair_limit(d, 2)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
@@ -382,12 +384,8 @@ def verify_depolarization_identity(d: int, trials: int = 5, seed: int = 0) -> fl
         G = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
         rho = G @ G.conj().T
         rho /= np.trace(rho).real
-        before = np.einsum("ij,jk,ki->i", B.conj().T, rho, B).real
-        acc = np.zeros_like(rho)
-        for mu in range(d):
-            for nu in range(d):
-                g = np.kron(pauli_matrix(d, mu, nu), pauli_matrix(d, mu, nu).conj())
-                acc += g @ rho @ g.conj().T
+        before = _extract_coefficients(rho, d).reshape(-1)
+        acc = _pauli_sum(rho, d, lambda P: np.kron(P, P.conj()))
         acc /= d * d
         C = B.conj().T @ acc @ B
         after = np.diag(C).real
@@ -436,9 +434,7 @@ def verify_mgxor_index_map(d: int, atol: float = 1e-10) -> bool:
     gate would negate the outgoing amplitude sums as well, which is not
     the accumulation behaviour the map promises.
     """
-    d = check_dimension(d)
-    if d > MAX_THREE_PAIR_D:
-        raise ValueError(f"GHZ gate check limited to d <= {MAX_THREE_PAIR_D}")
+    d = _check_pair_limit(d, 3)
     N = 3
     size = d**N
     G = ghz_basis(d, N)
@@ -451,16 +447,9 @@ def verify_mgxor_index_map(d: int, atol: float = 1e-10) -> bool:
         W[:, flat] = G[:, np.ravel_multi_index(flipped, dims)]
     W = W @ G.conj().T
 
-    # Trilateral controlled-difference permutation on 2N qudits
-    # (copy-major order: A1, B1, C1, A2, B2, C2).
-    reg_dims = (d,) * (2 * N)
-    digits = np.indices(reg_dims).reshape(2 * N, -1)
-    digits[N:] = (digits[:N] - digits[N:]) % d
-    perm = np.ravel_multi_index(digits, reg_dims)
-
-    # Column c * size + t of a product holds the input pair (c, t).
-    vout = np.empty((size * size, size * size), dtype=complex)
-    vout[perm] = np.kron(G, W @ G)
+    # Column c * size + t of a product holds the input pair (c, t); the
+    # trilateral gate acts on copy-major qudits A1, B1, C1, A2, B2, C2.
+    vout = np.kron(G, W @ G)[_gxor_permutation(d, 2, N)]
     labels = [(label[0], label[1:]) for label in np.ndindex(dims)]
     cols = _mapped_columns(labels, lambda c, t: ghz_pair_index_map(c, t, d))
     return bool((_overlap_error(np.kron(G, G)[:, cols], vout) <= atol).all())
@@ -509,9 +498,7 @@ def verify_bell_index_maps(d: int) -> dict[str, float]:
     """
     from .indices import bgxor_index_map, bqft_index_map, pauli_on_bell
 
-    d = check_dimension(d)
-    if d > MAX_TWO_PAIR_D:
-        raise ValueError(f"dense index-map check limited to d <= {MAX_TWO_PAIR_D}")
+    d = _check_pair_limit(d, 2)
     devs = {"bgxor": 0.0, "bqft": 0.0, "pauli": 0.0}
 
     # Column c * d**2 + t of a product holds the input pair (c, t).
@@ -549,12 +536,12 @@ def recurrence_map_deviation(
     from .recurrence import p1_map, p2_map, three_copy_map
     from .states import random_state
 
-    maps = {"P1": (p1_map, 2), "P2": (p2_map, 2), "THREE_COPY": (three_copy_map, 3)}
-    if variant not in maps:
+    if variant not in VARIANT_PAIRS:
         raise ValueError(f"unknown variant {variant!r}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    fast_map, pairs = maps[variant]
+    fast_map = {"P1": p1_map, "P2": p2_map, "THREE_COPY": three_copy_map}[variant]
+    pairs = VARIANT_PAIRS[variant]
     _check_pair_limit(d, pairs)
     rng = np.random.default_rng(seed)
     worst_state = 0.0
@@ -569,3 +556,35 @@ def recurrence_map_deviation(
         )
         worst_prob = max(worst_prob, abs(ref_prob - fast_prob))
     return worst_state, worst_prob
+
+
+def run_checks(d_values: list[int], trials: int, seed: int) -> dict:
+    """Every check the limits allow at each d; the k-th variant is seeded by
+    SeedSequence([seed, k]), so no two variants see the same states.
+    ``mgxor_index_map_ok`` is None if no d allows the GHZ gate check, and
+    ``pass`` covers only the checks that ran."""
+    for d in d_values:
+        _check_pair_limit(d, 2)
+    checks: dict[str, float] = {}
+    mgxor_ok = None
+    for d in d_values:
+        for name, dev in verify_bell_index_maps(d).items():
+            checks[f"{name}_index_map_d{d}"] = dev
+        for k, (variant, pairs) in enumerate(VARIANT_PAIRS.items()):
+            if d <= PAIR_LIMITS[pairs]:
+                state_dev, prob_dev = recurrence_map_deviation(
+                    d, variant, trials=trials, seed=np.random.SeedSequence([seed, k])
+                )
+                checks[f"{variant}_state_d{d}"] = state_dev
+                checks[f"{variant}_prob_d{d}"] = prob_dev
+        checks[f"twirl_offdiag_d{d}"] = verify_depolarization_identity(d, trials=3, seed=seed)
+        if d <= PAIR_LIMITS[3]:
+            mgxor_ok = mgxor_ok is not False and verify_mgxor_index_map(d)
+    worst = max(checks.values())
+    return {
+        "checks": checks,
+        "mgxor_index_map_ok": mgxor_ok,
+        "max_abs_deviation": worst,
+        "tolerance": CHECK_TOL,
+        "pass": bool(mgxor_ok is not False and worst < CHECK_TOL),
+    }

@@ -381,8 +381,17 @@ class TestCommandGoldens:
                 ["oracle-check", "--d", "2,3,4,5", "--trials", "3", "--seed", "1"],
                 "0b9ed0f4003dcdd5300e578622e3e6c3296a48c9ef3e2dab58c45cb4cd3ea12d",
             ),
+            (
+                ["oracle-check", "--d", "2,3,4,5", "--trials", "3", "--seed", "7"],
+                "7e787803b240a4021de01e142d4e421978d52781998fa0c63bb83ae9dabcd645",
+            ),
+            (
+                ["oracle-check", "--d", "2,3,4,5", "--trials", "3", "--seed", "99"],
+                "d569ab7d59b756f888b11e1b82d21b0b7a4d89a9e6ce36ae17d1b5c200c957db",
+            ),
         ],
-        ids=["p1p2_xz_d7", "three_copy_json", "dejmps", "bbpssw", "oracle"],
+        ids=["p1p2_xz_d7", "three_copy_json", "dejmps", "bbpssw", "oracle",
+             "oracle_seed7", "oracle_seed99"],
     )
     def test_golden_sha256(self, capsys, argv, digest):
         code, out, err = run_cli(capsys, argv)
@@ -574,6 +583,50 @@ class TestOracleCheck:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "trials" in err
+
+    def test_gate_check_reported_null_when_no_d_allows_it(self, capsys):
+        """The GHZ gate check runs only at d <= 3: at d = 4 it is not run,
+        so it is not reported as passed, and ``pass`` rests on the rest."""
+        code, out, _ = run_cli(capsys, ["oracle-check", "--d", "4", "--trials", "2"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["mgxor_index_map_ok"] is None
+        assert doc["pass"] is True
+
+    def test_gate_check_reported_when_one_d_allows_it(self, capsys):
+        code, out, _ = run_cli(capsys, ["oracle-check", "--d", "2,4", "--trials", "2"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["mgxor_index_map_ok"] is True
+        assert doc["pass"] is True
+        assert "THREE_COPY_state_d2" in doc["checks"]
+        assert "THREE_COPY_state_d4" not in doc["checks"]
+
+
+class TestOversizedInputs:
+    """A d or N whose arrays no index can address exits 2 with a one-line
+    error; each is rejected by its check before anything is built."""
+
+    @pytest.mark.parametrize(
+        "argv, state",
+        [
+            (["recurrence-run"], {"d": 1e300, "preset": "isotropic", "F": 0.8}),
+            (["recurrence-run", "--d", str(10**300), "--F", "0.8"], None),
+            (["thresholds", "--protocol", "bbpssw", "--d-range", str(10**200)], None),
+            (["ghz"], {"d": 2, "N": 2000, "preset": "ghz_isotropic", "F": 0.9}),
+            (["ghz", "--d-list", "2", "--N-list", "2000"], None),
+        ],
+        ids=["state_file_d", "flag_d", "d_range", "state_file_N", "N_list"],
+    )
+    def test_exits_2_with_one_line_error(self, capsys, tmp_path, argv, state):
+        if state is not None:
+            path = tmp_path / "state.json"
+            path.write_text(json.dumps(state))
+            argv = argv + ["--state-file", str(path)]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "at most" in err
 
 
 class TestRangeLimit:

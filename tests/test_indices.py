@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quditpure.indices import (
+    MAX_DIMENSION,
+    MAX_INDEX,
     bgxor_index_map,
     bqft_index_map,
     check_bell_index,
@@ -38,6 +40,15 @@ class TestDimensionChecks:
     def test_integral_values_become_plain_int(self, value):
         d = check_dimension(value)
         assert d == 3 and type(d) is int
+
+    def test_dimension_bound_is_largest_indexable_square(self):
+        """d x d must be an array size: d = 3,037,000,499 passes, one more fails."""
+        assert MAX_INDEX == np.iinfo(np.intp).max
+        assert MAX_DIMENSION**2 <= MAX_INDEX < (MAX_DIMENSION + 1) ** 2
+        assert check_dimension(MAX_DIMENSION) == MAX_DIMENSION
+        for bad in (MAX_DIMENSION + 1, 10**300, 1e300):
+            with pytest.raises(ValueError, match=f"at most {MAX_DIMENSION}"):
+                check_dimension(bad)
 
     def test_is_prime_small(self):
         primes = [n for n in range(2, 60) if is_prime(n)]

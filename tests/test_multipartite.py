@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from quditpure.hashing import asymptotic_yield
+from quditpure.indices import MAX_INDEX
 from quditpure.multipartite import (
     GhzCoeffs,
+    _check_parties,
     ghz_from_json,
     ghz_isotropic,
     ghz_to_json,
@@ -54,6 +56,17 @@ class TestGhzCoeffs:
     def test_rejects_single_party(self):
         with pytest.raises(ValueError):
             GhzCoeffs(2, 1, [1.0, 0.0])
+
+    @pytest.mark.parametrize("d, N", [(2, 62), (3, 39), (3037000499, 2)])
+    def test_party_bound_accepts_largest_array_size(self, d, N):
+        assert d**N <= MAX_INDEX
+        assert _check_parties(N, d) == N
+
+    @pytest.mark.parametrize("d, N", [(2, 63), (3, 40), (3037000499, 3), (2, 10**300)])
+    def test_party_bound_rejects_beyond_array_size(self, d, N):
+        """N >= 63 fails at once, so d**N is never computed for huge N."""
+        with pytest.raises(ValueError, match=rf"d\*\*N must be at most {MAX_INDEX}"):
+            _check_parties(N, d)
 
     def test_isotropic_fidelity_bounds(self):
         with pytest.raises(ValueError):

@@ -4,12 +4,14 @@ These pin the coefficient-level machinery in the rest of the package to
 literal quantum mechanics on explicit (small) Hilbert spaces.
 """
 
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
 
-from quditpure import oracle
+from quditpure import cli, oracle
 from quditpure.states import CoeffMatrix, StatePreset, make_preset, random_state
 
 
@@ -98,6 +100,50 @@ class TestDenseStates:
             oracle.build_bell_pairs(preset("isotropic", 2, 0.9), 4)
 
 
+def oracle_check_cli(d):
+    """``oracle-check --d d``, with exit code 2 raised as its error line."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["oracle-check", "--d", str(d)])
+    if code == 2:
+        raise ValueError(err.getvalue())
+    return code
+
+
+class TestPairLimits:
+    """Every entry point one step above its size limit fails with the same
+    message, naming the limit from ``PAIR_LIMITS``."""
+
+    @pytest.mark.parametrize(
+        "call, d, pairs",
+        [
+            (lambda: oracle.build_bell_pairs(preset("isotropic", 6, 0.9), 2), 6, 2),
+            (lambda: oracle.build_bell_pairs(preset("isotropic", 4, 0.9), 3), 4, 3),
+            (lambda: oracle.verify_bell_index_maps(6), 6, 2),
+            (lambda: oracle.verify_depolarization_identity(6), 6, 2),
+            (lambda: oracle.verify_mgxor_index_map(4), 4, 3),
+            (lambda: oracle.recurrence_map_deviation(6, "P1"), 6, 2),
+            (lambda: oracle.recurrence_map_deviation(4, "THREE_COPY"), 4, 3),
+            (
+                lambda: oracle.outcome_class_probabilities(
+                    oracle.DenseState(6, 2, np.zeros((1, 1))), "P1"
+                ),
+                6,
+                2,
+            ),
+            (lambda: oracle_check_cli(6), 6, 2),
+        ],
+        ids=["bell_pairs_2", "bell_pairs_3", "index_maps", "twirl", "mgxor",
+             "deviation_P1", "deviation_three_copy", "outcome_classes", "cli"],
+    )
+    def test_one_above_limit_raises(self, call, d, pairs):
+        limit = oracle.PAIR_LIMITS[pairs]
+        assert d == limit + 1
+        message = f"dense simulation limited to d <= {limit} for {pairs} pairs, got d={d}"
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def random_unitary(n, rng):
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)
@@ -175,7 +221,32 @@ def loop_gxor_permutation(d, pairs):
     return inv
 
 
+def inline_mgxor_permutation(d):
+    """Reference trilateral gate permutation: the construction that
+    ``verify_mgxor_index_map`` inlined before ``_gxor_permutation`` took
+    a party count."""
+    N = 3
+    reg_dims = (d,) * (2 * N)
+    digits = np.indices(reg_dims).reshape(2 * N, -1)
+    digits[N:] = (digits[:N] - digits[N:]) % d
+    return np.ravel_multi_index(digits, reg_dims)
+
+
 class TestGateKernels:
+    @pytest.mark.parametrize(
+        "d, copies, parties",
+        [(2, 2, 2), (3, 2, 2), (5, 2, 2), (2, 3, 2), (3, 3, 2), (2, 2, 3), (3, 2, 3)],
+    )
+    def test_gxor_permutation_is_involution(self, d, copies, parties):
+        perm = oracle._gxor_permutation(d, copies, parties)
+        np.testing.assert_array_equal(perm[perm], np.arange(d ** (copies * parties)))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_trilateral_permutation_matches_inline_build(self, d):
+        np.testing.assert_array_equal(
+            oracle._gxor_permutation(d, 2, 3), inline_mgxor_permutation(d)
+        )
+
     @pytest.mark.parametrize("d, pairs", [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3)])
     def test_gxor_permutation_matches_loop(self, d, pairs):
         np.testing.assert_array_equal(
