@@ -226,22 +226,9 @@ def cmd_thresholds(args) -> str:
             q_th = recurrence.bbpssw_threshold(d)
             regime = recurrence.bbpssw_fixed_points(d, args.Q)
         else:
-            q_th = recurrence.noise_threshold(
-                protocol,
-                d,
-                args.preset,
-                q_tol=args.q_tol,
-                grid=args.grid,
-                iterations=args.iterations,
-            )
-            regime = recurrence.regime_scan(
-                protocol,
-                d,
-                args.Q,
-                args.preset,
-                grid=args.grid,
-                iterations=args.iterations,
-            )
+            scan = {"grid": args.grid, "iterations": args.iterations}
+            q_th = recurrence.noise_threshold(protocol, d, args.preset, q_tol=args.q_tol, **scan)
+            regime = recurrence.regime_scan(protocol, d, args.Q, args.preset, **scan)
         rows.append(
             (d, protocol, args.Q, q_th, regime.F_min, regime.F_max, regime.purifiable)
         )
@@ -261,13 +248,9 @@ def cmd_hashing(args) -> str:
         return _record(args.format, {"d": args.d, "F_min": hashing.min_fidelity(args.d)})
 
     if args.threshold:
-        d_values = (
-            _parse_d_range(args.d_range)
-            if args.d_range
-            else ([args.d] if args.d is not None else None)
-        )
-        if d_values is None:
+        if not args.d_range and args.d is None:
             raise ValueError("--threshold needs --d or --d-range")
+        d_values = _parse_d_range(args.d_range) if args.d_range else [args.d]
         rows = []
         for d in d_values:
             if not is_prime(d):
@@ -321,9 +304,7 @@ def cmd_ghz(args) -> str:
 
 def cmd_oracle_check(args) -> str:
     """Dense-simulation validation suite; reports max deviations per check."""
-    d_values = _parse_int_list(args.d)
-    report = oracle.run_checks(d_values, args.trials, args.seed)
-    return _json({"d": d_values, "seed": args.seed, "trials": args.trials, **report})
+    return _json(oracle.run_checks(_parse_int_list(args.d), args.trials, args.seed))
 
 
 def _add_output_flags(sub) -> None:
@@ -417,6 +398,10 @@ def main(argv=None) -> int:
         _write_output(args.output, text)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        # A scalar route takes any d, until its float arithmetic overflows.
+        print(f"error: input beyond float range: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

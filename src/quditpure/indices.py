@@ -19,13 +19,13 @@ BellIndex = tuple[int, int]
 
 __all__ = [
     "BellIndex",
-    "MAX_DIMENSION",
     "MAX_INDEX",
     "bgxor_index_map",
     "bqft_index_map",
     "as_integer",
     "check_bell_index",
     "check_dimension",
+    "checked_power",
     "check_unit_interval",
     "is_prime",
     "pauli_on_bell",
@@ -34,10 +34,18 @@ __all__ = [
 ]
 
 
-# Largest array size (numpy's intp is Py_ssize_t), and the largest d whose
-# d x d weight matrix fits it.
+# Largest array size (numpy's intp is Py_ssize_t).  Routes that build an
+# array from d bound its size by this; scalar routes take any d.
 MAX_INDEX = sys.maxsize
-MAX_DIMENSION = math.isqrt(MAX_INDEX)
+
+
+def checked_power(d: int, n: int, limit: int = MAX_INDEX) -> int:
+    """d**n for a checked dimension d and n >= 1, once it is at most limit.
+    As d >= 2, an n at or past limit's bit length fails before d**n is
+    computed."""
+    if n >= limit.bit_length() or d**n > limit:
+        raise ValueError(f"d**{n} must be at most {limit:.6g}, got d={d}")
+    return d**n
 
 
 def check_dimension(d: int) -> int:
@@ -46,8 +54,6 @@ def check_dimension(d: int) -> int:
         d = as_integer(d, "qudit dimension")
     if d < 2:
         raise ValueError(f"qudit dimension must be at least 2, got {d}")
-    if d > MAX_DIMENSION:
-        raise ValueError(f"qudit dimension must be at most {MAX_DIMENSION}, got {d}")
     return d
 
 

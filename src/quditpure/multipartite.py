@@ -15,12 +15,14 @@ strings are measured jointly, so only the worst one is charged).
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 from .hashing import base_d_entropy
 from .indices import (
-    MAX_INDEX, as_integer, check_dimension, check_unit_interval, require_prime,
+    MAX_INDEX, as_integer, check_dimension, check_unit_interval, checked_power,
+    require_prime,
 )
 from .states import checked_weights, json_weights
 
@@ -47,11 +49,12 @@ class GhzCoeffs:
 
     def __init__(self, d: int, N: int, alpha):
         d = check_dimension(d)
-        N = _check_parties(N, d)
+        N = _check_parties(N)
+        size = checked_power(d, N)
         a = np.array(alpha, dtype=float).reshape(-1)
-        if a.size != d**N:
+        if a.size != size:
             raise ValueError(
-                f"weight vector has {a.size} entries, expected d**N = {d**N}"
+                f"weight vector has {a.size} entries, expected d**N = {size}"
             )
         self.alpha = checked_weights(a, "vector")
         self.d = d
@@ -69,21 +72,22 @@ class GhzCoeffs:
         return f"GhzCoeffs(d={self.d}, N={self.N}, F={self.fidelity:.6g})"
 
 
-def _check_parties(N, d: int) -> int:
-    """Validate a party count for dimension d: d**N must be an array size.
-    As d >= 2, an N at or past MAX_INDEX's bit length fails before d**N."""
+# Largest d**N the closed-form yield can hold as a float.
+MAX_FLOAT_SIZE = int(sys.float_info.max)
+
+
+def _check_parties(N) -> int:
     if type(N) is not int:
         N = as_integer(N, "party count N")
     if N < 2:
         raise ValueError(f"party count N must be at least 2, got {N}")
-    if N >= MAX_INDEX.bit_length() or d**N > MAX_INDEX:
-        raise ValueError(f"d**N must be at most {MAX_INDEX}, got d={d}, N={N}")
     return N
 
 
-def _isotropic_size(d: int, N, F: float) -> int:
-    """d**N, once N and the isotropic fidelity range [1/d**N, 1] are checked."""
-    size = d ** _check_parties(N, d)
+def _isotropic_size(d: int, N, F: float, limit: int) -> int:
+    """d**N, once N, d**N <= limit and the isotropic fidelity range
+    [1/d**N, 1] are checked."""
+    size = checked_power(d, _check_parties(N), limit)
     if not 1.0 / size <= F <= 1.0:
         raise ValueError(f"fidelity must be in [1/d**N, 1], got {F}")
     return size
@@ -92,7 +96,7 @@ def _isotropic_size(d: int, N, F: float) -> int:
 def ghz_isotropic(d: int, N: int, F: float) -> GhzCoeffs:
     """GHZ-diagonal state with weight F on the target and a uniform tail."""
     d = check_dimension(d)
-    size = _isotropic_size(d, N, F)
+    size = _isotropic_size(d, N, F, MAX_INDEX)
     a = np.full(size, (1.0 - F) / (size - 1))
     a[0] = F
     return GhzCoeffs(d, N, a)
@@ -157,7 +161,7 @@ def isotropic_yield_formula(d: int, N: int, F: float) -> float:
     :func:`ghz_isotropic` inputs.
     """
     d = require_prime(d)
-    size = _isotropic_size(d, N, F)
+    size = _isotropic_size(d, N, F, MAX_FLOAT_SIZE)
     p_a = F + (1.0 - F) * (d ** (N - 1) - 1.0) / (size - 1.0)
     p_b = (1.0 - F) * d ** (N - 1) / (size - 1.0)
     log_d = math.log(d)
@@ -184,7 +188,7 @@ def ghz_from_json(obj: dict) -> GhzCoeffs:
         if key not in obj:
             raise ValueError(f"state description is missing {key!r}")
     d = check_dimension(obj["d"])
-    N = _check_parties(obj["N"], d)
+    N = _check_parties(obj["N"])
     if "alpha" in obj:
         return GhzCoeffs(d, N, json_weights(obj["alpha"]))
     if obj.get("preset") == "ghz_isotropic":

@@ -561,10 +561,10 @@ def recurrence_map_deviation(
 def run_checks(d_values: list[int], trials: int, seed: int) -> dict:
     """Every check the limits allow at each d; the k-th variant is seeded by
     SeedSequence([seed, k]), so no two variants see the same states.
+    The report opens with the validated d list, the seed and the trials.
     ``mgxor_index_map_ok`` is None if no d allows the GHZ gate check, and
     ``pass`` covers only the checks that ran."""
-    for d in d_values:
-        _check_pair_limit(d, 2)
+    d_values = [_check_pair_limit(d, 2) for d in d_values]
     checks: dict[str, float] = {}
     mgxor_ok = None
     for d in d_values:
@@ -582,6 +582,9 @@ def run_checks(d_values: list[int], trials: int, seed: int) -> dict:
             mgxor_ok = mgxor_ok is not False and verify_mgxor_index_map(d)
     worst = max(checks.values())
     return {
+        "d": d_values,
+        "seed": seed,
+        "trials": trials,
         "checks": checks,
         "mgxor_index_map_ok": mgxor_ok,
         "max_abs_deviation": worst,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indices import check_dimension, check_unit_interval
+from .indices import check_dimension, check_unit_interval, checked_power
 
 __all__ = [
     "CoeffMatrix",
@@ -118,6 +118,7 @@ class StatePreset:
 def make_preset(preset: StatePreset, d: int) -> CoeffMatrix:
     """Build the coefficient matrix for a preset at dimension d."""
     d = check_dimension(d)
+    checked_power(d, 2)  # the d x d matrix must be an array size
     x, z, w = preset_weights(preset.kind, d, preset.F, preset.x_weight)
     a = np.full((d, d), w)
     a[0, 1:] = x

@@ -584,6 +584,13 @@ class TestOracleCheck:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "trials" in err
 
+    def test_one_above_limit_names_it(self, capsys):
+        code, out, err = run_cli(capsys, ["oracle-check", "--d", "6"])
+        assert code == 2 and out == ""
+        assert err == (
+            "error: dense simulation limited to d <= 5 for 2 pairs, got d=6\n"
+        )
+
     def test_gate_check_reported_null_when_no_d_allows_it(self, capsys):
         """The GHZ gate check runs only at d <= 3: at d = 4 it is not run,
         so it is not reported as passed, and ``pass`` rests on the rest."""
@@ -604,21 +611,27 @@ class TestOracleCheck:
 
 
 class TestOversizedInputs:
-    """A d or N whose arrays no index can address exits 2 with a one-line
-    error; each is rejected by its check before anything is built."""
+    """A d or N too large for what a route builds or computes exits 2 with a
+    one-line error: d**2 or d**N beyond the largest array size where an
+    array is built, float overflow on scalar routes."""
 
     @pytest.mark.parametrize(
-        "argv, state",
+        "argv, state, phrase",
         [
-            (["recurrence-run"], {"d": 1e300, "preset": "isotropic", "F": 0.8}),
-            (["recurrence-run", "--d", str(10**300), "--F", "0.8"], None),
-            (["thresholds", "--protocol", "bbpssw", "--d-range", str(10**200)], None),
-            (["ghz"], {"d": 2, "N": 2000, "preset": "ghz_isotropic", "F": 0.9}),
-            (["ghz", "--d-list", "2", "--N-list", "2000"], None),
+            (["recurrence-run"], {"d": 1e300, "preset": "isotropic", "F": 0.8},
+             "d**2 must be at most 9.22337e+18"),
+            (["recurrence-run", "--d", str(10**300), "--F", "0.8"], None,
+             "d**2 must be at most 9.22337e+18"),
+            (["thresholds", "--protocol", "bbpssw", "--d-range", str(10**200)], None,
+             "input beyond float range"),
+            (["ghz"], {"d": 2, "N": 2000, "preset": "ghz_isotropic", "F": 0.9},
+             "d**2000 must be at most 9.22337e+18"),
+            (["ghz", "--d-list", "2", "--N-list", "2000"], None,
+             "d**2000 must be at most 1.79769e+308"),
         ],
         ids=["state_file_d", "flag_d", "d_range", "state_file_N", "N_list"],
     )
-    def test_exits_2_with_one_line_error(self, capsys, tmp_path, argv, state):
+    def test_exits_2_with_one_line_error(self, capsys, tmp_path, argv, state, phrase):
         if state is not None:
             path = tmp_path / "state.json"
             path.write_text(json.dumps(state))
@@ -626,7 +639,26 @@ class TestOversizedInputs:
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
-        assert "at most" in err
+        assert phrase in err
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["ghz", "--d-list", "11", "--N-list", "20", "--F-grid", "0.9"],
+             "d,N,F,yield\n11,20,0.9,0.571322383655\n"),
+            (["ghz", "--d-list", "2", "--N-list", "100,1023", "--F-grid", "0.9"],
+             "d,N,F,yield\n2,100,0.9,0.427206085768\n2,1023,0.9,0.427206085768\n"),
+            (["thresholds", "--protocol", "bbpssw", "--d-range", "10000000000"],
+             "d,protocol,Q,Q_th,F_min,F_max,purifiable\n"
+             "10000000000,BBPSSW,1,0.00447213595489,9.99999527629e-11,1,true\n"),
+        ],
+        ids=["ghz_d11_N20", "ghz_d2_N100_N1023", "bbpssw_d1e10"],
+    )
+    def test_scalar_routes_take_sizes_no_array_holds(self, capsys, argv, expected):
+        """The yield formula and the twirl thresholds build no array, so
+        d**N and d**2 beyond the largest array size still give a row."""
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, err) == (0, expected, "")
 
 
 class TestRangeLimit:

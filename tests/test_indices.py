@@ -1,19 +1,20 @@
 """Tests for modular index arithmetic and basis-label maps."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from quditpure.indices import (
-    MAX_DIMENSION,
     MAX_INDEX,
     bgxor_index_map,
     bqft_index_map,
     check_bell_index,
     check_dimension,
     check_unit_interval,
+    checked_power,
     is_prime,
     pauli_on_bell,
     primes_in,
@@ -41,14 +42,25 @@ class TestDimensionChecks:
         d = check_dimension(value)
         assert d == 3 and type(d) is int
 
-    def test_dimension_bound_is_largest_indexable_square(self):
-        """d x d must be an array size: d = 3,037,000,499 passes, one more fails."""
+    def test_dimension_has_no_upper_bound(self):
+        """Scalar routes take any d; only array builders bound it."""
+        assert check_dimension(10**300) == 10**300
+
+    def test_power_bound_is_largest_array_size(self):
+        """d**n must be an array size: 3,037,000,499**2 and 2**62 pass, one
+        more fails; n past the limit's bit length fails before d**n."""
         assert MAX_INDEX == np.iinfo(np.intp).max
-        assert MAX_DIMENSION**2 <= MAX_INDEX < (MAX_DIMENSION + 1) ** 2
-        assert check_dimension(MAX_DIMENSION) == MAX_DIMENSION
-        for bad in (MAX_DIMENSION + 1, 10**300, 1e300):
-            with pytest.raises(ValueError, match=f"at most {MAX_DIMENSION}"):
-                check_dimension(bad)
+        assert checked_power(3037000499, 2) <= MAX_INDEX
+        assert checked_power(2, 62) == 2**62
+        for d, n in ((3037000500, 2), (2, 63), (10**300, 2), (2, 10**300)):
+            with pytest.raises(ValueError, match=rf"d\*\*{n} must be at most 9.22337e\+18"):
+                checked_power(d, n)
+
+    def test_power_bound_takes_a_limit(self):
+        limit = int(sys.float_info.max)
+        assert checked_power(2, 1023, limit) == 2**1023
+        with pytest.raises(ValueError, match=r"at most 1.79769e\+308, got d=2"):
+            checked_power(2, 1024, limit)
 
     def test_is_prime_small(self):
         primes = [n for n in range(2, 60) if is_prime(n)]

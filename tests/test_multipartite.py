@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from quditpure.hashing import asymptotic_yield
-from quditpure.indices import MAX_INDEX
 from quditpure.multipartite import (
     GhzCoeffs,
-    _check_parties,
     ghz_from_json,
     ghz_isotropic,
     ghz_to_json,
@@ -57,16 +55,15 @@ class TestGhzCoeffs:
         with pytest.raises(ValueError):
             GhzCoeffs(2, 1, [1.0, 0.0])
 
-    @pytest.mark.parametrize("d, N", [(2, 62), (3, 39), (3037000499, 2)])
-    def test_party_bound_accepts_largest_array_size(self, d, N):
-        assert d**N <= MAX_INDEX
-        assert _check_parties(N, d) == N
-
-    @pytest.mark.parametrize("d, N", [(2, 63), (3, 40), (3037000499, 3), (2, 10**300)])
-    def test_party_bound_rejects_beyond_array_size(self, d, N):
-        """N >= 63 fails at once, so d**N is never computed for huge N."""
-        with pytest.raises(ValueError, match=rf"d\*\*N must be at most {MAX_INDEX}"):
-            _check_parties(N, d)
+    @pytest.mark.parametrize("build", [
+        lambda: GhzCoeffs(2, 63, [1.0]),
+        lambda: ghz_isotropic(2, 63, 0.9),
+        lambda: ghz_isotropic(3, 40, 0.9),
+        lambda: ghz_from_json({"d": 2, "N": 10**300, "alpha": [1.0]}),
+    ], ids=["coeffs", "isotropic_2", "isotropic_3", "json_huge_N"])
+    def test_vector_beyond_array_size_rejected_before_build(self, build):
+        with pytest.raises(ValueError, match=r"d\*\*\d+ must be at most 9.22337e\+18"):
+            build()
 
     def test_isotropic_fidelity_bounds(self):
         with pytest.raises(ValueError):
@@ -143,6 +140,21 @@ class TestMultipartiteYield:
             multipartite_yield(ghz_isotropic(4, 3, 0.9))
         with pytest.raises(ValueError):
             isotropic_yield_formula(6, 3, 0.9)
+
+    @pytest.mark.parametrize("d, N, value", [
+        (11, 20, 0.571322383655),
+        (7, 23, 0.541512385075),
+        (2, 100, 0.427206085768),
+        (2, 1023, 0.427206085768),
+    ])
+    def test_formula_takes_d_to_the_N_beyond_array_size(self, d, N, value):
+        """The formula builds no array, so only the float range bounds d**N."""
+        assert isotropic_yield_formula(d, N, 0.9) == pytest.approx(value, abs=1e-12)
+
+    @pytest.mark.parametrize("d, N", [(2, 1024), (2, 2000), (3, 10**300)])
+    def test_formula_rejects_d_to_the_N_beyond_float_range(self, d, N):
+        with pytest.raises(ValueError, match=r"must be at most 1.79769e\+308"):
+            isotropic_yield_formula(d, N, 0.9)
 
 
 class TestIndexCorrelation:

@@ -4,14 +4,12 @@ These pin the coefficient-level machinery in the rest of the package to
 literal quantum mechanics on explicit (small) Hilbert spaces.
 """
 
-import contextlib
-import io
 import math
 
 import numpy as np
 import pytest
 
-from quditpure import cli, oracle
+from quditpure import oracle
 from quditpure.states import CoeffMatrix, StatePreset, make_preset, random_state
 
 
@@ -100,16 +98,6 @@ class TestDenseStates:
             oracle.build_bell_pairs(preset("isotropic", 2, 0.9), 4)
 
 
-def oracle_check_cli(d):
-    """``oracle-check --d d``, with exit code 2 raised as its error line."""
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = cli.main(["oracle-check", "--d", str(d)])
-    if code == 2:
-        raise ValueError(err.getvalue())
-    return code
-
-
 class TestPairLimits:
     """Every entry point one step above its size limit fails with the same
     message, naming the limit from ``PAIR_LIMITS``."""
@@ -131,10 +119,9 @@ class TestPairLimits:
                 6,
                 2,
             ),
-            (lambda: oracle_check_cli(6), 6, 2),
         ],
         ids=["bell_pairs_2", "bell_pairs_3", "index_maps", "twirl", "mgxor",
-             "deviation_P1", "deviation_three_copy", "outcome_classes", "cli"],
+             "deviation_P1", "deviation_three_copy", "outcome_classes"],
     )
     def test_one_above_limit_raises(self, call, d, pairs):
         limit = oracle.PAIR_LIMITS[pairs]
@@ -142,6 +129,14 @@ class TestPairLimits:
         message = f"dense simulation limited to d <= {limit} for {pairs} pairs, got d={d}"
         with pytest.raises(ValueError, match=message):
             call()
+
+
+class TestRunChecks:
+    def test_integral_d_values_become_plain_ints(self):
+        """The report's d list and check names use the validated ints."""
+        report = oracle.run_checks([2.0, np.int64(3)], trials=1, seed=0)
+        assert report["d"] == [2, 3] and all(type(d) is int for d in report["d"])
+        assert {name.rsplit("_d", 1)[1] for name in report["checks"]} == {"2", "3"}
 
 
 def random_unitary(n, rng):

@@ -111,6 +111,12 @@ class TestPresets:
     def test_kinds_tuple(self):
         assert PRESET_KINDS == ("isotropic", "x_only", "z_only", "xz_mixture")
 
+    @pytest.mark.parametrize("d", [3037000500, 10**300])
+    def test_matrix_beyond_array_size_rejected_before_build(self, d):
+        """d x d must be an array size, so d = 3,037,000,500 is one too many."""
+        with pytest.raises(ValueError, match=r"d\*\*2 must be at most 9.22337e\+18"):
+            make_preset(StatePreset("isotropic", 0.8), d)
+
     def test_isotropic_perfect(self):
         m = make_preset(StatePreset("isotropic", 1.0), 2)
         np.testing.assert_allclose(m.alpha, [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
