@@ -20,6 +20,7 @@ BellIndex = tuple[int, int]
 __all__ = [
     "BellIndex",
     "MAX_INDEX",
+    "PRIMALITY_BOUND",
     "bgxor_index_map",
     "bqft_index_map",
     "as_integer",
@@ -77,20 +78,42 @@ def check_unit_interval(value, name: str):
     raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
+# Miller-Rabin with the prime bases up to 41 is exact below this bound:
+# it is the least composite that passes all thirteen (Sorenson and Webster,
+# 2015).  is_prime decides nothing at or above it.
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SMALL_PRIMORIAL = math.prod(_SMALL_PRIMES)
+# Below 43**2, the numbers with no prime factor up to 41 are the primes.
+_PRIMES_BELOW_1849 = frozenset(_SMALL_PRIMES).union(
+    n for n in range(43, 43 * 43) if math.gcd(n, _SMALL_PRIMORIAL) == 1
+)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check."""
+    """Deterministic primality check for n < PRIMALITY_BOUND: trial
+    division by the primes up to 41, then Miller-Rabin with those primes
+    as bases.  Larger n raise ValueError."""
     n = int(n)
-    if n < 2:
+    if n < 43 * 43:
+        return n in _PRIMES_BELOW_1849
+    if n >= PRIMALITY_BOUND:
+        raise ValueError(f"primality is decided only below {PRIMALITY_BOUND}, got {n}")
+    if math.gcd(n, _SMALL_PRIMORIAL) != 1:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    # n - 1 = odd * 2**s
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    odd = (n - 1) >> s
+    for a in _SMALL_PRIMES:
+        x = pow(a, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -160,8 +160,15 @@ class PurificationRegime:
 
 # Largest d whose phase convolution runs as an index gather.  The gather
 # builds a d**3 temporary, and from about d = 32 to 37 on a 2-CPU x86 VM
-# a real FFT overtakes it.  Both are exact up to rounding.
+# the padded FFT overtakes it (one self-convolution: 48 against 55 us at
+# d = 31, 88 against 78 us at d = 37).  Both are exact up to rounding.
 GATHER_MAX_D = 31
+
+# Columns per padded FFT.  Blocking keeps the padded temporaries at
+# O(d * _FFT_BLOCK) instead of O(d**2).  On the same VM, 32 and 64 columns
+# ran equally fast at d = 211 and 401; 16 lost time to the loop, and 128
+# or all columns at once ran 5-35% slower there.
+_FFT_BLOCK = 64
 
 
 @functools.cache
@@ -173,33 +180,65 @@ def _gather_index(d: int) -> np.ndarray:
     return idx
 
 
+@functools.cache
+def _smooth_length(m: int) -> int:
+    """Smallest 2**a * 3**b * 5**c >= m: an FFT length that pocketfft
+    factors into radix-2, 3 and 5 passes, with no Bluestein fallback."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < m:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _phase_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cyclic convolution of every column over the row (phase) index::
 
         out[k, j] = sum_m a[m, j] * b[(k - m) mod d, j]
 
     Small d gathers the shifted copies of ``b`` and contracts them in one
-    call.  Large d multiplies real FFTs along the phase axis, after taking
-    out row 0: with ``a = a0 + ra`` and ``b = b0 + rb`` split into row 0
-    and the rest, ``conv(a, b) = a[0] * b + b[0] * ra + conv(ra, rb)``.
-    Row 0 holds the fidelity, which dominates a purifying state, so the
-    FFT's rounding scales with the other weights only.  It can still
+    call.  Large d takes out row 0 first: with ``a = a0 + ra`` and
+    ``b = b0 + rb`` split into row 0 and the rest,
+    ``conv(a, b) = a[0] * b + b[0] * ra + conv(ra, rb)``.  Row 0 holds
+    the fidelity, which dominates a purifying state, so the FFT's
+    rounding scales with the other weights only.  ``conv(ra, rb)`` is the
+    linear convolution, of length 2d - 1, wrapped back onto d rows: its
+    real FFTs are zero-padded to the smooth length n >= 2d - 1, which
+    avoids the slow prime lengths, and run on ``_FFT_BLOCK`` columns at a
+    time, so the padded temporaries stay O(n * _FFT_BLOCK).  Rounding can
     leave exact zeros slightly negative; they are clamped once per round,
     when :class:`CoeffMatrix` validates the state the round returns.
     """
     d = a.shape[0]
     if d <= GATHER_MAX_D:
         return np.einsum("mj,kmj->kj", a, b[_gather_index(d)])
-    ra = a.copy()
-    ra[0] = 0.0
-    fa = np.fft.rfft(ra, axis=0)
-    if b is a:
-        fb = fa
-    else:
-        rb = b.copy()
-        rb[0] = 0.0
-        fb = np.fft.rfft(rb, axis=0)
-    return np.fft.irfft(fa * fb, n=d, axis=0) + a[0] * b + b[0] * ra
+    n = _smooth_length(2 * d - 1)
+    # C order whatever the inputs' layout, so that the round's sum adds
+    # in one order on every path.
+    out = np.multiply(a[0], b, order="C")
+    for j in range(0, d, _FFT_BLOCK):
+        cols = slice(j, j + _FFT_BLOCK)
+        ra = a[:, cols].copy()
+        ra[0] = 0.0
+        out[:, cols] += b[0, cols] * ra
+        fa = np.fft.rfft(ra, n, axis=0)
+        if b is a:
+            fa *= fa
+        else:
+            rb = b[:, cols].copy()
+            rb[0] = 0.0
+            fa *= np.fft.rfft(rb, n, axis=0)
+        lin = np.fft.irfft(fa, n, axis=0)
+        out[:, cols] += lin[:d]
+        out[:d - 1, cols] += lin[d:2 * d - 1]
+    return out
 
 
 def _conv_round(a: np.ndarray, copies: int, rows: bool) -> tuple[np.ndarray, float]:

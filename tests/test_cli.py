@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from quditpure import cli, oracle, recurrence
 from quditpure.states import random_state
 from quditpure.cli import main
+from quditpure.indices import PRIMALITY_BOUND
 
 
 def run_cli(capsys, argv):
@@ -466,6 +467,27 @@ class TestGhz:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "non-finite" in err
+
+
+class TestLargePrimeDimension:
+    """Prime-only routes decide primality by Miller-Rabin, so a 61-bit
+    prime d passes at once; at or above PRIMALITY_BOUND, where the test's
+    bases stop being exact, they exit 2."""
+
+    def test_ghz_mersenne_prime_d(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["ghz", "--d-list", "2305843009213693951", "--N-list", "2", "--F-grid", "0.9"],
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["d,N,F,yield", "2305843009213693951,2,0.9,0.784623095292"]
+
+    def test_d_above_primality_bound_exits_2(self, capsys):
+        d = str(PRIMALITY_BOUND + 2)
+        code, out, err = run_cli(capsys, ["ghz", "--d-list", d, "--N-list", "2", "--F-grid", "0.9"])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(PRIMALITY_BOUND) in err
 
 
 def run_quietly(argv):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from quditpure.indices import (
     MAX_INDEX,
+    PRIMALITY_BOUND,
     bgxor_index_map,
     bqft_index_map,
     check_bell_index,
@@ -69,6 +70,29 @@ class TestDimensionChecks:
     def test_is_prime_large(self):
         assert is_prime(9973)
         assert not is_prime(9975)
+
+    def test_is_prime_matches_sieve_below_1e5(self):
+        limit = 10**5
+        sieve = np.ones(limit, dtype=bool)
+        sieve[:2] = False
+        for p in range(2, math.isqrt(limit) + 1):
+            if sieve[p]:
+                sieve[p * p::p] = False
+        assert [is_prime(n) for n in range(limit)] == sieve.tolist()
+
+    def test_is_prime_beyond_trial_division(self):
+        """2**61 - 1 is a Mersenne prime; 3215031751 is the least strong
+        pseudoprime to bases 2, 3, 5 and 7, and 318665857834031151167461
+        one to every prime base up to 37."""
+        assert is_prime(2**61 - 1)
+        assert not is_prime(2**61 + 1)
+        assert not is_prime(3215031751)
+        assert not is_prime(318665857834031151167461)
+
+    @pytest.mark.parametrize("n", [PRIMALITY_BOUND, PRIMALITY_BOUND + 2, 2**89 - 1])
+    def test_is_prime_raises_at_and_above_bound(self, n):
+        with pytest.raises(ValueError, match=f"only below {PRIMALITY_BOUND}, got {n}"):
+            is_prime(n)
 
     def test_require_prime(self):
         assert require_prime(7) == 7

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,20 +140,27 @@ class TestLabelAction:
 
 def roll_phase_conv(a, b):
     """Reference phase convolution: the loop of shifted copies that the
-    kernel replaced, ``out[k, j] = sum_m a[m, j] * b[(k - m) mod d, j]``."""
+    kernel replaced, ``out[k, j] = sum_m a[m, j] * b[(k - m) mod d, j]``.
+    The running sum is compensated (Kahan): a plain one adding d small
+    terms to a fidelity near 0.36 drifts by 25-30 ulp at d >= 65."""
     out = np.zeros_like(a)
+    carry = np.zeros_like(a)
     for shift in range(a.shape[0]):
-        out += a[shift] * np.roll(b, shift, axis=0)
+        term = a[shift] * np.roll(b, shift, axis=0) - carry
+        total = out + term
+        carry = (total - out) - term
+        out = total
     return out
 
 
 class TestPhaseKernel:
     """The maps equal the roll-loop reference on both sides of the kernel's
-    size split (index gather up to d = 31, FFT above).  The x_only and
-    z_only presets have exact zeros, where FFT rounding lands on either
-    side of 0."""
+    size split (index gather up to d = 31, padded FFT above).  d = 38 pads
+    to 2d - 1 = 75 itself, d = 65 leaves a one-column last block and
+    d = 128 fills its last block exactly.  The x_only and z_only presets
+    have exact zeros, where FFT rounding lands on either side of 0."""
 
-    @pytest.mark.parametrize("d", [2, 7, 31, 32, 37, 101])
+    @pytest.mark.parametrize("d", [2, 7, 31, 32, 37, 38, 65, 101, 128, 211])
     def test_maps_match_roll_loop(self, d):
         rng = np.random.default_rng(d)
         for state in (
@@ -175,6 +183,40 @@ class TestPhaseKernel:
                 assert np.abs(got - expected).max() <= 1e-15
                 assert got.min() >= 0.0
                 assert abs(prob - (a.sum(axis=0) ** copies).sum()) <= 1e-12
+
+    def test_block_edges(self):
+        """The d values above sit where they claim to on the block grid."""
+        assert recurrence._smooth_length(2 * 38 - 1) == 75
+        assert 65 % recurrence._FFT_BLOCK == 1 and 128 % recurrence._FFT_BLOCK == 0
+
+    def test_smooth_length_is_least_5_smooth_at_least_m(self):
+        def is_5_smooth(n):
+            for p in (2, 3, 5):
+                while n % p == 0:
+                    n //= p
+            return n == 1
+
+        expected, n = [], 1
+        for m in range(1, 5001):
+            n = max(n, m)
+            while not is_5_smooth(n):
+                n += 1
+            expected.append(n)
+        assert [recurrence._smooth_length(m) for m in range(1, 5001)] == expected
+
+    @pytest.mark.parametrize("d", [401, 1009])
+    @pytest.mark.parametrize("kernel, bound", [(p1_map, 3.5), (three_copy_map, 5.5)])
+    def test_memory_peak(self, d, kernel, bound):
+        """The padded FFT runs on column blocks, so one round's peak
+        allocation stays a few d x d arrays (numpy reports to tracemalloc)."""
+        state = random_state(d, np.random.default_rng(d))
+        tracemalloc.start()
+        try:
+            kernel(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * d * d * 8
 
 
 class TestThreeCopyMap:
@@ -439,7 +481,7 @@ def composed_round(protocol, state, Q):
 
 class TestAdvance:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
-    @pytest.mark.parametrize("d", [2, 3, 5, 7, 31, 32, 37, 101])
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 31, 32, 37, 38, 65, 101, 128])
     def test_matches_public_maps_bit_for_bit(self, protocol, d):
         """20 rounds of ``_advance`` give the label, weight bytes and
         success probability of the public maps composed, on both sides of
