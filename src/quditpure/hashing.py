@@ -161,12 +161,13 @@ def _delta_rule(policy, S: float):
 class HashingReport(NamedTuple):
     """Finite-size hashing figures for one (d, n, F, delta) choice.
 
-    yield_ and F_out_bound are clamped to [0, 1]; the raw values are kept
-    alongside for diagnostics.  p1_bound bounds the probability that the
-    block is atypical, p2 the probability that parity rounds fail to
-    isolate the error pattern; 1 - p1_bound - p2 lower-bounds the output
-    fidelity.  feasible is False when the requested policy produces a
-    non-positive delta (then nothing is distilled and yield_ is 0).
+    yield_, p1_bound and F_out_bound are clamped to [0, 1]; yield_raw and
+    F_out_raw = 1 - p1 - p2 use the unclamped values (p1's bound exceeds
+    1 on short blocks).  p1_bound bounds the probability that the block is
+    atypical, p2 the probability that parity rounds fail to isolate the
+    error pattern; 1 - p1_bound - p2 lower-bounds the output fidelity.
+    feasible is False when the requested policy produces a non-positive
+    delta (then nothing is distilled and yield_ is 0).
     """
 
     d: int
@@ -243,7 +244,7 @@ def finite_size_sweep(d: int, ns, F: float, delta_policy="npow:-0.25") -> list[H
             p1 = 2.0 * math.exp(exponent)
         F_out_raw = 1.0 - p1 - p2
         reports.append(HashingReport(
-            d, n, F, delta, S, r, max(0.0, yield_raw), p1, p2,
+            d, n, F, delta, S, r, max(0.0, yield_raw), min(1.0, p1), p2,
             min(1.0, max(0.0, F_out_raw)), yield_raw, F_out_raw, True,
         ))
     return reports

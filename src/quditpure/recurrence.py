@@ -159,15 +159,15 @@ class PurificationRegime:
 
 
 # Largest d whose phase convolution runs as an index gather.  The gather
-# builds a d**3 temporary, and from about d = 32 to 37 on a 2-CPU x86 VM
-# the padded FFT overtakes it (one self-convolution: 48 against 55 us at
-# d = 31, 88 against 78 us at d = 37).  Both are exact up to rounding.
+# builds a d**3 temporary, and the padded FFT overtakes it from about
+# d = 33 (three copies) to 35-37 (two copies) on a 2-CPU x86 VM: at d = 37,
+# 90 against 84 us for two copies and 130 against 112 us for three.
 GATHER_MAX_D = 31
 
-# Columns per padded FFT.  Blocking keeps the padded temporaries at
-# O(d * _FFT_BLOCK) instead of O(d**2).  On the same VM, 32 and 64 columns
-# ran equally fast at d = 211 and 401; 16 lost time to the loop, and 128
-# or all columns at once ran 5-35% slower there.
+# Columns per FFT block, each one rfft and one irfft for two copies or
+# three; the padded temporaries stay O(n * _FFT_BLOCK).  On the same VM,
+# 32 and 64 columns ran equally fast at d = 211 and 401; 16 lost time to
+# the loop, and 128 or all columns at once ran 5-35% slower there.
 _FFT_BLOCK = 64
 
 
@@ -198,46 +198,44 @@ def _smooth_length(m: int) -> int:
     return best
 
 
-def _phase_conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cyclic convolution of every column over the row (phase) index::
+def _phase_power(a: np.ndarray, copies: int) -> np.ndarray:
+    """Cyclic convolution power of every column over the row (phase)
+    index, for c = ``copies`` in {2, 3}::
 
-        out[k, j] = sum_m a[m, j] * b[(k - m) mod d, j]
+        out[k, j] = sum_{m1 + ... + mc = k (mod d)} a[m1, j] * ... * a[mc, j]
 
-    Small d gathers the shifted copies of ``b`` and contracts them in one
-    call.  Large d takes out row 0 first: with ``a = a0 + ra`` and
-    ``b = b0 + rb`` split into row 0 and the rest,
-    ``conv(a, b) = a[0] * b + b[0] * ra + conv(ra, rb)``.  Row 0 holds
-    the fidelity, which dominates a purifying state, so the FFT's
-    rounding scales with the other weights only.  ``conv(ra, rb)`` is the
-    linear convolution, of length 2d - 1, wrapped back onto d rows: its
-    real FFTs are zero-padded to the smooth length n >= 2d - 1, which
-    avoids the slow prime lengths, and run on ``_FFT_BLOCK`` columns at a
-    time, so the padded temporaries stay O(n * _FFT_BLOCK).  Rounding can
-    leave exact zeros slightly negative; they are clamped once per round,
-    when :class:`CoeffMatrix` validates the state the round returns.
+    Small d gathers the shifted copies of ``a`` once for all c - 1
+    contractions.  Large d splits ``a = a0 e0 + r`` into row 0, which
+    holds a purifying state's dominant fidelity, and the rest.  It adds
+    ``a0**c e0 + c a0**(c-1) r`` exactly and the other terms by FFT, whose
+    rounding then scales with the other weights only: ``R**2`` for two
+    copies and ``R**2 (3 a0 + R)`` for three, R the real FFT of r.  That
+    is one rfft and one irfft per ``_FFT_BLOCK`` columns, zero-padded to
+    the smooth length n >= c (d - 1) + 1 of the linear convolution, whose
+    rows from d on fold back modulo d.  Exact zeros can round slightly
+    negative; :class:`CoeffMatrix` clamps them once per round.
     """
     d = a.shape[0]
     if d <= GATHER_MAX_D:
-        return np.einsum("mj,kmj->kj", a, b[_gather_index(d)])
-    n = _smooth_length(2 * d - 1)
-    # C order whatever the inputs' layout, so that the round's sum adds
-    # in one order on every path.
-    out = np.multiply(a[0], b, order="C")
+        out, shifted = a, a[_gather_index(d)]
+        for _ in range(copies - 1):
+            out = np.einsum("mj,kmj->kj", out, shifted)
+        return out
+    length = copies * (d - 1) + 1
+    n = _smooth_length(length)
+    a0 = a[0]
+    # C order whatever a's layout, so the round's sum adds in one order.
+    out = np.multiply(copies * a0 ** (copies - 1), a, order="C")
+    out[0] = a0 ** copies
     for j in range(0, d, _FFT_BLOCK):
         cols = slice(j, j + _FFT_BLOCK)
-        ra = a[:, cols].copy()
-        ra[0] = 0.0
-        out[:, cols] += b[0, cols] * ra
-        fa = np.fft.rfft(ra, n, axis=0)
-        if b is a:
-            fa *= fa
-        else:
-            rb = b[:, cols].copy()
-            rb[0] = 0.0
-            fa *= np.fft.rfft(rb, n, axis=0)
-        lin = np.fft.irfft(fa, n, axis=0)
-        out[:, cols] += lin[:d]
-        out[:d - 1, cols] += lin[d:2 * d - 1]
+        r = a[:, cols].copy()
+        r[0] = 0.0
+        spec = np.fft.rfft(r, n, axis=0)
+        spec *= spec * (spec + 3.0 * a0[cols]) if copies == 3 else spec
+        lin = np.fft.irfft(spec, n, axis=0)[:length]
+        for s in range(0, length, d):
+            out[:min(d, length - s), cols] += lin[s:s + d]
     return out
 
 
@@ -247,7 +245,7 @@ def _conv_round(a: np.ndarray, copies: int, rows: bool) -> tuple[np.ndarray, flo
     rows (the Fourier-conjugated round)."""
     if rows:
         a = np.ascontiguousarray(a.T)
-    raw = _phase_conv(a, a) if copies == 2 else _phase_conv(_phase_conv(a, a), a)
+    raw = _phase_power(a, copies)
     prob = raw.sum()
     if prob <= 0.0:
         raise ValueError("no surviving branch; state weights are degenerate")

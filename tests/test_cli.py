@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -270,6 +271,16 @@ class TestHashing:
         yields = [float(line.split(",")[4]) for line in lines[1:]]
         assert yields[0] == 0.0 and yields[1] == 0.0 and yields[2] > 0.0
 
+    def test_p1_bound_is_at_most_one(self, capsys):
+        """Short blocks make the concentration bound vacuous; the column
+        says 1 there, not the raw 2 exp(...) (up to 1.995 at n = 2)."""
+        code, out, _ = run_cli(capsys, ["hashing", "--d", "3", "--F", "0.95",
+                                        "--n-sweep", "2:3000:41", "--delta", "fixed:0.05"])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        p1 = [float(row["p1_bound"]) for row in rows]
+        assert len(p1) == 74 and max(p1) == 1.0 and min(p1) < 1.0
+
     def test_composite_dimension_rejected(self, capsys):
         code, _, err = run_cli(capsys, ["hashing", "--fmin", "--d", "4"])
         assert code == 2
@@ -294,17 +305,17 @@ class TestTableGoldens:
         [
             (
                 ["hashing", "--d", "5", "--F", "0.9", "--n-sweep", "2:5000:61"],
-                "b56998c440642bea926d1ba47207ad5635fa2214614ba24e82438f6296c09a04",
+                "24baa0c7a35dcadc97a83a070dd6b0fc008f88a376376c1ea7d04fb0bc690f37",
             ),
             (
                 ["hashing", "--d", "3", "--F", "0.95", "--n-sweep", "2:3000:41",
                  "--delta", "fixed:0.05"],
-                "1093c46242a6d237c3279f26ebee9c067af059a17df9d1ebb496070c7c5430d8",
+                "6a9cabdd386a386a4a2d033bb764fd512e1d3de2f9e8b3c2ada13b4a3eedaa61",
             ),
             (
                 ["hashing", "--d", "2", "--F", "0.85", "--n-sweep", "2:400:3",
                  "--delta", "n_to_1"],
-                "48800f8d1723c94853eed2d0d36f7ebb7d3769b404f0abf0410dcb95da0bf156",
+                "e748a13cee6db826b77c72da417e6d2cf45b360e7bf2f19d668688010622a263",
             ),
             (
                 ["hashing", "--d", "7", "--F", "1", "--n-sweep", "2:200:9",
@@ -314,16 +325,16 @@ class TestTableGoldens:
             (
                 ["hashing", "--d", "2", "--F", "0.85", "--n-sweep", "2:400:3",
                  "--delta", "n_to_1", "--format", "json"],
-                "52c02395b6d5075efeadf383fdeaba03ebb1992c37cc874598fcee6aa84dbf36",
+                "eb4885bb4535a522018ab053f5a2fbb1fa353548c80b605e39e6bdeae01379ea",
             ),
             (
                 ["hashing", "--d", "2", "--F", "0.95", "--n", "10", "--delta", "n_to_1",
                  "--format", "csv"],
-                "7bacf319bc0e966805bea07897fba2ab0c93cd303ee6b19e72f65ab5ad6af61b",
+                "3c53d7057437b0f26a2a062c963ceae95c983edc486a6186d1c89fbafc9c113d",
             ),
             (
                 ["hashing", "--d", "2", "--F", "0.95", "--n", "10", "--delta", "n_to_1"],
-                "981d358f5b6ec6fee568da7353a075c7e170a893c2abd25b4d2ccdd68c1fb5be",
+                "4126a43b4b85ae0e0a3019c45e3e44c8cd8286365910bdd7837a9ee8dc863b10",
             ),
             (
                 ["ghz", "--d-list", "primes:2..13", "--N-list", "2..4",

@@ -192,9 +192,14 @@ class TestFiniteSizeReport:
         assert report.r == math.ceil(500 * (report.S + 2 * 0.02) - 1e-12)
         assert report.p2 == pytest.approx(3.0 ** (-500 * 0.02), abs=1e-15)
         assert report.yield_raw == pytest.approx(1 - report.S - 2 * 0.02, abs=1e-14)
-        assert report.F_out_raw == pytest.approx(
-            1 - report.p1_bound - report.p2, abs=1e-14
-        )
+        # The raw concentration bound is about 1.76 at this n: p1_bound
+        # reports it clamped to 1, and F_out_raw keeps the raw value.
+        assert report.p1_bound == 1.0
+        assert report.F_out_raw == pytest.approx(-0.7589165867560562, abs=1e-14)
+        assert report.F_out_bound == 0.0
+        longer = finite_size_report(3, 5000, 0.97, 0.02)
+        assert 0.0 < longer.p1_bound < 1.0
+        assert longer.F_out_raw == pytest.approx(1 - longer.p1_bound - longer.p2, abs=1e-14)
 
     def test_p2_spot_check(self):
         assert finite_size_report(2, 100, 0.95, 0.1).p2 == 2.0**-10
