@@ -220,6 +220,7 @@ def cmd_thresholds(args) -> str:
     protocol = PROTOCOL_NAMES[args.protocol]
     if protocol == recurrence.THREE_COPY:
         raise ValueError("thresholds are defined for two-copy protocols")
+    _check_range_size(args.grid, "--grid")  # the scans hold one lane per grid point
     rows = []
     for d in _parse_d_range(args.d_range):
         if protocol == recurrence.BBPSSW:

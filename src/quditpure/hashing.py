@@ -129,10 +129,10 @@ def universal_threshold(d: int) -> float:
 def resolve_delta(policy, n: int, S: float) -> float:
     """Turn a block-size policy into a concrete typicality margin delta.
 
-    Accepted forms: a positive float, "fixed:x", "npow:p" for n**p with
-    p < 0, and "n_to_1" which solves r = n - 1 (spend all but one pair):
-    delta = ((n - 1)/n - S) / 2, possibly non-positive when the entropy
-    is too large for that to be feasible.
+    Accepted forms: a finite positive float, "fixed:x", "npow:p" for n**p
+    with finite p < 0, and "n_to_1" which solves r = n - 1 (spend all but
+    one pair): delta = ((n - 1)/n - S) / 2, possibly non-positive when the
+    entropy is too large for that to be feasible.
     """
     return _delta_rule(policy, S)(n)
 
@@ -141,8 +141,8 @@ def _delta_rule(policy, S: float):
     """Parse a delta policy once into a function of the block size n."""
     if isinstance(policy, (int, float)) and not isinstance(policy, bool):
         delta = float(policy)
-        if delta <= 0.0:
-            raise ValueError(f"fixed delta must be positive, got {delta}")
+        if not (math.isfinite(delta) and delta > 0.0):
+            raise ValueError(f"fixed delta must be finite and positive, got {delta}")
         return lambda n: delta
     if not isinstance(policy, str):
         raise ValueError(f"unrecognized delta policy {policy!r}")
@@ -152,8 +152,8 @@ def _delta_rule(policy, S: float):
         return _delta_rule(float(policy[len("fixed:"):]), S)
     if policy.startswith("npow:"):
         power = float(policy[len("npow:"):])
-        if power >= 0.0:
-            raise ValueError(f"npow exponent must be negative, got {power}")
+        if not (math.isfinite(power) and power < 0.0):
+            raise ValueError(f"npow exponent must be finite and negative, got {power}")
         return lambda n: float(n) ** power
     raise ValueError(f"unrecognized delta policy {policy!r}")
 

@@ -29,8 +29,8 @@ from .indices import check_dimension, check_unit_interval
 # make_preset and depolarize_channel stay bound here although nothing here
 # calls them: bench/tracer.py wraps them in every module that imports them.
 from .states import (
-    CoeffMatrix, StatePreset, depolarize_channel, depolarized, isotropic, make_preset,
-    preset_weights,
+    CoeffMatrix, StatePreset, depolarize_channel, depolarized, make_preset, preset_block,
+    twirled,
 )
 
 __all__ = [
@@ -316,7 +316,7 @@ def noisy_step(state: CoeffMatrix, Q: float) -> CoeffMatrix:
     retention Q, which at the coefficient level is a single depolarizing
     mix with retention Q**2.
     """
-    return CoeffMatrix(depolarized(state.alpha, Q, 2))
+    return CoeffMatrix(depolarized(state.alpha, Q, state.d, 2))
 
 
 def dejmps_map(state: CoeffMatrix, Q: float = 1.0) -> tuple[CoeffMatrix, float]:
@@ -326,7 +326,7 @@ def dejmps_map(state: CoeffMatrix, Q: float = 1.0) -> tuple[CoeffMatrix, float]:
     bilateral Fourier swap so that phase and amplitude errors trade
     places between rounds, as in the DEJMPS qubit protocol.
     """
-    mapped, prob = _conv_round(depolarized(state.alpha, Q, 2), 2, False)
+    mapped, prob = _conv_round(depolarized(state.alpha, Q, state.d, 2), 2, False)
     return CoeffMatrix(mapped.T), prob
 
 
@@ -346,8 +346,8 @@ def bbpssw_step(F: float, d: int, Q: float = 1.0) -> tuple[float, float]:
     d = check_dimension(d)
     check_unit_interval(F, "fidelity")
     check_unit_interval(Q, "retention Q")
-    F, _, _, _, prob = _sector_round(BBPSSW, F, 0.0, 0.0, 0.0, d, Q)
-    return F, prob
+    s, prob = _sector_round(BBPSSW, preset_block("isotropic", d, F, 0.0), d, Q)
+    return float(s[0, 0]), float(prob)
 
 
 def bbpssw_map(F: float, d: int, Q: float = 1.0) -> float:
@@ -415,12 +415,12 @@ def _advance(
     if protocol == BBPSSW:
         # The twirl protocol lives on isotropic states; twirling the input
         # is a no-op once the iteration is underway.
-        noisy = depolarized(isotropic(state.d, state.fidelity), Q, 2)
+        noisy = depolarized(twirled(state.alpha, state.d), Q, state.d, 2)
         mapped, prob = _conv_round(noisy, 2, False)
-        return BBPSSW, CoeffMatrix(isotropic(state.d, mapped[0, 0])), prob
+        return BBPSSW, CoeffMatrix(twirled(mapped, state.d)), prob
     if protocol not in (P1P2, THREE_COPY):
         raise ValueError(f"unknown protocol {protocol!r}")
-    a = depolarized(state.alpha, Q, 2)
+    a = depolarized(state.alpha, Q, state.d, 2)
     rows = _phase_dominates(a)
     copies = 3 if protocol == THREE_COPY else 2
     mapped, prob = _conv_round(a, copies, rows)
@@ -506,38 +506,36 @@ def yield_run(
     return traj.cumulative_yield if traj.reached_target else 0.0
 
 
-def _sector_round(protocol: str, F, x, z, w, d: int, Q: float):
+def _sector_round(protocol: str, s: np.ndarray, d: int, Q: float):
     """One noisy round on the preset sector, at a cost independent of d.
 
-    The sector ``[[F, x...], [z..., w...]]`` (x on row 0, z on column 0,
-    w elsewhere) holds the presets and is closed under depolarizing, P1,
-    the x <-> z swap of P2 and DEJMPS, and the twirl (x = z = w).  P1P2
-    picks P2 exactly when z > x, a swap F cannot see, so its state is
-    kept ordered with z <= x instead.  Takes floats or equal-length
-    arrays, each lane bit-identical to a one-lane run; returns
-    ``(F, x, z, w, success_prob)``.
+    A sector matrix has x on the rest of row 0, z on the rest of column 0
+    and w elsewhere, so its top-left block ``s = [[F, x], [z, w]]`` holds
+    it (lanes on a trailing axis).  The sector holds the presets and is
+    closed under depolarizing, P1, the swap of P2 and DEJMPS, and the
+    twirl, which this round applies as on the matrix.  P1P2 picks P2
+    exactly when z > x, a swap F cannot see, so its block is kept ordered
+    with z <= x instead.  Each lane is bit-identical to a one-lane run;
+    returns ``(s, success_prob)``.
     """
     if protocol == BBPSSW:
-        x = z = w = (1.0 - F) / (d * d - 1)
-    r = Q * Q
-    mix = (1.0 - r) / (d * d)
-    F, x, z, w = r * F + mix, r * x + mix, r * z + mix, r * w + mix
+        s = twirled(s, d)
+    s = depolarized(s, Q, d, 2)
     if protocol == P1P2:
-        x, z = np.maximum(x, z), np.minimum(x, z)
-    c0 = F + (d - 1.0) * z
-    c1 = x + (d - 1.0) * w
-    prob = c0 * c0 + (d - 1.0) * c1 * c1
-    F, x, z, w = (
-        (F * F + (d - 1.0) * z * z) / prob,
-        (x * x + (d - 1.0) * w * w) / prob,
-        (2.0 * F * z + (d - 2.0) * z * z) / prob,
-        (2.0 * x * w + (d - 2.0) * w * w) / prob,
-    )
+        s[0, 1], s[1, 0] = np.maximum(s[0, 1], s[1, 0]), np.minimum(s[0, 1], s[1, 0])
+    # P1 on both column classes: column 0 is (F, z), the others (x, w).
+    top, rest = s
+    c = top + (d - 1.0) * rest
+    prob = c[0] * c[0] + (d - 1.0) * c[1] * c[1]
+    s = np.array((
+        (top * top + (d - 1.0) * rest * rest) / prob,
+        (2.0 * top * rest + (d - 2.0) * rest * rest) / prob,
+    ))
     if protocol == DEJMPS:
-        x, z = z, x
+        s = s.swapaxes(0, 1)
     elif protocol == BBPSSW:
-        x = z = w = (1.0 - F) / (d * d - 1)
-    return F, x, z, w, prob
+        s = twirled(s, d)
+    return s, prob
 
 
 def _lanes_improve(
@@ -547,42 +545,26 @@ def _lanes_improve(
     """Whether iterating the protocol from each initial fidelity in F0
     gains ground.  Each lane starts on the preset as :func:`make_preset`
     builds it and follows the stall rule of :func:`run_protocol`; a lane
-    leaves the arrays once it stalls.
+    leaves the block once it stalls.
     """
     StatePreset(preset_kind, 1.0, x_weight)  # the preset's own validation
-    x, z, w = preset_weights(preset_kind, d, F0, x_weight)
+    s = preset_block(preset_kind, d, F0, x_weight)
     final = F0.copy()
     lanes = np.arange(F0.size)
-    F = F0
     stall = np.zeros(F0.size, dtype=int)
     for _ in range(iterations):
-        new_F, x, z, w, _ = _sector_round(protocol, F, x, z, w, d, Q)
-        stall = _stall_count(stall, new_F, F)
-        F = new_F
+        F = s[0, 0]
+        s, _ = _sector_round(protocol, s, d, Q)
+        stall = _stall_count(stall, s[0, 0], F)
         done = stall >= STALL_RUNS
         if np.count_nonzero(done):
-            final[lanes[done]] = F[done]
+            final[lanes[done]] = s[0, 0, done]
             keep = ~done
-            lanes, F, x, z, w, stall = (v[keep] for v in (lanes, F, x, z, w, stall))
+            s, lanes, stall = s[..., keep], lanes[keep], stall[keep]
             if not lanes.size:
                 break
-    final[lanes] = F
+    final[lanes] = s[0, 0]
     return final > F0 + IMPROVE_TOL
-
-
-def _middle_out(n: int) -> list[int]:
-    """Indices 0..n-1 ordered from the middle outward.
-
-    Purification regimes sit around mid-range fidelities, so a hit found
-    from the middle outward is the common-case regime.
-    """
-    mid = n // 2
-    order = [mid]
-    for step in range(1, n):
-        for idx in (mid - step, mid + step):
-            if 0 <= idx < n:
-                order.append(idx)
-    return order
 
 
 def _bisect(improves, bad: float, good: float, tol: float, levels: int) -> float:
@@ -641,12 +623,14 @@ def regime_scan(
     """Numerically locate the interval of purifiable initial fidelities.
 
     Initial states are drawn from the given preset family parameterized
-    by F.  The whole F-grid is iterated at once; the first purifiable
-    point from the middle outward is walked to both grid edges of its
-    interval, and bisection sharpens each edge to ``refine_tol``.  The
-    convergence test iterates the noisy protocol up to ``iterations``
-    rounds with the stall rule of :func:`run_protocol`, on the preset
-    sector (see :func:`_sector_round`), so it costs the same at any d.
+    by F.  The whole F-grid is iterated at once.  Regimes sit around
+    mid-range fidelities, so the purifiable point nearest the middle
+    (the lower one on ties) picks the interval; the nearest failing point
+    on each side brackets its edge, and bisection sharpens each edge to
+    ``refine_tol``.  The convergence test iterates the noisy protocol up
+    to ``iterations`` rounds with the stall rule of :func:`run_protocol`,
+    on the preset sector (see :func:`_sector_round`), so it costs the
+    same at any d.
     For the twirl protocol the edges agree with
     :func:`bbpssw_fixed_points` to bisection accuracy.
     """
@@ -657,23 +641,19 @@ def regime_scan(
         return _lanes_improve(protocol, d, Q, preset_kind, x_weight, Fs, iterations)
 
     ok = improves(Fs)
-    hit = next((i for i in _middle_out(grid) if ok[i]), None)
-    if hit is None:
+    hits = np.flatnonzero(ok)
+    if not hits.size:
         center = min(max((d + 1.0) / (2.0 * d), float(Fs[0])), float(Fs[-1]))
         return PurificationRegime(F_min=center, F_max=center, purifiable=False)
 
-    # Walk outward from the hit to bracket both edges on the grid.
-    left = hit
-    while left > 0 and ok[left - 1]:
-        left -= 1
-    right = hit
-    while right < grid - 1 and ok[right + 1]:
-        right += 1
+    hit = hits[np.argmin(np.abs(hits - grid // 2))]
+    fails = np.flatnonzero(~ok)
+    i = np.searchsorted(fails, hit)
 
     # One 31-lane call holds every midpoint of an edge's next five steps.
     edge = functools.partial(_bisect, improves, tol=refine_tol, levels=5)
-    F_min = edge(Fs[left - 1], Fs[left]) if left > 0 else Fs[0]
-    F_max = 1.0 if right == grid - 1 else edge(Fs[right + 1], Fs[right])
+    F_min = edge(Fs[fails[i - 1]], Fs[fails[i - 1] + 1]) if i else Fs[0]
+    F_max = edge(Fs[fails[i]], Fs[fails[i] - 1]) if i < fails.size else 1.0
     return PurificationRegime(F_min=F_min, F_max=F_max, purifiable=True)
 
 

@@ -49,7 +49,7 @@ def checked_weights(a: np.ndarray, kind: str) -> np.ndarray:
     to 0; returns the weights read-only."""
     if a.min() < NEG_TOL:
         raise ValueError(f"negative weight {a.min():g} in state {kind}")
-    a = np.maximum(a, 0.0)
+    np.maximum(a, 0.0, out=a)
     drift = abs(a.sum() - 1.0)
     # Written so that a NaN or infinite sum fails too: NaN compares
     # False both ways, and a.min() above is NaN when any weight is.
@@ -119,23 +119,21 @@ def make_preset(preset: StatePreset, d: int) -> CoeffMatrix:
     """Build the coefficient matrix for a preset at dimension d."""
     d = check_dimension(d)
     checked_power(d, 2)  # the d x d matrix must be an array size
-    x, z, w = preset_weights(preset.kind, d, preset.F, preset.x_weight)
-    a = np.full((d, d), w)
-    a[0, 1:] = x
-    a[1:, 0] = z
-    a[0, 0] = preset.F
-    return CoeffMatrix(a)
+    block = preset_block(preset.kind, d, preset.F, preset.x_weight)
+    return CoeffMatrix(block.repeat((1, d - 1), axis=0).repeat((1, d - 1), axis=1))
 
 
-def preset_weights(kind: str, d: int, F, x_weight: float):
-    """Weights (x, z, w) of a preset at fidelity F, a float or an array:
-    x on the rest of row 0, z on the rest of column 0, w elsewhere."""
+def preset_block(kind: str, d: int, F, x_weight: float) -> np.ndarray:
+    """The 2 x 2 block ``[[F, x], [z, w]]`` of a preset at fidelity F, a
+    float or an array (lanes on a trailing axis): x on the rest of row 0,
+    z on the rest of column 0, w elsewhere.  The matrix's top-left corner."""
     rest = 1.0 - F
     if kind == "isotropic":
         x = rest / (d * d - 1)
-        return x, x, x
+        return np.array(((F, x), (x, x)))
     share = {"x_only": 1.0, "z_only": 0.0}.get(kind, x_weight)
-    return share * rest / (d - 1), (1.0 - share) * rest / (d - 1), 0.0 * rest
+    x, z = share * rest / (d - 1), (1.0 - share) * rest / (d - 1)
+    return np.array(((F, x), (z, 0.0 * rest)))
 
 
 def fidelity(state: CoeffMatrix) -> float:
@@ -152,14 +150,15 @@ def depolarize_channel(state: CoeffMatrix, retention: float) -> CoeffMatrix:
     pair is exactly this channel with retention q**2, because the
     non-identity Pauli branches shift the basis labels uniformly.
     """
-    return CoeffMatrix(depolarized(state.alpha, retention))
+    return CoeffMatrix(depolarized(state.alpha, retention, state.d))
 
 
-def depolarized(alpha: np.ndarray, q: float, qudits: int = 1) -> np.ndarray:
-    """Bare weights after local noise of retention q on 1 or 2 qudits of the pair."""
+def depolarized(alpha: np.ndarray, q: float, d: int, qudits: int = 1) -> np.ndarray:
+    """Bare weights after local noise of retention q on 1 or 2 qudits of the
+    pair, for a d x d matrix or a preset block."""
     check_unit_interval(q, "retention")
     r = q * q if qudits == 2 else q
-    return r * alpha + (1.0 - r) / alpha.size
+    return r * alpha + (1.0 - r) / (d * d)
 
 
 def twirl_isotropic(state: CoeffMatrix) -> CoeffMatrix:
@@ -168,13 +167,14 @@ def twirl_isotropic(state: CoeffMatrix) -> CoeffMatrix:
     The result is the isotropic state with the same entry [0, 0]; the
     other d**2 - 1 weights are averaged into a single value.
     """
-    return CoeffMatrix(isotropic(state.d, state.fidelity))
+    return CoeffMatrix(twirled(state.alpha, state.d))
 
 
-def isotropic(d: int, F: float) -> np.ndarray:
-    """Weight array of the isotropic state of fidelity F."""
-    a = np.full((d, d), (1.0 - F) / (d * d - 1))
-    a[0, 0] = F
+def twirled(alpha: np.ndarray, d: int) -> np.ndarray:
+    """Bare weights of the isotropic state with alpha's fidelity, in alpha's
+    layout: a d x d matrix or a preset block."""
+    a = np.full(alpha.shape, (1.0 - alpha[0, 0]) / (d * d - 1))
+    a[0, 0] = alpha[0, 0]
     return a
 
 

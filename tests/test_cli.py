@@ -6,6 +6,8 @@ import hashlib
 import io
 import json
 import math
+import re
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -201,6 +203,20 @@ class TestThresholds:
         assert code == 0 and err == ""
         assert out == golden
 
+    def test_rejects_grid_over_range_limit(self, capsys, monkeypatch):
+        """--grid is one lane per point; it is checked before any scan."""
+
+        def no_lanes(*args):
+            raise AssertionError("scan ran before --grid was checked")
+
+        monkeypatch.setattr(recurrence, "_lanes_improve", no_lanes)
+        code, out, err = run_cli(
+            capsys, ["thresholds", "--protocol", "p1p2", "--d-range", "2", "--grid", "1000001"]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "1000001 values" in err
+
     def test_rejects_three_copy(self, capsys):
         # argparse restricts --protocol to two-copy names and exits with 2
         with pytest.raises(SystemExit) as exc_info:
@@ -280,6 +296,18 @@ class TestHashing:
         rows = list(csv.DictReader(io.StringIO(out)))
         p1 = [float(row["p1_bound"]) for row in rows]
         assert len(p1) == 74 and max(p1) == 1.0 and min(p1) < 1.0
+
+    @pytest.mark.parametrize("policy", ["npow:nan", "fixed:nan", "npow:-inf", "fixed:inf"])
+    def test_rejects_non_finite_delta(self, capsys, policy):
+        """NaN used to end in "cannot convert float NaN to integer", and
+        npow:-inf printed rows with delta 0."""
+        for mode in (["--n", "100"], ["--n-sweep", "10:30:10"]):
+            code, out, err = run_cli(
+                capsys, ["hashing", "--d", "5", "--F", "0.99", "--delta", policy, *mode]
+            )
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert policy.split(":")[0] in err and "finite" in err
 
     def test_composite_dimension_rejected(self, capsys):
         code, _, err = run_cli(capsys, ["hashing", "--fmin", "--d", "4"])
@@ -731,6 +759,35 @@ class TestRangeLimit:
         assert len(cli._parse_sweep("10:1000000:20")) == 50000
         with pytest.raises(ValueError, match="1000001 values"):
             cli._parse_sweep("0:2000000:2")
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_blocks():
+    """(language, text) of every fenced block in the README, in order."""
+    return re.findall(r"^```(\w*)\n(.*?)^```", README.read_text(), re.S | re.M)
+
+
+class TestReadme:
+    def test_examples_run(self, capsys):
+        """Every quditpure command in the README's sh blocks exits 0 with
+        output, except the illustration that needs the user's own state
+        file, and the recurrence-run sample rows are the real ones."""
+        blocks = readme_blocks()
+        commands = [
+            (i, shlex.split(line, comments=True)[1:])
+            for i, (lang, text) in enumerate(blocks) if lang == "sh"
+            for line in text.splitlines()
+            if line.startswith("quditpure ") and "my_ghz.json" not in line
+        ]
+        assert len(commands) >= 9
+        for i, argv in commands:
+            code, out, err = run_cli(capsys, argv)
+            assert code == 0 and out, (argv, err)
+            if argv[0] == "recurrence-run":
+                sample = [line for line in blocks[i + 1][1].splitlines() if line != "..."]
+                assert out.splitlines()[: len(sample)] == sample
 
 
 class TestDeterminism:

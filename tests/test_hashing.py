@@ -177,6 +177,23 @@ class TestResolveDelta:
         with pytest.raises(ValueError):
             resolve_delta(None, 10, 0.5)
 
+    @pytest.mark.parametrize(
+        "policy, message",
+        [
+            (math.nan, "fixed delta"),
+            (math.inf, "fixed delta"),
+            ("fixed:nan", "fixed delta"),
+            ("fixed:inf", "fixed delta"),
+            ("npow:nan", "npow exponent"),
+            ("npow:-inf", "npow exponent"),
+        ],
+    )
+    def test_rejects_non_finite_policies(self, policy, message):
+        """NaN fails both of the sign tests, and an infinite margin or
+        exponent gives delta inf or 0 for every n."""
+        with pytest.raises(ValueError, match=f"{message} must be finite"):
+            resolve_delta(policy, 10, 0.4)
+
 
 class TestFiniteSizeReport:
     def test_yield_crossing_near_n_43(self):

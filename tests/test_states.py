@@ -16,14 +16,16 @@ from quditpure.states import (
     CoeffMatrix,
     StatePreset,
     depolarize_channel,
+    depolarized,
     fidelity,
     make_preset,
-    preset_weights,
+    preset_block,
     random_state,
     read_state_file,
     state_from_json,
     state_to_json,
     twirl_isotropic,
+    twirled,
 )
 
 
@@ -71,7 +73,7 @@ class TestCoeffMatrix:
 
 
 def loop_make_preset(kind, F, x_weight, d):
-    """The preset weight matrix as built before ``preset_weights``: one
+    """The preset weight matrix as built before ``preset_block``: one
     branch per kind, kept as the byte-for-byte reference."""
     if kind == "isotropic":
         a = np.full((d, d), (1.0 - F) / (d * d - 1))
@@ -94,19 +96,19 @@ class TestPresets:
     @pytest.mark.parametrize("d", [2, 3, 7, 31])
     @pytest.mark.parametrize("kind", PRESET_KINDS)
     def test_matches_branch_per_kind_construction(self, kind, d):
-        """Byte for byte, and the (x, z, w) of a lane vector of F equal
-        the one-F values, as the preset-sector scans need.  x_weight 0.1
-        is inexact in binary, so it also pins the order of the products."""
+        """Byte for byte, and each lane of a block built from a vector of F
+        equals the one-F block, as the preset-sector scans need.  x_weight
+        0.1 is inexact in binary, so it also pins the order of the products."""
         Fs = [0.0, 1.0 / d**2, 0.37, 1.0]
         for x_weight in (0.0, 0.25, 1.0, 0.1):
             for F in Fs:
                 got = make_preset(StatePreset(kind, F, x_weight), d).alpha
                 want = CoeffMatrix(loop_make_preset(kind, F, x_weight, d)).alpha
                 assert got.tobytes() == want.tobytes(), (F, x_weight)
-            lanes = preset_weights(kind, d, np.array(Fs), x_weight)
-            ones = [preset_weights(kind, d, F, x_weight) for F in Fs]
-            for lane, one in zip(lanes, zip(*ones)):
-                assert np.asarray(lane).tobytes() == np.array(one).tobytes()
+            lanes = preset_block(kind, d, np.array(Fs), x_weight)
+            ones = [preset_block(kind, d, F, x_weight) for F in Fs]
+            for lane, one in zip(np.moveaxis(lanes, -1, 0), ones):
+                assert lane.tobytes() == one.tobytes()
 
     def test_kinds_tuple(self):
         assert PRESET_KINDS == ("isotropic", "x_only", "z_only", "xz_mixture")
@@ -207,6 +209,38 @@ class TestTwirl:
         once = twirl_isotropic(random_state(4, np.random.default_rng(5)))
         twice = twirl_isotropic(once)
         np.testing.assert_allclose(once.alpha, twice.alpha, atol=1e-15)
+
+
+def unfold(block, d):
+    """The d x d matrix whose top-left 2 x 2 corner is ``block``."""
+    return block.repeat((1, d - 1), axis=0).repeat((1, d - 1), axis=1)
+
+
+class TestFoldedLayout:
+    """A preset-sector matrix folds into its top-left 2 x 2 block, and the
+    noise steps give the same bits on the block as on the matrix."""
+
+    @pytest.mark.parametrize("d", [2, 3, 7, 31])
+    @pytest.mark.parametrize("kind", PRESET_KINDS)
+    def test_block_is_the_matrix_corner(self, kind, d):
+        for F in (0.0, 1.0 / d**2, 0.37, 1.0):
+            for x_weight in (0.0, 0.1, 1.0):
+                matrix = make_preset(StatePreset(kind, F, x_weight), d).alpha
+                block = preset_block(kind, d, F, x_weight)
+                assert block.tobytes() == matrix[:2, :2].tobytes()
+                assert unfold(block, d).tobytes() == matrix.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 7, 31])
+    @pytest.mark.parametrize("kind", PRESET_KINDS)
+    def test_noise_steps_agree_on_block_and_matrix(self, kind, d):
+        for F in (1.0 / d**2, 0.37, 0.9):
+            matrix = make_preset(StatePreset(kind, F, 0.1), d).alpha
+            block = matrix[:2, :2]
+            assert unfold(twirled(block, d), d).tobytes() == twirled(matrix, d).tobytes()
+            for q in (1.0, 0.97, 0.5):
+                for qudits in (1, 2):
+                    on_block = unfold(depolarized(block, q, d, qudits), d)
+                    assert on_block.tobytes() == depolarized(matrix, q, d, qudits).tobytes()
 
 
 class TestRandomState:
