@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import hashing, multipartite, oracle, recurrence
-from .indices import is_prime, primes_in
+from .indices import check_unit_interval, is_prime, primes_in
 from .states import PRESET_KINDS, StatePreset, make_preset, read_json_file, read_state_file
 
 __all__ = [
@@ -79,7 +79,7 @@ def _json(obj) -> str:
 
 def _table(fmt: str, header: list[str], rows: list[tuple]) -> str:
     if fmt == "json":
-        return _json([dict(zip(header, map(_jsonable, row))) for row in rows])
+        return _json([dict(zip(header, row)) for row in rows])
     return _csv(header, rows)
 
 
@@ -87,16 +87,6 @@ def _record(fmt: str, obj: dict) -> str:
     if fmt == "csv":
         return _csv(list(obj), [tuple(obj.values())])
     return _json(obj)
-
-
-def _jsonable(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    return value
 
 
 def _write_output(path: str, text: str) -> None:
@@ -218,11 +208,11 @@ def cmd_recurrence_run(args) -> str:
 def cmd_thresholds(args) -> str:
     """Tabulate noise thresholds and purification regimes per dimension."""
     protocol = PROTOCOL_NAMES[args.protocol]
-    if protocol == recurrence.THREE_COPY:
-        raise ValueError("thresholds are defined for two-copy protocols")
     _check_range_size(args.grid, "--grid")  # the scans hold one lane per grid point
+    d_values = _parse_d_range(args.d_range)
+    check_unit_interval(args.Q, "retention Q")  # before any lane runs
     rows = []
-    for d in _parse_d_range(args.d_range):
+    for d in d_values:
         if protocol == recurrence.BBPSSW:
             q_th = recurrence.bbpssw_threshold(d)
             regime = recurrence.bbpssw_fixed_points(d, args.Q)

@@ -5,8 +5,9 @@ basis-state definitions: maximally entangled pairs are built as state
 vectors, gates as permutation or Fourier matrices, measurements as
 projector sums.  A Bell pair is the N = 2 GHZ state, so one vector
 builder serves both bases.  The coefficient-level shortcuts used
-elsewhere in the package are validated against this module, which never
-imports from :mod:`quditpure.recurrence`.
+elsewhere in the package are validated against this module.  Only
+:func:`recurrence_map_deviation` imports from :mod:`quditpure.recurrence`,
+and only the maps it checks.
 
 Sizes are deliberately tiny: ``PAIR_LIMITS`` gives the largest d for
 each number of copies.  :func:`run_checks` is the whole validation suite
@@ -21,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indices import check_dimension, check_unit_interval
+from .indices import (
+    bgxor_index_map, bqft_index_map, check_dimension, check_unit_interval, pauli_on_bell,
+)
 from .states import CoeffMatrix
 
 __all__ = [
@@ -496,8 +499,6 @@ def verify_bell_index_maps(d: int) -> dict[str, float]:
     quantity distinguishes a weight matrix from its index-negated twin.
     For d = 2 the two maps coincide.
     """
-    from .indices import bgxor_index_map, bqft_index_map, pauli_on_bell
-
     d = _check_pair_limit(d, 2)
     devs = {"bgxor": 0.0, "bqft": 0.0, "pauli": 0.0}
 

@@ -239,10 +239,11 @@ def _phase_power(a: np.ndarray, copies: int) -> np.ndarray:
     return out
 
 
-def _conv_round(a: np.ndarray, copies: int, rows: bool) -> tuple[np.ndarray, float]:
-    """Normalized output weights and success probability of a round on
-    ``copies`` copies of ``a``; with ``rows`` the convolution runs along
-    rows (the Fourier-conjugated round)."""
+def _conv_round(a: np.ndarray, d: int, copies: int, adaptive: bool):
+    """Normalized weights, success probability and ``rows`` of a round on
+    ``copies`` copies of ``a``: ``adaptive`` with phase errors dominating runs it
+    along rows (the Fourier-conjugated round).  ``d`` is unused (one conv signature)."""
+    rows = adaptive and _phase_dominates(a)
     if rows:
         a = np.ascontiguousarray(a.T)
     raw = _phase_power(a, copies)
@@ -250,7 +251,7 @@ def _conv_round(a: np.ndarray, copies: int, rows: bool) -> tuple[np.ndarray, flo
     if prob <= 0.0:
         raise ValueError("no surviving branch; state weights are degenerate")
     raw /= prob
-    return (raw.T if rows else raw), float(prob)
+    return (raw.T if rows else raw), float(prob), rows
 
 
 def p1_map(state: CoeffMatrix) -> tuple[CoeffMatrix, float]:
@@ -267,7 +268,7 @@ def p1_map(state: CoeffMatrix) -> tuple[CoeffMatrix, float]:
     Returns the normalized output state and the success probability
     (the sum of squared column sums).
     """
-    mapped, prob = _conv_round(state.alpha, 2, False)
+    mapped, prob, _ = _conv_round(state.alpha, state.d, 2, False)
     return CoeffMatrix(mapped), prob
 
 
@@ -290,7 +291,7 @@ def three_copy_map(state: CoeffMatrix) -> tuple[CoeffMatrix, float]:
     weights are the cyclic triple self-convolution of each amplitude
     column, and the success probability is the sum of cubed column sums.
     """
-    mapped, prob = _conv_round(state.alpha, 3, False)
+    mapped, prob, _ = _conv_round(state.alpha, state.d, 3, False)
     return CoeffMatrix(mapped), prob
 
 
@@ -326,8 +327,8 @@ def dejmps_map(state: CoeffMatrix, Q: float = 1.0) -> tuple[CoeffMatrix, float]:
     bilateral Fourier swap so that phase and amplitude errors trade
     places between rounds, as in the DEJMPS qubit protocol.
     """
-    mapped, prob = _conv_round(depolarized(state.alpha, Q, state.d, 2), 2, False)
-    return CoeffMatrix(mapped.T), prob
+    _, mapped, prob = _advance(DEJMPS, state.alpha, state.d, Q, _conv_round)
+    return CoeffMatrix(mapped), prob
 
 
 def bbpssw_step(F: float, d: int, Q: float = 1.0) -> tuple[float, float]:
@@ -346,7 +347,7 @@ def bbpssw_step(F: float, d: int, Q: float = 1.0) -> tuple[float, float]:
     d = check_dimension(d)
     check_unit_interval(F, "fidelity")
     check_unit_interval(Q, "retention Q")
-    s, prob = _sector_round(BBPSSW, preset_block("isotropic", d, F, 0.0), d, Q)
+    _, s, prob = _advance(BBPSSW, preset_block("isotropic", d, F, 0.0), d, Q, _sector_conv)
     return float(s[0, 0]), float(prob)
 
 
@@ -404,28 +405,23 @@ def bbpssw_threshold_asymptote(d: int) -> float:
     return math.sqrt(2.0) * d ** (-0.25)
 
 
-def _advance(
-    protocol: str, state: CoeffMatrix, Q: float
-) -> tuple[str, CoeffMatrix, float]:
-    """One noisy round of a protocol: returns (label, new state, success prob).
-    It runs on bare arrays and validates one state, the one it returns."""
-    if protocol == DEJMPS:
-        mapped, prob = dejmps_map(state, Q)
-        return DEJMPS, mapped, prob
+def _advance(protocol: str, a: np.ndarray, d: int, Q: float, conv):
+    """One noisy round on bare weights: the d x d matrix with ``conv=_conv_round``,
+    the sector block with ``_sector_conv``.  Returns (label, weights, prob)."""
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}")
     if protocol == BBPSSW:
         # The twirl protocol lives on isotropic states; twirling the input
         # is a no-op once the iteration is underway.
-        noisy = depolarized(twirled(state.alpha, state.d), Q, state.d, 2)
-        mapped, prob = _conv_round(noisy, 2, False)
-        return BBPSSW, CoeffMatrix(twirled(mapped, state.d)), prob
-    if protocol not in (P1P2, THREE_COPY):
-        raise ValueError(f"unknown protocol {protocol!r}")
-    a = depolarized(state.alpha, Q, state.d, 2)
-    rows = _phase_dominates(a)
+        a = twirled(a, d)
+    a = depolarized(a, Q, d, 2)
     copies = 3 if protocol == THREE_COPY else 2
-    mapped, prob = _conv_round(a, copies, rows)
-    label = protocol if copies == 3 else P2 if rows else P1
-    return label, CoeffMatrix(mapped), prob
+    a, prob, rows = conv(a, d, copies, protocol in (P1P2, THREE_COPY))
+    if protocol == DEJMPS:
+        a = a.swapaxes(0, 1)
+    elif protocol == BBPSSW:
+        a = twirled(a, d)
+    return (P2 if rows else P1) if protocol == P1P2 else protocol, a, prob
 
 
 def run_protocol(
@@ -456,7 +452,9 @@ def run_protocol(
     cum_yield = 1.0
     stall = 0
     while F < target and len(traj.steps) < max_iters:
-        label, current, prob = _advance(protocol, current, noise.Q)
+        label, mapped, prob = _advance(protocol, current.alpha, current.d, noise.Q, _conv_round)
+        current = CoeffMatrix(mapped)
+        del mapped  # a copy lives on in current; free the raw weights now
         cum_yield *= prob / copies
         traj.steps.append(TrajectoryStep(label, current, prob, cum_yield))
         new_F = current.fidelity
@@ -506,36 +504,30 @@ def yield_run(
     return traj.cumulative_yield if traj.reached_target else 0.0
 
 
-def _sector_round(protocol: str, s: np.ndarray, d: int, Q: float):
-    """One noisy round on the preset sector, at a cost independent of d.
+def _sector_conv(s: np.ndarray, d: int, copies: int, adaptive: bool):
+    """The convolution of :func:`_advance` on the preset sector, at one cost for every d.
 
     A sector matrix has x on the rest of row 0, z on the rest of column 0
     and w elsewhere, so its top-left block ``s = [[F, x], [z, w]]`` holds
     it (lanes on a trailing axis).  The sector holds the presets and is
     closed under depolarizing, P1, the swap of P2 and DEJMPS, and the
-    twirl, which this round applies as on the matrix.  P1P2 picks P2
-    exactly when z > x, a swap F cannot see, so its block is kept ordered
-    with z <= x instead.  Each lane is bit-identical to a one-lane run;
-    returns ``(s, success_prob)``.
+    twirl.  The adaptive round picks P2 exactly when z > x, a swap F
+    cannot see, so ``adaptive`` keeps z <= x instead.  Two copies only:
+    :func:`_scan_grid` keeps THREE_COPY out of the scans.  Each lane is
+    bit-identical to a one-lane run; returns ``(s, prob, False)``.
     """
-    if protocol == BBPSSW:
-        s = twirled(s, d)
-    s = depolarized(s, Q, d, 2)
-    if protocol == P1P2:
+    if adaptive:
         s[0, 1], s[1, 0] = np.maximum(s[0, 1], s[1, 0]), np.minimum(s[0, 1], s[1, 0])
     # P1 on both column classes: column 0 is (F, z), the others (x, w).
     top, rest = s
-    c = top + (d - 1.0) * rest
+    wide = (d - 1.0) * rest
+    c = top + wide
     prob = c[0] * c[0] + (d - 1.0) * c[1] * c[1]
     s = np.array((
-        (top * top + (d - 1.0) * rest * rest) / prob,
+        (top * top + wide * rest) / prob,
         (2.0 * top * rest + (d - 2.0) * rest * rest) / prob,
     ))
-    if protocol == DEJMPS:
-        s = s.swapaxes(0, 1)
-    elif protocol == BBPSSW:
-        s = twirled(s, d)
-    return s, prob
+    return s, prob, False
 
 
 def _lanes_improve(
@@ -554,7 +546,7 @@ def _lanes_improve(
     stall = np.zeros(F0.size, dtype=int)
     for _ in range(iterations):
         F = s[0, 0]
-        s, _ = _sector_round(protocol, s, d, Q)
+        _, s, _ = _advance(protocol, s, d, Q, _sector_conv)
         stall = _stall_count(stall, s[0, 0], F)
         done = stall >= STALL_RUNS
         if np.count_nonzero(done):
@@ -629,7 +621,7 @@ def regime_scan(
     on each side brackets its edge, and bisection sharpens each edge to
     ``refine_tol``.  The convergence test iterates the noisy protocol up
     to ``iterations`` rounds with the stall rule of :func:`run_protocol`,
-    on the preset sector (see :func:`_sector_round`), so it costs the
+    on the preset sector (see :func:`_sector_conv`), so it costs the
     same at any d.
     For the twirl protocol the edges agree with
     :func:`bbpssw_fixed_points` to bisection accuracy.

@@ -179,6 +179,20 @@ class TestThresholds:
         assert err.startswith("error:") and err.count("\n") == 1
         assert word in err
 
+    @pytest.mark.parametrize("protocol", ["p1p2", "dejmps", "bbpssw"])
+    @pytest.mark.parametrize("Q", ["1.5", "nan"])
+    def test_rejects_bad_retention_before_any_lane(self, capsys, monkeypatch, protocol, Q):
+        """--Q is checked before the threshold scan, with the library's message."""
+
+        def no_lanes(*args):
+            raise AssertionError("scan ran before --Q was checked")
+
+        monkeypatch.setattr(recurrence, "_lanes_improve", no_lanes)
+        code, out, err = run_cli(
+            capsys, ["thresholds", "--protocol", protocol, "--d-range", "2", "--Q", Q]
+        )
+        assert (code, out, err) == (2, "", f"error: retention Q must be in [0, 1], got {Q}\n")
+
     @pytest.mark.parametrize(
         "argv, golden",
         [
@@ -582,10 +596,12 @@ class TestMalformedStateFiles:
             ("ghz", '{"d": 2, "N": 2, "alpha": {"a": 1}}'),
             ("ghz", '{"d": 2, "N": 2.5, "preset": "ghz_isotropic", "F": 0.9}'),
             ("ghz", '{"d": 2, "N": 2, "preset": "ghz_isotropic", "F": null}'),
+            ("recurrence-run", "[2, 0.5]"),
+            ("ghz", "[2, 3, 0.9]"),
         ],
         ids=["d_null", "d_list", "F_null", "x_weight_null", "d_inf", "d_1e400",
              "d_2.7", "alpha_object", "alpha_strings", "F_true", "N_null",
-             "ghz_alpha_object", "N_2.5", "ghz_F_null"],
+             "ghz_alpha_object", "N_2.5", "ghz_F_null", "list", "ghz_list"],
     )
     def test_exits_2_with_one_line_error(self, capsys, tmp_path, command, text):
         path = tmp_path / "state.json"
@@ -720,6 +736,42 @@ class TestOversizedInputs:
         d**N and d**2 beyond the largest array size still give a row."""
         code, out, err = run_cli(capsys, argv)
         assert (code, out, err) == (0, expected, "")
+
+
+class TestInputErrors:
+    """Malformed ranges, grids and sweeps and missing flags exit 2 with one
+    error line and nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "argv, phrase",
+        [
+            (["thresholds", "--d-range", "5..2"], "empty range '5..2'"),
+            (["ghz", "--N-list", ","], "no values in ','"),
+            (["thresholds", "--d-range", "primes:5"],
+             "primes range must look like primes:a..b"),
+            (["thresholds", "--d-range", "primes:24..28"],
+             "no primes in range 'primes:24..28'"),
+            (["ghz", "--F-grid", "0:1"], "grid must look like lo:hi:count"),
+            (["ghz", "--F-grid", "0:1:0"], "grid count must be positive, got 0"),
+            (["hashing", "--d", "5", "--F", "0.95", "--n-sweep", "5"],
+             "sweep must look like lo:hi[:step]"),
+            (["hashing", "--d", "5", "--F", "0.95", "--n-sweep", "10:5"],
+             "invalid sweep '10:5'"),
+            (["hashing", "--fmin"], "--fmin needs --d"),
+            (["hashing", "--threshold"], "--threshold needs --d or --d-range"),
+            (["hashing", "--threshold", "--d-range", "2..5"],
+             "hashing thresholds need prime d, got 4"),
+            (["hashing", "--n", "100", "--d", "5"], "finite-size hashing needs --d and --F"),
+        ],
+        ids=["d_range_reversed", "N_list_empty", "primes_no_range", "primes_none",
+             "F_grid_two_parts", "F_grid_count_0", "n_sweep_one_part", "n_sweep_reversed",
+             "fmin_no_d", "threshold_no_d", "threshold_composite", "n_no_F"],
+    )
+    def test_exits_2_with_one_line_error(self, capsys, argv, phrase):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert phrase in err
 
 
 class TestRangeLimit:

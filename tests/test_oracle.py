@@ -300,24 +300,22 @@ class TestIndexMapValidation:
 
     def test_wrong_gxor_map_is_detected(self, monkeypatch):
         """A label map that disagrees with the gate shows as a deviation."""
-        from quditpure import indices
 
         def swapped(control, target, d):
             return target, control
 
-        monkeypatch.setattr(indices, "bgxor_index_map", swapped)
+        monkeypatch.setattr(oracle, "bgxor_index_map", swapped)
         assert oracle.verify_bell_index_maps(2)["bgxor"] > 0.5
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_wrong_pauli_map_is_detected(self, monkeypatch, d):
         """Exchanging the phase and shift powers sends some basis state to
         an orthogonal one: an overlap of 0, a deviation of 1."""
-        from quditpure import indices
 
         def exchanged(a, b, index, d):
             return (index[0] + b) % d, (index[1] + a) % d
 
-        monkeypatch.setattr(indices, "pauli_on_bell", exchanged)
+        monkeypatch.setattr(oracle, "pauli_on_bell", exchanged)
         devs = oracle.verify_bell_index_maps(d)
         assert devs["pauli"] == pytest.approx(1.0, abs=1e-12)
         assert devs["bgxor"] < 1e-12
@@ -386,6 +384,10 @@ class TestRecurrenceSimulation:
         """A check that compares nothing must not report a deviation of 0."""
         with pytest.raises(ValueError, match="trials"):
             oracle.recurrence_map_deviation(2, "P1", trials=0)
+
+    def test_deviation_rejects_unknown_variant(self):
+        with pytest.raises(ValueError, match="unknown variant 'BOGUS'"):
+            oracle.recurrence_map_deviation(2, "BOGUS")
 
 
 class TestDepolarization:

@@ -494,6 +494,21 @@ class TestDejmps:
         assert adaptive.F_max == pytest.approx(fixed.F_max, abs=1e-6)
 
 
+def matrix_round(protocol, state, Q):
+    """``run_protocol``'s round: ``_advance`` on the weight matrix, the
+    result stored as one validated state."""
+    label, mapped, prob = recurrence._advance(
+        protocol, state.alpha, state.d, Q, recurrence._conv_round
+    )
+    return label, CoeffMatrix(mapped), prob
+
+
+def sector_round(protocol, s, d, Q):
+    """``_lanes_improve``'s round: ``_advance`` on the sector block."""
+    _, s, prob = recurrence._advance(protocol, s, d, Q, recurrence._sector_conv)
+    return s, prob
+
+
 def composed_round(protocol, state, Q):
     """One round of ``protocol`` through the public maps."""
     if protocol == BBPSSW:
@@ -525,7 +540,7 @@ class TestAdvance:
         for Q in (1.0, 0.95):
             for state in starts:
                 for _ in range(20):
-                    label, mapped, prob = recurrence._advance(protocol, state, Q)
+                    label, mapped, prob = matrix_round(protocol, state, Q)
                     ref_label, ref_mapped, ref_prob = composed_round(protocol, state, Q)
                     assert (label, prob) == (ref_label, ref_prob)
                     assert mapped.alpha.tobytes() == ref_mapped.alpha.tobytes()
@@ -539,7 +554,7 @@ class TestAdvance:
 
     def test_unknown_protocol(self):
         with pytest.raises(ValueError, match="unknown protocol"):
-            recurrence._advance("bogus", preset("isotropic", 2, 0.8), 1.0)
+            matrix_round("bogus", preset("isotropic", 2, 0.8), 1.0)
 
 
 class TestRetentionRange:
@@ -559,7 +574,7 @@ class TestRetentionRange:
     @pytest.mark.parametrize("Q", [-0.5, -1.0, -0.9, 1.01, math.nan])
     def test_advance(self, protocol, Q):
         with pytest.raises(ValueError, match="retention"):
-            recurrence._advance(protocol, preset("isotropic", 3, 0.8), Q)
+            matrix_round(protocol, preset("isotropic", 3, 0.8), Q)
 
 
 class TestStopReason:
@@ -699,6 +714,10 @@ class TestScans:
     def test_noise_threshold_d6(self):
         assert noise_threshold(P1P2, 6) == pytest.approx(0.824, abs=2e-3)
 
+    def test_noise_threshold_rejects_q_hi_that_does_not_purify(self):
+        with pytest.raises(ValueError, match=r"does not purify .* at Q=0\.5"):
+            noise_threshold(P1P2, 2, q_hi=0.5)
+
     def test_scans_reject_three_copy(self):
         with pytest.raises(ValueError):
             regime_scan(THREE_COPY, 2)
@@ -773,8 +792,8 @@ class TestSector:
                 state = preset(kind, d, 0.5)
                 sector = state.alpha[:2, :2]
                 for _ in range(30):
-                    _, state, prob = recurrence._advance(protocol, state, Q)
-                    sector, sector_prob = recurrence._sector_round(protocol, sector, d, Q)
+                    _, state, prob = matrix_round(protocol, state, Q)
+                    sector, sector_prob = sector_round(protocol, sector, d, Q)
                     assert abs(sector_prob - prob) <= 1e-13
                     assert_on_sector(state, *sector.ravel(), unordered_xz=protocol == P1P2)
 
@@ -790,9 +809,9 @@ class TestSector:
             lanes = start
             singles = [start[..., i].copy() for i in range(F.size)]
             for _ in range(30):
-                lanes, prob = recurrence._sector_round(protocol, lanes, d, Q)
+                lanes, prob = sector_round(protocol, lanes, d, Q)
                 for i, single in enumerate(singles):
-                    single, single_prob = recurrence._sector_round(protocol, single, d, Q)
+                    single, single_prob = sector_round(protocol, single, d, Q)
                     assert [*lanes[..., i].ravel(), prob[i]] == [*single.ravel(), single_prob]
                     singles[i] = single
         for kind in PRESET_KINDS:
