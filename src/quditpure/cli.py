@@ -295,6 +295,8 @@ def cmd_ghz(args) -> str:
 
 def cmd_oracle_check(args) -> str:
     """Dense-simulation validation suite; reports max deviations per check."""
+    if args.format != "json":
+        raise ValueError(f"oracle-check writes only JSON, not --format {args.format}")
     return _json(oracle.run_checks(_parse_int_list(args.d), args.trials, args.seed))
 
 

@@ -16,6 +16,7 @@ that ``quditpure oracle-check`` prints.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -136,7 +137,11 @@ class DenseState:
     def check(self) -> "DenseState":
         """Validate shape, finiteness, trace, Hermiticity and positivity.
 
-        Positivity is tested on the full matrix: the Hermitian part minus
+        Hermiticity and positivity are tested on the diagonal blocks of
+        :func:`_difference_blocks` when every nonzero entry lies in them,
+        and on the whole matrix otherwise.  A basis permutation keeps both
+        the Hermitian deviation and the spectrum, so either way the test
+        covers the full matrix: each block's Hermitian part minus
         ``PSD_TOL`` times the identity must admit a Cholesky factor, which
         holds exactly when every eigenvalue lies above ``PSD_TOL``.
         """
@@ -144,15 +149,21 @@ class DenseState:
         rho = self.rho
         if not np.isfinite(rho).all():
             raise ValueError("density matrix has non-finite entries")
-        if abs(np.trace(rho).real - 1.0) > TRACE_TOL or abs(np.trace(rho).imag) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {np.trace(rho):.12g} is not 1")
-        rho_h = rho.conj().T
-        if np.abs(rho - rho_h).max() > HERM_TOL:
+        trace = np.trace(rho)
+        if abs(trace.real - 1.0) > TRACE_TOL or abs(trace.imag) > TRACE_TOL:
+            raise ValueError(f"density matrix trace {trace:.12g} is not 1")
+        idx = _difference_blocks(self.d, self.pairs)
+        blocks = rho[idx[:, :, None], idx[:, None, :]]
+        if np.count_nonzero(blocks) != np.count_nonzero(rho):
+            blocks = rho[None]
+        blocks_h = blocks.conj().swapaxes(1, 2)
+        if np.abs(blocks - blocks_h).max() > HERM_TOL:
             raise ValueError("density matrix is not Hermitian")
-        shifted = rho + rho_h
-        del rho_h
+        shifted = blocks + blocks_h
+        del blocks_h
         shifted *= 0.5
-        shifted.flat[:: shifted.shape[0] + 1] -= PSD_TOL
+        diag = np.arange(shifted.shape[1])
+        shifted[:, diag, diag] -= PSD_TOL
         try:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
@@ -169,6 +180,25 @@ class DenseState:
                 f"density matrix shape {self.rho.shape} does not match "
                 f"d={self.d}, pairs={self.pairs}: expected {(size, size)}"
             )
+
+
+@functools.cache
+def _difference_blocks(d: int, pairs: int) -> np.ndarray:
+    """Basis indices grouped by per-copy amplitude differences, shared read-only.
+
+    Row k lists, in order, the computational indices whose digits
+    (a_i - b_i) mod d spell k in base d, so ``d**pairs`` rows of
+    ``d**pairs`` indices.  A Bell state |psi_mn> lies on a - b = n, so a
+    product of Bell-diagonal copies is zero outside the diagonal blocks
+    rho[np.ix_(idx[k], idx[k])].
+    """
+    dims = (d,) * (2 * pairs)
+    delta, a = np.indices(dims).reshape(2, pairs, -1)
+    digits = np.stack((a, (a - delta) % d), axis=1)
+    idx = np.ravel_multi_index(digits.reshape(len(dims), -1), dims)
+    idx = idx.reshape(d**pairs, d**pairs)
+    idx.setflags(write=False)
+    return idx
 
 
 def _check_pair_limit(d, pairs: int) -> int:
@@ -564,8 +594,11 @@ def run_checks(d_values: list[int], trials: int, seed: int) -> dict:
     SeedSequence([seed, k]), so no two variants see the same states.
     The report opens with the validated d list, the seed and the trials.
     ``mgxor_index_map_ok`` is None if no d allows the GHZ gate check, and
-    ``pass`` covers only the checks that ran."""
+    ``pass`` covers only the checks that ran.  A repeated d is rejected:
+    its checks would share names, so the report could list only one run."""
     d_values = [_check_pair_limit(d, 2) for d in d_values]
+    if len(set(d_values)) != len(d_values):
+        raise ValueError(f"d values must be distinct, got {d_values}")
     checks: dict[str, float] = {}
     mgxor_ok = None
     for d in d_values:

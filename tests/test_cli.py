@@ -650,6 +650,23 @@ class TestOracleCheck:
         assert not np.array_equal(first["P1"], first["THREE_COPY"])
         assert not np.array_equal(first["P2"], first["THREE_COPY"])
 
+    def test_csv_rejected_before_any_check(self, capsys, monkeypatch):
+        def no_checks(*args):
+            raise AssertionError("a check ran before --format was rejected")
+
+        monkeypatch.setattr(oracle, "run_checks", no_checks)
+        code, out, err = run_cli(capsys, ["oracle-check", "--format", "csv"])
+        assert code == 2 and out == ""
+        assert err == "error: oracle-check writes only JSON, not --format csv\n"
+
+    def test_repeated_d_runs_once(self, capsys):
+        """The --d list is deduplicated as it is parsed, so a repeated d
+        reaches run_checks once and prints what the single d prints."""
+        _, once, _ = run_cli(capsys, ["oracle-check", "--d", "2", "--trials", "2"])
+        code, twice, _ = run_cli(capsys, ["oracle-check", "--d", "2,2", "--trials", "2"])
+        assert code == 0 and twice == once
+        assert json.loads(twice)["d"] == [2]
+
     def test_dimension_limit(self, capsys):
         code, _, err = run_cli(capsys, ["oracle-check", "--d", "7"])
         assert code == 2
@@ -762,10 +779,13 @@ class TestInputErrors:
             (["hashing", "--threshold", "--d-range", "2..5"],
              "hashing thresholds need prime d, got 4"),
             (["hashing", "--n", "100", "--d", "5"], "finite-size hashing needs --d and --F"),
+            (["oracle-check", "--d", "2", "--format", "csv"],
+             "oracle-check writes only JSON, not --format csv"),
         ],
         ids=["d_range_reversed", "N_list_empty", "primes_no_range", "primes_none",
              "F_grid_two_parts", "F_grid_count_0", "n_sweep_one_part", "n_sweep_reversed",
-             "fmin_no_d", "threshold_no_d", "threshold_composite", "n_no_F"],
+             "fmin_no_d", "threshold_no_d", "threshold_composite", "n_no_F",
+             "oracle_csv"],
     )
     def test_exits_2_with_one_line_error(self, capsys, argv, phrase):
         code, out, err = run_cli(capsys, argv)

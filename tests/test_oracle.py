@@ -4,6 +4,7 @@ These pin the coefficient-level machinery in the rest of the package to
 literal quantum mechanics on explicit (small) Hilbert spaces.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -138,6 +139,15 @@ class TestRunChecks:
         assert report["d"] == [2, 3] and all(type(d) is int for d in report["d"])
         assert {name.rsplit("_d", 1)[1] for name in report["checks"]} == {"2", "3"}
 
+    def test_rejects_repeated_d_before_any_check(self, monkeypatch):
+        """2 and 2.0 validate to the same d, whose checks would share names."""
+        def no_checks(*args, **kwargs):
+            raise AssertionError("a check ran before the repeat was rejected")
+
+        monkeypatch.setattr(oracle, "verify_bell_index_maps", no_checks)
+        with pytest.raises(ValueError, match=r"d values must be distinct, got \[2, 3, 2\]"):
+            oracle.run_checks([2, 3, 2.0], trials=1, seed=0)
+
 
 def random_unitary(n, rng):
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -151,23 +161,99 @@ def with_spectrum(eigenvalues, rng):
     return (U * np.asarray(eigenvalues)) @ U.conj().T
 
 
+def difference_groups(d, pairs):
+    """Reference grouping: basis indices by per-copy (a - b) mod d, in a loop."""
+    groups = {}
+    for x, digits in enumerate(np.ndindex((d,) * (2 * pairs))):
+        key = tuple((a - b) % d for a, b in zip(digits[::2], digits[1::2]))
+        groups.setdefault(key, []).append(x)
+    return [groups[key] for key in sorted(groups)]
+
+
+def with_block_spectrum(eigenvalues, d, pairs, rng):
+    """Like :func:`with_spectrum`, with a random unitary on each difference
+    group only, so the matrix is zero outside the groups' diagonal blocks."""
+    n = len(eigenvalues)
+    U = np.zeros((n, n), dtype=complex)
+    for group in difference_groups(d, pairs):
+        U[np.ix_(group, group)] = random_unitary(len(group), rng)
+    return (U * np.asarray(eigenvalues)) @ U.conj().T
+
+
+@pytest.fixture
+def cholesky_shapes(monkeypatch):
+    """Shapes of every array passed to np.linalg.cholesky, in call order."""
+    shapes = []
+    factor = np.linalg.cholesky
+
+    def spy(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    return shapes
+
+
+# Every (d, pairs) that PAIR_LIMITS allows.
+ORACLE_SIZES = [
+    (d, pairs) for pairs, top in oracle.PAIR_LIMITS.items() for d in range(2, top + 1)
+]
+
+
 class TestDenseStateCheck:
     """``DenseState.check`` tolerances: trace and Hermiticity to 1e-10,
-    eigenvalues down to -1e-9 accepted."""
+    eigenvalues down to -1e-9 accepted.  A matrix that is zero outside its
+    difference blocks is factored block by block, any other as a whole."""
 
     @pytest.mark.parametrize("d, pairs", [(2, 2), (3, 2)])
-    def test_eigenvalue_tolerance(self, d, pairs):
+    def test_eigenvalue_tolerance(self, cholesky_shapes, d, pairs):
+        """In a random eigenbasis the whole matrix is factored; in a
+        block-diagonal one, one block carries the negative eigenvalue."""
         rng = np.random.default_rng(17)
         n = d ** (2 * pairs)
-        for negative, accepted in ((-5e-10, True), (-2e-9, False)):
+        for side, (negative, accepted) in itertools.product(
+            (n, d**pairs), ((-5e-10, True), (-2e-9, False))
+        ):
             spectrum = np.full(n, (1.0 - negative) / (n - 1))
             spectrum[n // 2] = negative
-            state = oracle.DenseState(d, pairs, with_spectrum(spectrum, rng))
+            if side == n:
+                rho = with_spectrum(spectrum, rng)
+            else:
+                rho = with_block_spectrum(spectrum, d, pairs, rng)
+            state = oracle.DenseState(d, pairs, rho)
             if accepted:
                 assert state.check() is state
             else:
                 with pytest.raises(ValueError, match="negative eigenvalue"):
                     state.check()
+            assert cholesky_shapes.pop() == (n // side, side, side)
+
+    def test_rejects_coupling_between_psd_blocks(self, cholesky_shapes):
+        """Every difference block is PSD, but a Hermitian coupling between
+        two blocks gives the whole matrix the eigenvalue 1/16 - 0.1."""
+        n = 16
+        rho = np.eye(n, dtype=complex) / n
+        groups = difference_groups(2, 2)
+        i, j = groups[0][0], groups[1][0]
+        rho[i, j] = rho[j, i] = 0.1
+        for group in groups:
+            assert np.linalg.eigvalsh(rho[np.ix_(group, group)]).min() > 0
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            oracle.DenseState(2, 2, rho).check()
+        assert cholesky_shapes == [(1, n, n)]
+
+    @pytest.mark.parametrize("d, pairs", ORACLE_SIZES)
+    def test_bell_pairs_factor_difference_blocks(self, cholesky_shapes, d, pairs):
+        """A product of Bell-diagonal copies is factored as d**pairs blocks."""
+        oracle.build_bell_pairs(random_state(d, np.random.default_rng(d)), pairs)
+        side = d**pairs
+        assert cholesky_shapes == [(side, side, side)]
+
+    @pytest.mark.parametrize("d, pairs", ORACLE_SIZES)
+    def test_difference_blocks_match_loop_grouping(self, d, pairs):
+        idx = oracle._difference_blocks(d, pairs)
+        assert idx.tolist() == difference_groups(d, pairs)
+        assert not idx.flags.writeable
 
     def test_rejects_trace_off_by_1e_9(self):
         rng = np.random.default_rng(3)
