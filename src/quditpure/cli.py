@@ -1,4 +1,4 @@
-"""Command-line interface emitting CSV or JSON data tables.
+"""Command-line interface: tables in CSV and single reports in JSON by default.
 
 Subcommands:
 
@@ -35,12 +35,12 @@ __all__ = [
     "main",
 ]
 
-PROTOCOL_NAMES = {
-    "p1p2": recurrence.P1P2,
-    "dejmps": recurrence.DEJMPS,
-    "bbpssw": recurrence.BBPSSW,
-    "three-copy": recurrence.THREE_COPY,
-}
+
+def _flag(protocol: str) -> str:
+    return protocol.lower().replace("_", "-")  # the --protocol value: THREE_COPY -> three-copy
+
+
+PROTOCOL_NAMES = {_flag(p): p for p in recurrence.PROTOCOLS}
 
 
 def _fmt(value) -> str:
@@ -77,13 +77,13 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _table(fmt: str, header: list[str], rows: list[tuple]) -> str:
+def _table(fmt: str | None, header: list[str], rows: list[tuple]) -> str:
     if fmt == "json":
         return _json([dict(zip(header, row)) for row in rows])
     return _csv(header, rows)
 
 
-def _record(fmt: str, obj: dict) -> str:
+def _record(fmt: str | None, obj: dict) -> str:
     if fmt == "csv":
         return _csv(list(obj), [tuple(obj.values())])
     return _json(obj)
@@ -143,6 +143,8 @@ def _parse_d_range(text: str) -> list[int]:
 
 def _parse_float_grid(text: str) -> list[float]:
     """Parse "x", "x,y,z" or "lo:hi:count" into a float list."""
+    if not text.replace(",", "").strip():
+        raise ValueError(f"no values in {text!r}")
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -295,14 +297,14 @@ def cmd_ghz(args) -> str:
 
 def cmd_oracle_check(args) -> str:
     """Dense-simulation validation suite; reports max deviations per check."""
-    if args.format != "json":
+    if args.format == "csv":
         raise ValueError(f"oracle-check writes only JSON, not --format {args.format}")
     return _json(oracle.run_checks(_parse_int_list(args.d), args.trials, args.seed))
 
 
 def _add_output_flags(sub) -> None:
     sub.add_argument("--output", default="-", help="output path, or - for stdout")
-    sub.add_argument("--format", choices=("csv", "json"), default=None)
+    sub.add_argument("--format", choices=("csv", "json"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -326,7 +328,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_recurrence_run)
 
     p = sub.add_parser("thresholds", help="noise thresholds and regimes")
-    p.add_argument("--protocol", choices=("bbpssw", "p1p2", "dejmps"), default="bbpssw")
+    p.add_argument("--protocol", choices=tuple(map(_flag, recurrence.SCAN_PROTOCOLS)),
+                   default="bbpssw")
     p.add_argument("--d-range", dest="d_range", default="2..8")
     p.add_argument("--Q", type=float, default=1.0)
     p.add_argument("--preset", choices=PRESET_KINDS, default="isotropic")
@@ -370,22 +373,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_format(args) -> str:
-    """CSV for tables, JSON for single-object reports."""
-    if args.command == "oracle-check":
-        return "json"
-    if args.command == "hashing":
-        return "json" if (args.fmin or args.n is not None) else "csv"
-    if args.command == "ghz":
-        return "json" if args.state_file else "csv"
-    return "csv"
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.format is None:
-        args.format = _default_format(args)
     try:
         text = args.handler(args)
         _write_output(args.output, text)

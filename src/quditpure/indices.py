@@ -186,5 +186,5 @@ def pauli_on_bell(a: int, b: int, index: BellIndex, d: int) -> BellIndex:
     depolarizing at the coefficient level.
     """
     d = check_dimension(d)
-    m, n = index
-    return (int(m) + int(a)) % d, (int(n) + int(b)) % d
+    m, n = check_bell_index(index, d)
+    return (m + int(a)) % d, (n + int(b)) % d

@@ -246,25 +246,21 @@ def _gxor_permutation(d: int, copies: int, parties: int = 2) -> np.ndarray:
     return np.ravel_multi_index(digits.reshape(len(dims), -1), dims)
 
 
-def _bilateral_qft(d: int, copies: int) -> np.ndarray:
-    """kron of (QFT on A, conjugate QFT on B) over the given copies."""
+def _bilateral_qft(d: int) -> np.ndarray:
+    """kron(QFT on A, conjugate QFT on B): the bilateral Fourier gate on one copy."""
     Q = qft_matrix(d)
-    single = np.kron(Q, Q.conj())
-    out = single
-    for _ in range(copies - 1):
-        out = np.kron(out, single)
-    return out
+    return np.kron(Q, Q.conj())
 
 
 def _fourier_conjugate(rho: np.ndarray, d: int, pairs: int) -> np.ndarray:
-    """B rho B^dagger for B = _bilateral_qft(d, pairs), one copy at a time.
+    """B rho B^dagger for B the kron of _bilateral_qft(d) over pairs, one copy at a time.
 
     Each pass multiplies the leading copy axis (size d**2) by kron(Q, Q*)
     on the row side or its conjugate on the column side, then rotates that
     axis to the back; after 2 * pairs passes the axis order is restored.
     That costs d**(4 * pairs + 2) operations instead of d**(6 * pairs).
     """
-    single = _bilateral_qft(d, 1)
+    single = _bilateral_qft(d)
     size = d * d
     out = rho
     for M in (single,) * pairs + (single.conj(),) * pairs:
@@ -351,7 +347,7 @@ def simulate_recurrence_step(
     if prob <= 0.0:
         raise ValueError("postselected branch has zero probability")
     if variant == "P2":
-        bq1 = _bilateral_qft(d, 1)
+        bq1 = _bilateral_qft(d)
         sigma = bq1.conj().T @ sigma @ bq1
     return CoeffMatrix(_extract_coefficients(sigma, d) / prob), prob
 
@@ -456,7 +452,7 @@ def ghz_pair_index_map(
     return new_control, new_target
 
 
-def verify_mgxor_index_map(d: int, atol: float = 1e-10) -> bool:
+def verify_mgxor_index_map(d: int) -> bool:
     """Exhaustively validate :func:`ghz_pair_index_map` for three parties.
 
     Builds the modified gate as (trilateral controlled-difference) after
@@ -469,23 +465,20 @@ def verify_mgxor_index_map(d: int, atol: float = 1e-10) -> bool:
     """
     d = _check_pair_limit(d, 3)
     N = 3
-    size = d**N
     G = ghz_basis(d, N)
 
     # Amplitude-sign flip on one copy, as a GHZ-basis permutation.
-    W = np.zeros((size, size), dtype=complex)
     dims = (d,) * N
-    for flat, digits in enumerate(np.ndindex(dims)):
-        flipped = (digits[0],) + tuple((-a) % d for a in digits[1:])
-        W[:, flat] = G[:, np.ravel_multi_index(flipped, dims)]
-    W = W @ G.conj().T
+    digits = np.indices(dims).reshape(N, -1)
+    digits[1:] = -digits[1:] % d
+    W = G[:, np.ravel_multi_index(digits, dims)] @ G.conj().T
 
-    # Column c * size + t of a product holds the input pair (c, t); the
+    # Column c * d**N + t of a product holds the input pair (c, t); the
     # trilateral gate acts on copy-major qudits A1, B1, C1, A2, B2, C2.
     vout = np.kron(G, W @ G)[_gxor_permutation(d, 2, N)]
     labels = [(label[0], label[1:]) for label in np.ndindex(dims)]
     cols = _mapped_columns(labels, lambda c, t: ghz_pair_index_map(c, t, d))
-    return bool((_overlap_error(np.kron(G, G)[:, cols], vout) <= atol).all())
+    return bool((_overlap_error(np.kron(G, G)[:, cols], vout) <= CHECK_TOL).all())
 
 
 def _mapped_columns(labels: list, pair_map) -> np.ndarray:
@@ -540,7 +533,7 @@ def verify_bell_index_maps(d: int) -> dict[str, float]:
     cols = _mapped_columns(labels, lambda c, t: bgxor_index_map(c, t, d))
     devs["bgxor"] = float(_overlap_error(BB[:, cols], vout).max())
 
-    BQ = _bilateral_qft(d, 1)
+    BQ = _bilateral_qft(d)
     for m in range(d):
         for n in range(d):
             vout = BQ @ bell_vector(d, m, n)

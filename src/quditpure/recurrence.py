@@ -43,6 +43,7 @@ __all__ = [
     "P2",
     "PROTOCOLS",
     "PurificationRegime",
+    "SCAN_PROTOCOLS",
     "THREE_COPY",
     "Trajectory",
     "TrajectoryStep",
@@ -74,6 +75,7 @@ DEJMPS = "DEJMPS"
 BBPSSW = "BBPSSW"
 THREE_COPY = "THREE_COPY"
 PROTOCOLS = (P1P2, DEJMPS, BBPSSW, THREE_COPY)
+SCAN_PROTOCOLS = (BBPSSW, P1P2, DEJMPS)  # the two-copy ones, which _sector_conv runs
 
 # A fidelity gain below STALL_TOL for STALL_RUNS consecutive rounds stops
 # an iteration early; the trajectory is then reported as not converged.
@@ -82,6 +84,7 @@ STALL_RUNS = 3
 
 # Minimal long-run fidelity gain that counts as "purifies" in scans.
 IMPROVE_TOL = 1e-9
+REFINE_TOL = 1e-8  # width to which regime_scan bisects each regime edge
 
 
 def _stall_count(stall, new_F, F):
@@ -156,6 +159,12 @@ class PurificationRegime:
     F_min: float
     F_max: float
     purifiable: bool
+
+
+def _no_regime(d: int) -> PurificationRegime:
+    """Nothing purifies: both bounds on the midpoint (d + 1) / (2 d), in (1/2, 3/4]."""
+    center = (d + 1.0) / (2.0 * d)
+    return PurificationRegime(F_min=center, F_max=center, purifiable=False)
 
 
 # Largest d whose phase convolution runs as an index gather.  The gather
@@ -368,20 +377,19 @@ def bbpssw_fixed_points(d: int, Q: float = 1.0) -> PurificationRegime:
     below, the upper one is the attractor that limits the reachable
     fidelity.  When the discriminant is not positive the map has no real
     crossing and nothing purifies; both bounds then collapse onto the
-    midpoint (d + 1) / (2 d), clamped into the physical range.
+    midpoint (d + 1) / (2 d).
     """
     d = check_dimension(d)
     check_unit_interval(Q, "retention Q")
-    lo_phys, hi_phys = 1.0 / d**2, 1.0
-    center = (d + 1.0) / (2.0 * d)
     q2 = Q * Q
     disc = 8.0 * q2 * (d + 1.0) - 4.0 * (d + 1.0) ** 2 + q2 * q2 * (d - 1.0) * (d + 2.0) ** 2
     if disc <= 0.0 or Q == 0.0:
-        F = min(max(center, lo_phys), hi_phys)
-        return PurificationRegime(F_min=F, F_max=F, purifiable=False)
+        return _no_regime(d)
+    center = (d + 1.0) / (2.0 * d)
     half = math.sqrt(d - 1.0) * math.sqrt(disc) / (2.0 * d * d * q2)
-    f_lo = min(max(center - half, lo_phys), hi_phys)
-    f_hi = min(max(center + half, lo_phys), hi_phys)
+    # The roots lie in [1/d, 1]; rounding at huge d or at Q = 1 can push one out.
+    f_lo = max(center - half, 1.0 / d**2)
+    f_hi = min(center + half, 1.0)
     return PurificationRegime(F_min=f_lo, F_max=f_hi, purifiable=True)
 
 
@@ -512,9 +520,8 @@ def _sector_conv(s: np.ndarray, d: int, copies: int, adaptive: bool):
     it (lanes on a trailing axis).  The sector holds the presets and is
     closed under depolarizing, P1, the swap of P2 and DEJMPS, and the
     twirl.  The adaptive round picks P2 exactly when z > x, a swap F
-    cannot see, so ``adaptive`` keeps z <= x instead.  Two copies only:
-    :func:`_scan_grid` keeps THREE_COPY out of the scans.  Each lane is
-    bit-identical to a one-lane run; returns ``(s, prob, False)``.
+    cannot see, so ``adaptive`` keeps z <= x instead.  Two copies only.  Each lane
+    is bit-identical to a one-lane run; returns ``(s, prob, False)``.
     """
     if adaptive:
         s[0, 1], s[1, 0] = np.maximum(s[0, 1], s[1, 0]), np.minimum(s[0, 1], s[1, 0])
@@ -586,18 +593,16 @@ def _bisect(improves, bad: float, good: float, tol: float, levels: int) -> float
     return 0.5 * (bad + good)
 
 
-def _scan_grid(protocol: str, d, grid: int, iterations: int, tol: float):
+def _scan_grid(protocol: str, d, grid: int, iterations: int):
     """Check a scan's arguments; return d and the initial fidelities,
     from just above 1/d**2 to just below 1."""
-    if protocol not in (P1P2, DEJMPS, BBPSSW):
+    if protocol not in SCAN_PROTOCOLS:
         raise ValueError(f"scans support two-copy protocols, got {protocol!r}")
     d = check_dimension(d)
     if grid < 2:
         raise ValueError(f"fidelity grid needs at least 2 points, got {grid}")
     if iterations < 1:
         raise ValueError(f"iterations must be at least 1, got {iterations}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"bisection tolerance must be finite and positive, got {tol}")
     return d, np.linspace(1.0 / (d * d) + 1e-9, 1.0 - 1e-6, grid)
 
 
@@ -610,7 +615,6 @@ def regime_scan(
     x_weight: float = 0.25,
     grid: int = 192,
     iterations: int = 200,
-    refine_tol: float = 1e-8,
 ) -> PurificationRegime:
     """Numerically locate the interval of purifiable initial fidelities.
 
@@ -619,14 +623,14 @@ def regime_scan(
     mid-range fidelities, so the purifiable point nearest the middle
     (the lower one on ties) picks the interval; the nearest failing point
     on each side brackets its edge, and bisection sharpens each edge to
-    ``refine_tol``.  The convergence test iterates the noisy protocol up
+    ``REFINE_TOL``.  The convergence test iterates the noisy protocol up
     to ``iterations`` rounds with the stall rule of :func:`run_protocol`,
     on the preset sector (see :func:`_sector_conv`), so it costs the
     same at any d.
     For the twirl protocol the edges agree with
     :func:`bbpssw_fixed_points` to bisection accuracy.
     """
-    d, Fs = _scan_grid(protocol, d, grid, iterations, refine_tol)
+    d, Fs = _scan_grid(protocol, d, grid, iterations)
     check_unit_interval(Q, "retention Q")
 
     def improves(Fs: np.ndarray) -> np.ndarray:
@@ -635,15 +639,14 @@ def regime_scan(
     ok = improves(Fs)
     hits = np.flatnonzero(ok)
     if not hits.size:
-        center = min(max((d + 1.0) / (2.0 * d), float(Fs[0])), float(Fs[-1]))
-        return PurificationRegime(F_min=center, F_max=center, purifiable=False)
+        return _no_regime(d)
 
     hit = hits[np.argmin(np.abs(hits - grid // 2))]
     fails = np.flatnonzero(~ok)
     i = np.searchsorted(fails, hit)
 
     # One 31-lane call holds every midpoint of an edge's next five steps.
-    edge = functools.partial(_bisect, improves, tol=refine_tol, levels=5)
+    edge = functools.partial(_bisect, improves, tol=REFINE_TOL, levels=5)
     F_min = edge(Fs[fails[i - 1]], Fs[fails[i - 1] + 1]) if i else Fs[0]
     F_max = edge(Fs[fails[i]], Fs[fails[i] - 1]) if i < fails.size else 1.0
     return PurificationRegime(F_min=F_min, F_max=F_max, purifiable=True)
@@ -655,8 +658,6 @@ def noise_threshold(
     preset_kind: str = "isotropic",
     *,
     x_weight: float = 0.25,
-    q_lo: float = 0.7,
-    q_hi: float = 1.0,
     q_tol: float = 1e-3,
     grid: int = 128,
     iterations: int = 160,
@@ -665,26 +666,22 @@ def noise_threshold(
 
     Bisects Q on the predicate "the purification regime is non-empty",
     each evaluation iterating the fidelity grid of :func:`regime_scan`.
+    The bracket walks down from Q = 0.7 in steps of 0.1; at Q = 0 nothing purifies.
     For the twirl protocol prefer the closed form
     :func:`bbpssw_threshold`; the numeric route exists to cross-check it
     and to handle the adaptive and fixed-swap protocols.
     """
-    d, Fs = _scan_grid(protocol, d, grid, iterations, q_tol)
-    check_unit_interval(q_lo, "retention q_lo")
-    check_unit_interval(q_hi, "retention q_hi")
+    d, Fs = _scan_grid(protocol, d, grid, iterations)
+    if not (math.isfinite(q_tol) and q_tol > 0.0):
+        raise ValueError(f"bisection tolerance must be finite and positive, got {q_tol}")
 
     def purifiable(Q: float) -> bool:
-        ok = _lanes_improve(protocol, d, Q, preset_kind, x_weight, Fs, iterations)
-        return bool(ok.any())
+        return bool(_lanes_improve(protocol, d, Q, preset_kind, x_weight, Fs, iterations).any())
 
-    if not purifiable(q_hi):
-        raise ValueError(
-            f"protocol {protocol} does not purify {preset_kind} states at Q={q_hi}"
-        )
-    while purifiable(q_lo):
-        q_hi = q_lo
-        q_lo -= 0.1
-        if q_lo <= 0.0:
-            return 0.0
+    if not purifiable(1.0):
+        raise ValueError(f"protocol {protocol} does not purify {preset_kind} states at Q=1.0")
+    q_lo, q_hi = 0.7, 1.0
+    while q_lo > 0.0 and purifiable(q_lo):
+        q_hi, q_lo = q_lo, max(q_lo - 0.1, 0.0)
     # One level per call: a Q evaluation is already a whole grid of lanes.
     return float(_bisect(lambda Qs: [purifiable(Q) for Q in Qs], q_lo, q_hi, q_tol, 1))

@@ -465,6 +465,37 @@ class TestCommandGoldens:
         )
 
 
+class TestDefaultFormat:
+    """Without --format, tables print as CSV and single reports as JSON:
+    the bytes equal those of the documented default, not the other format."""
+
+    @pytest.mark.parametrize(
+        "argv, default",
+        [
+            (["recurrence-run", "--d", "3", "--F", "0.6"], "csv"),
+            (["thresholds", "--d-range", "2..4"], "csv"),
+            (["hashing", "--threshold", "--d-range", "primes:2..7"], "csv"),
+            (["hashing", "--d", "3", "--F", "0.9", "--n-sweep", "2:40:7"], "csv"),
+            (["ghz", "--d-list", "2,3", "--N-list", "3", "--F-grid", "0.8,0.9"], "csv"),
+            (["hashing", "--fmin", "--d", "3"], "json"),
+            (["hashing", "--d", "3", "--F", "0.9", "--n", "20"], "json"),
+            (["ghz", "--state-file", "{ghz_file}"], "json"),
+            (["oracle-check", "--d", "2", "--trials", "1"], "json"),
+        ],
+        ids=["recurrence_run", "thresholds", "hashing_threshold", "hashing_n_sweep",
+             "ghz_grid", "hashing_fmin", "hashing_n", "ghz_state_file", "oracle_check"],
+    )
+    def test_matches_documented_default(self, capsys, tmp_path, argv, default):
+        ghz_file = tmp_path / "ghz.json"
+        ghz_file.write_text(json.dumps({"d": 2, "N": 3, "alpha": [0.7] + [0.3 / 7] * 7}))
+        argv = [a.format(ghz_file=ghz_file) for a in argv]
+        other = {"csv": "json", "json": "csv"}[default]
+        code, implicit, err = run_cli(capsys, argv)
+        assert code == 0 and err == ""
+        assert (0, implicit, "") == run_cli(capsys, argv + ["--format", default])
+        assert implicit != run_cli(capsys, argv + ["--format", other])[1]
+
+
 class TestCsvFormatting:
     @staticmethod
     def join_fmt(header, rows):
@@ -764,6 +795,8 @@ class TestInputErrors:
         [
             (["thresholds", "--d-range", "5..2"], "empty range '5..2'"),
             (["ghz", "--N-list", ","], "no values in ','"),
+            (["ghz", "--F-grid", ","], "no values in ','"),
+            (["ghz", "--F-grid", ""], "no values in ''"),
             (["thresholds", "--d-range", "primes:5"],
              "primes range must look like primes:a..b"),
             (["thresholds", "--d-range", "primes:24..28"],
@@ -782,7 +815,8 @@ class TestInputErrors:
             (["oracle-check", "--d", "2", "--format", "csv"],
              "oracle-check writes only JSON, not --format csv"),
         ],
-        ids=["d_range_reversed", "N_list_empty", "primes_no_range", "primes_none",
+        ids=["d_range_reversed", "N_list_empty", "F_grid_empty", "F_grid_blank",
+             "primes_no_range", "primes_none",
              "F_grid_two_parts", "F_grid_count_0", "n_sweep_one_part", "n_sweep_reversed",
              "fmin_no_d", "threshold_no_d", "threshold_composite", "n_no_F",
              "oracle_csv"],

@@ -202,6 +202,13 @@ class TestPauliOnBell:
         assert pauli_on_bell(2, 3, (1, 2), 5) == (3, 0)
         assert pauli_on_bell(1, 1, (1, 1), 2) == (0, 0)
 
+    @pytest.mark.parametrize("index", [(7, 9), (0, 3), (-1, 0), (2, -2)])
+    def test_rejects_label_outside_dimension(self, index):
+        """Like bgxor_index_map: a label outside [0, d) is an error, not
+        a value to wrap."""
+        with pytest.raises(ValueError, match="out of range for dimension 3"):
+            pauli_on_bell(0, 0, index, 3)
+
     def test_bijection_over_errors(self):
         """With the state index fixed, the d**2 error labels hit every index."""
         for d in (2, 3, 5):

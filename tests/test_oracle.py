@@ -4,8 +4,11 @@ These pin the coefficient-level machinery in the rest of the package to
 literal quantum mechanics on explicit (small) Hilbert spaces.
 """
 
+import functools
 import itertools
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -341,11 +344,23 @@ class TestGateKernels:
         rng = np.random.default_rng(d * 10 + pairs)
         n = d ** (2 * pairs)
         rho = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        B = oracle._bilateral_qft(d, pairs)
+        B = functools.reduce(np.kron, [oracle._bilateral_qft(d)] * pairs)
         np.testing.assert_allclose(
             oracle._fourier_conjugate(rho, d, pairs), B @ rho @ B.conj().T,
             rtol=0, atol=1e-13,
         )
+
+
+class TestPackaging:
+    def test_numpy_floor_has_vecdot(self):
+        """_overlap_error calls np.vecdot, which numpy added in 2.0, so the
+        declared floor must be at least that."""
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        deps = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+        (floor,) = [m[1] for m in map(re.compile(r"numpy>=([\d.]+)").fullmatch, deps) if m]
+        assert tuple(int(part) for part in floor.split(".")) >= (2, 0)
+        assert hasattr(np, "vecdot")
 
 
 class TestIndexMapValidation:
@@ -363,7 +378,7 @@ class TestIndexMapValidation:
         this basis act linearly on the index pair with determinant +1,
         and the bare swap has determinant -1."""
         for d, swap_works in ((2, True), (3, False)):
-            BQ = oracle._bilateral_qft(d, 1)
+            BQ = oracle._bilateral_qft(d)
             worst_plain = 0.0
             worst_negated = 0.0
             for m in range(d):

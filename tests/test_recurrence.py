@@ -714,9 +714,30 @@ class TestScans:
     def test_noise_threshold_d6(self):
         assert noise_threshold(P1P2, 6) == pytest.approx(0.824, abs=2e-3)
 
-    def test_noise_threshold_rejects_q_hi_that_does_not_purify(self):
-        with pytest.raises(ValueError, match=r"does not purify .* at Q=0\.5"):
-            noise_threshold(P1P2, 2, q_hi=0.5)
+    def test_noise_threshold_rejects_protocol_that_does_not_purify_at_q1(self, monkeypatch):
+        def no_lane_improves(protocol, d, Q, kind, x_weight, F0, iterations):
+            return np.zeros(F0.size, dtype=bool)
+
+        monkeypatch.setattr(recurrence, "_lanes_improve", no_lane_improves)
+        with pytest.raises(ValueError, match=r"does not purify isotropic states at Q=1\.0"):
+            noise_threshold(P1P2, 2)
+
+    @pytest.mark.parametrize("edge", [1e-6, 0.0])
+    def test_noise_threshold_walks_down_to_zero(self, monkeypatch, edge):
+        """A predicate that purifies at every Q > edge sends the walk down
+        every 0.1 step to the bracket at 0, which it never passes."""
+        seen = []
+
+        def improves_above_edge(protocol, d, Q, kind, x_weight, F0, iterations):
+            seen.append(Q)
+            return np.full(F0.size, Q > edge)
+
+        monkeypatch.setattr(recurrence, "_lanes_improve", improves_above_edge)
+        q_th = noise_threshold(P1P2, 2, q_tol=1e-3)
+        walk = [1.0, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.0]
+        assert seen[:len(walk)] == pytest.approx(walk, abs=1e-12)
+        assert min(seen) >= 0.0
+        assert edge <= q_th < 1e-3
 
     def test_scans_reject_three_copy(self):
         with pytest.raises(ValueError):
@@ -745,16 +766,7 @@ class TestScans:
         shrinking; NaN skipped the bisection and returned the midpoint."""
         monkeypatch.setattr(recurrence, "_lanes_improve", _no_lanes)
         with pytest.raises(ValueError, match="tolerance"):
-            regime_scan(P1P2, 2, refine_tol=tol)
-        with pytest.raises(ValueError, match="tolerance"):
             noise_threshold(P1P2, 2, q_tol=tol)
-
-    @pytest.mark.parametrize("bounds", [(0.7, 1.5), (-0.1, 1.0), (math.nan, 1.0)])
-    def test_noise_threshold_rejects_retention_outside_unit_interval(self, bounds):
-        """The sector round has no state validation to catch Q > 1."""
-        q_lo, q_hi = bounds
-        with pytest.raises(ValueError, match="retention"):
-            noise_threshold(P1P2, 2, q_lo=q_lo, q_hi=q_hi)
 
     @pytest.mark.parametrize("d", [1000, 10**6])
     def test_adaptive_threshold_follows_twirl_asymptote(self, d):
