@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .indices import check_dimension, check_unit_interval, require_prime
+from .indices import as_integer, check_dimension, check_unit_interval, require_prime
 from .states import CoeffMatrix
 
 __all__ = [
@@ -260,30 +260,51 @@ def lemma1_montecarlo(
     s . x = s . y (mod d).  For prime d the exact rate is 1/d regardless
     of how x and y differ, which is what makes each parity round reveal
     one base-d symbol of information.
+
+    Trials run in chunks of 100,000 rows, each drawing x, y, the
+    redraws of y on rows where x == y, then s.  The draws are int32:
+    below 2**32, numpy's int32 and int64 draws take the same 32-bit
+    bounded generator, so they give the same numbers as the default int64
+    draws, split at any size.  A chunk keeps at most two int32 arrays of
+    100,000 * 2n entries live (16 MB each at n = 20).  The parity is
+    summed in int64, which is exact only while 2n (d - 1)**2 < 2**63; a
+    larger d or n raises ValueError before any draw.  That bound keeps d
+    below 2**31, so int32 holds every draw and every difference x - y.
     """
     d = require_prime(d)
+    n = as_integer(n, "string half-length n")
     if n < 1:
         raise ValueError(f"string half-length n must be positive, got {n}")
-    trials = int(trials)
+    trials = as_integer(trials, "trials")
     if trials < 10_000:
         raise ValueError(f"need at least 10000 trials, got {trials}")
+    width = 2 * n
+    if width * (d - 1) ** 2 >= 2**63:
+        raise ValueError(
+            f"the parity sum is exact in int64 only while 2n (d - 1)**2 < 2**63,"
+            f" got d={d}, n={n}"
+        )
 
     rng = np.random.default_rng(seed)
-    width = 2 * n
-    hits = 0
-    remaining = trials
     chunk = 100_000
-    while remaining > 0:
-        size = min(chunk, remaining)
-        x = rng.integers(0, d, size=(size, width))
-        y = rng.integers(0, d, size=(size, width))
-        collide = (x == y).all(axis=1)
-        while collide.any():
-            y[collide] = rng.integers(0, d, size=(int(collide.sum()), width))
-            collide = (x == y).all(axis=1)
-        s = rng.integers(0, d, size=(size, width))
-        # s.(x - y) mod d, summed exactly: every term is below d**2 in size.
-        parity = np.einsum("ij,ij->i", s, np.subtract(x, y, out=x)) % d
-        hits += int((parity == 0).sum())
-        remaining -= size
+    hits = 0
+    for start in range(0, trials, chunk):
+        hits += _chunk_hits(rng, d, min(chunk, trials - start), width)
     return hits / trials
+
+
+def _chunk_hits(rng: np.random.Generator, d: int, size: int, width: int) -> int:
+    """Colliding parities among ``size`` fresh trials of :func:`lemma1_montecarlo`."""
+    x = rng.integers(0, d, size=(size, width), dtype=np.int32)
+    y = rng.integers(0, d, size=(size, width), dtype=np.int32)
+    collide = (x == y).all(axis=1)
+    while collide.any():
+        y[collide] = rng.integers(0, d, size=(int(collide.sum()), width), dtype=np.int32)
+        collide = (x == y).all(axis=1)
+    x -= y
+    del y
+    s = rng.integers(0, d, size=(size, width), dtype=np.int32)
+    # Each term s * (x - y) is at most (d - 1)**2 in size, so the int64 sum
+    # of 2n of them is exact under the bound lemma1_montecarlo checks.
+    parity = np.einsum("ij,ij->i", s, x, dtype=np.int64) % d
+    return int(np.count_nonzero(parity == 0))

@@ -1,6 +1,7 @@
 """Tests for hashing yields, thresholds, and finite-size bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -387,3 +388,58 @@ class TestLemma1MonteCarlo:
     def test_rejects_bad_length(self):
         with pytest.raises(ValueError):
             lemma1_montecarlo(2, 0)
+
+    @pytest.mark.parametrize(
+        "n, trials, message",
+        [(2.5, 10_000, "half-length n must be an integer"),
+         (8, 10_000.9, "trials must be an integer")],
+    )
+    def test_rejects_non_integer_sizes(self, n, trials, message):
+        with pytest.raises(ValueError, match=message):
+            lemma1_montecarlo(5, n, trials=trials)
+
+    def test_accepts_integral_floats(self):
+        assert lemma1_montecarlo(2, 8.0, trials=10_000.0) == lemma1_montecarlo(2, 8, trials=10_000)
+
+    # 2n (d - 1)**2 < 2**63 at n = 20 holds for d = 480_191_923, the largest
+    # prime below the bound, and fails for the next prime, 480_191_951.
+    @pytest.mark.parametrize("d", [480_191_951, 2_000_000_011])
+    def test_rejects_inexact_parity_sum_before_any_draw(self, d, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a chunk was drawn before the bound was checked")
+
+        monkeypatch.setattr(hashing, "_chunk_hits", no_draws)
+        with pytest.raises(ValueError, match=r"2n \(d - 1\)\*\*2 < 2\*\*63"):
+            lemma1_montecarlo(d, 20, trials=10_000)
+
+    def test_runs_just_inside_exactness_bound(self):
+        d = 480_191_923
+        assert 40 * (d - 1) ** 2 < 2**63 <= 40 * (480_191_951 - 1) ** 2
+        rate = lemma1_montecarlo(d, 20, trials=10_000, seed=0)
+        assert 0.0 <= rate < 1e-3
+
+    def test_peak_memory_below_three_chunk_arrays(self):
+        """The 200,000-trial run at n = 20 stays below three int32 chunk
+        arrays (3 x 100,000 x 40 x 4 B) of traced memory."""
+        tracemalloc.start()
+        try:
+            lemma1_montecarlo(5, 20, trials=200_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 100_000 * 40 * 4
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 2**31 - 1])
+    def test_int32_draws_match_default_int64_stream(self, d):
+        """lemma1_montecarlo draws int32 and relies on numpy drawing the
+        same numbers as its default int64 draws, whole or split."""
+        shape = (1_001, 13)
+        wide = np.random.default_rng(d).integers(0, d, shape)
+        assert wide.dtype == np.int64
+        narrow = np.random.default_rng(d).integers(0, d, shape, dtype=np.int32)
+        np.testing.assert_array_equal(narrow, wide)
+        rng = np.random.default_rng(d)
+        split = np.concatenate(
+            [rng.integers(0, d, (rows, 13), dtype=np.int32) for rows in (7, 1, 993)]
+        )
+        np.testing.assert_array_equal(split, wide)
