@@ -204,7 +204,7 @@ def finite_size_sweep(d: int, ns, F: float, delta_policy="npow:-0.25") -> list[H
     terms that do not depend on n are computed, before the first report.
     """
     d = require_prime(d)
-    ns = [int(n) for n in ns]
+    ns = [n if type(n) is int else as_integer(n, "block size n") for n in ns]
     for n in ns:
         if n < 2:
             raise ValueError(f"block size n must be at least 2, got {n}")

@@ -93,8 +93,9 @@ _PRIMES_BELOW_1849 = frozenset(_SMALL_PRIMES).union(
 def is_prime(n: int) -> bool:
     """Deterministic primality check for n < PRIMALITY_BOUND: trial
     division by the primes up to 41, then Miller-Rabin with those primes
-    as bases.  Larger n raise ValueError."""
-    n = int(n)
+    as bases.  Larger n and non-integral n raise ValueError."""
+    if type(n) is not int:
+        n = as_integer(n, "n")
     if n < 43 * 43:
         return n in _PRIMES_BELOW_1849
     if n >= PRIMALITY_BOUND:

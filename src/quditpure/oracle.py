@@ -9,6 +9,16 @@ elsewhere in the package are validated against this module.  Only
 :func:`recurrence_map_deviation` imports from :mod:`quditpure.recurrence`,
 and only the maps it checks.
 
+A round is linear in the state, and a product of Bell-diagonal copies
+is a mixture of pure Bell-product inputs.  So :func:`_transfer` runs each
+such input once, as a pure vector, through the round's literal gates
+and postselection, and :func:`recurrence_map_deviation` (hence
+:func:`run_checks`) scores every random state against that tensor.  The
+dense route (:class:`DenseState`, :func:`build_bell_pairs`,
+:func:`simulate_recurrence_step`) builds the full density matrices and
+stays as the independent reference that the tests compare the tensor
+against.
+
 Sizes are deliberately tiny: ``PAIR_LIMITS`` gives the largest d for
 each number of copies.  :func:`run_checks` is the whole validation suite
 that ``quditpure oracle-check`` prints.
@@ -24,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .indices import (
-    bgxor_index_map, bqft_index_map, check_dimension, check_unit_interval, pauli_on_bell,
+    as_integer, bgxor_index_map, bqft_index_map, check_dimension, check_unit_interval,
+    pauli_on_bell,
 )
 from .states import CoeffMatrix
 
@@ -403,13 +414,14 @@ def verify_depolarization_identity(d: int, trials: int = 5, seed: int = 0) -> fl
     off-diagonal magnitude after the twirl (should be ~0).
     """
     d = _check_pair_limit(d, 2)
+    trials = as_integer(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     B = bell_basis(d)
     size = d * d
     worst_off = 0.0
-    for _ in range(int(trials)):
+    for _ in range(trials):
         G = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
         rho = G @ G.conj().T
         rho /= np.trace(rho).real
@@ -549,36 +561,96 @@ def verify_bell_index_maps(d: int) -> dict[str, float]:
     return devs
 
 
+def _bell_amplitudes(kept: np.ndarray, d: int) -> np.ndarray:
+    """Amplitudes on bell_basis(d) of the one-copy vectors in the columns of ``kept``."""
+    return bell_basis(d).conj().T @ kept
+
+
+@functools.cache
+def _transfer(d: int, variant: str) -> tuple[np.ndarray, float]:
+    """One round of ``variant`` on every pure Bell-product input, shared read-only.
+
+    Row i of T is the input |B_a>|B_b>[|B_c>] whose labels, in bell_basis
+    column order, spell i in base d**2.  The round applies the variant's
+    gates to the pure vector, keeps the rows on which every measured
+    copy's A and B outcomes agree (the class ``_postselect_even`` keeps),
+    and projects the kept copy onto bell_basis: T[i, o] is the kept weight
+    on B_o, summed over the outcomes.  A product of Bell-diagonal copies
+    mixes these inputs with weights alpha_a alpha_b [alpha_c], so one
+    round's unnormalized output is that weight vector times T.
+
+    Raises if a weight falls below -CHECK_TOL or an input keeps more than
+    1 + CHECK_TOL.  Returns T and the largest off-diagonal Bell term of any
+    input's kept copy, which a Bell-diagonal round leaves at 0.
+    """
+    pairs = VARIANT_PAIRS[variant]
+    d = _check_pair_limit(d, pairs)
+    size = d * d
+    basis = bell_basis(d)
+    if variant == "P2":
+        basis = _bilateral_qft(d) @ basis
+    # Kept rows in (kept-copy index, outcome per measured copy) order; a
+    # measured copy whose outcomes agree on z sits at index z * (d + 1).
+    kept, *outcomes = np.indices((size,) + (d,) * (pairs - 1)).reshape(pairs, -1)
+    rows = np.ravel_multi_index([kept] + [z * (d + 1) for z in outcomes], (size,) * pairs)
+    # The gates are a self-inverse permutation: (U v)[x] = v[perm[x]].
+    copy_rows = np.unravel_index(_gxor_permutation(d, pairs)[rows], (size,) * pairs)
+    amps = basis[copy_rows[0]]
+    for r in copy_rows[1:]:
+        amps = (amps[:, :, None] * basis[r][:, None, :]).reshape(len(rows), -1)
+    amps = amps.reshape(size, -1)
+    if variant == "P2":
+        amps = _bilateral_qft(d).conj().T @ amps
+    # (input, kept Bell label, outcome)
+    amps = _bell_amplitudes(amps, d).reshape(size, -1, size**pairs).transpose(2, 0, 1)
+    T = np.einsum("ioz,ioz->io", amps, amps.conj()).real.copy()
+    if not (T >= -CHECK_TOL).all():
+        raise ValueError("transfer tensor has a negative or non-finite weight")
+    if not (T.sum(axis=1) <= 1.0 + CHECK_TOL).all():
+        raise ValueError("an input keeps more than probability 1")
+    offdiag = 0.0
+    diag = np.arange(size)
+    for block in np.split(amps, size):  # one first-copy label at a time
+        sigma = block @ block.conj().swapaxes(1, 2)
+        sigma[:, diag, diag] = 0.0
+        offdiag = max(offdiag, float(np.abs(sigma).max()))
+    T.setflags(write=False)
+    return T, offdiag
+
+
 def recurrence_map_deviation(
     d: int, variant: str, trials: int = 20, seed: int | np.random.SeedSequence = 12345
 ) -> tuple[float, float]:
-    """Compare a coefficient-level map against the dense simulation.
+    """Compare a coefficient-level map against the quantum round.
 
-    Runs ``trials`` random Bell-diagonal states through both routes and
-    returns (largest weight deviation, largest probability deviation).
+    Runs ``trials`` random Bell-diagonal states through the map and
+    through :func:`_transfer`'s tensor and returns (largest weight
+    deviation, largest probability deviation).
     """
     from .recurrence import p1_map, p2_map, three_copy_map
     from .states import random_state
 
     if variant not in VARIANT_PAIRS:
         raise ValueError(f"unknown variant {variant!r}")
+    trials = as_integer(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     fast_map = {"P1": p1_map, "P2": p2_map, "THREE_COPY": three_copy_map}[variant]
     pairs = VARIANT_PAIRS[variant]
-    _check_pair_limit(d, pairs)
+    d = _check_pair_limit(d, pairs)
+    T, _ = _transfer(d, variant)
     rng = np.random.default_rng(seed)
     worst_state = 0.0
     worst_prob = 0.0
-    for _ in range(int(trials)):
+    for _ in range(trials):
         state = random_state(d, rng)
-        dense = build_bell_pairs(state, pairs)
-        ref_state, ref_prob = simulate_recurrence_step(dense, variant)
+        out = functools.reduce(np.kron, (state.alpha.reshape(-1),) * pairs) @ T
+        prob = float(out.sum())
         fast_state, fast_prob = fast_map(state)
         worst_state = max(
-            worst_state, float(np.abs(ref_state.alpha - fast_state.alpha).max())
+            worst_state, float(np.abs(out.reshape(d, d) / prob - fast_state.alpha).max())
         )
-        worst_prob = max(worst_prob, abs(ref_prob - fast_prob))
+        worst_prob = max(worst_prob, abs(prob - fast_prob))
     return worst_state, worst_prob
 
 
@@ -604,6 +676,7 @@ def run_checks(d_values: list[int], trials: int, seed: int) -> dict:
                 )
                 checks[f"{variant}_state_d{d}"] = state_dev
                 checks[f"{variant}_prob_d{d}"] = prob_dev
+                checks[f"{variant}_offdiag_d{d}"] = _transfer(d, variant)[1]
         checks[f"twirl_offdiag_d{d}"] = verify_depolarization_identity(d, trials=3, seed=seed)
         if d <= PAIR_LIMITS[3]:
             mgxor_ok = mgxor_ok is not False and verify_mgxor_index_map(d)

@@ -433,15 +433,15 @@ class TestCommandGoldens:
             ),
             (
                 ["oracle-check", "--d", "2,3,4,5", "--trials", "3", "--seed", "1"],
-                "0b9ed0f4003dcdd5300e578622e3e6c3296a48c9ef3e2dab58c45cb4cd3ea12d",
+                "7a751e0d14ee8c8d0cdd4f3d60f61024a26171a480e913e5b62877506ff863cb",
             ),
             (
                 ["oracle-check", "--d", "2,3,4,5", "--trials", "3", "--seed", "7"],
-                "7e787803b240a4021de01e142d4e421978d52781998fa0c63bb83ae9dabcd645",
+                "ca6bc45f2cbc526c584872904132bd8ad569aa82feff93f304417138d76df1ca",
             ),
             (
                 ["oracle-check", "--d", "2,3,4,5", "--trials", "3", "--seed", "99"],
-                "d569ab7d59b756f888b11e1b82d21b0b7a4d89a9e6ce36ae17d1b5c200c957db",
+                "4189b8bcb4d461b3f6df984f48a3a5e413f779ad605d36fe975c391664412787",
             ),
         ],
         ids=["p1p2_xz_d7", "three_copy_json", "dejmps", "bbpssw", "oracle",

@@ -321,6 +321,19 @@ class TestFiniteSizeSweep:
     def test_empty_sweep(self):
         assert finite_size_sweep(5, [], 0.9) == []
 
+    def test_rejects_fractional_block_size(self):
+        """10.5 is not a block size; it used to be truncated to n = 10."""
+        with pytest.raises(ValueError, match="block size n must be an integer, got 10.5"):
+            finite_size_report(5, 10.5, 0.9)
+        with pytest.raises(ValueError, match="got 10.5"):
+            finite_size_sweep(5, [10, 10.5], 0.9)
+
+    @pytest.mark.parametrize("n", [10.0, np.int64(10)])
+    def test_accepts_integral_block_size(self, n):
+        report = finite_size_report(5, n, 0.9)
+        assert report == finite_size_report(5, 10, 0.9)
+        assert type(report.n) is int
+
     @pytest.mark.parametrize(
         "d, ns, F, policy, message",
         [

@@ -94,6 +94,16 @@ class TestDimensionChecks:
         with pytest.raises(ValueError, match=f"only below {PRIMALITY_BOUND}, got {n}"):
             is_prime(n)
 
+    @pytest.mark.parametrize("n", [7.9, 4.5, math.nan, "7"])
+    def test_is_prime_rejects_non_integers(self, n):
+        """7.9 used to be truncated to the prime 7, and 4.5 to 4."""
+        with pytest.raises(ValueError, match="n must be an integer"):
+            is_prime(n)
+
+    def test_is_prime_accepts_integral_numbers(self):
+        assert is_prime(7.0) and is_prime(np.int64(7))
+        assert not is_prime(4.0) and not is_prime(np.int64(4))
+
     def test_require_prime(self):
         assert require_prime(7) == 7
         with pytest.raises(ValueError):

@@ -490,6 +490,113 @@ class TestRecurrenceSimulation:
         with pytest.raises(ValueError, match="unknown variant 'BOGUS'"):
             oracle.recurrence_map_deviation(2, "BOGUS")
 
+    def test_deviation_rejects_fractional_trials(self):
+        """1.5 trials used to run one trial silently."""
+        with pytest.raises(ValueError, match="trials must be an integer, got 1.5"):
+            oracle.recurrence_map_deviation(2, "P1", trials=1.5)
+        assert oracle.recurrence_map_deviation(2, "P1", trials=2.0) == (
+            oracle.recurrence_map_deviation(2, "P1", trials=2)
+        )
+
+
+@pytest.fixture
+def fresh_transfer():
+    """Empty the transfer cache around a test that patches what it calls."""
+    oracle._transfer.cache_clear()
+    yield
+    oracle._transfer.cache_clear()
+
+
+# The (d, variant) pairs the transfer tensor is checked at against the dense route.
+TRANSFER_CASES = [
+    (d, variant) for d in (2, 3) for variant in ("P1", "P2", "THREE_COPY")
+] + [(5, "P1"), (5, "P2")]
+
+
+class TestTransfer:
+    """``_transfer`` runs pure Bell-product inputs through the literal round;
+    the dense route stays its reference."""
+
+    @pytest.mark.parametrize("d, variant", TRANSFER_CASES)
+    def test_matches_dense_route(self, d, variant):
+        T, offdiag = oracle._transfer(d, variant)
+        pairs = oracle.VARIANT_PAIRS[variant]
+        assert T.shape == (d ** (2 * pairs), d * d)
+        assert offdiag < 1e-14
+        rng = np.random.default_rng(100 * d + pairs)
+        for _ in range(3):
+            state = random_state(d, rng)
+            weights = functools.reduce(np.kron, [state.alpha.reshape(-1)] * pairs)
+            out = weights @ T
+            dense = oracle.build_bell_pairs(state, pairs)
+            ref_state, ref_prob = oracle.simulate_recurrence_step(dense, variant)
+            assert abs(out.sum() - ref_prob) < 1e-13
+            np.testing.assert_allclose(
+                out.reshape(d, d) / out.sum(), ref_state.alpha, rtol=0, atol=1e-13
+            )
+
+    def test_cached_and_read_only(self):
+        T, _ = oracle._transfer(3, "P1")
+        assert oracle._transfer(3, "P1")[0] is T
+        assert not T.flags.writeable
+
+    @pytest.mark.parametrize("d, variant", TRANSFER_CASES)
+    def test_bell_inputs_keep_all_or_nothing(self, d, variant):
+        """The gates map a Bell product to a Bell product, so each input
+        keeps one Bell label with probability 1 or fails outright."""
+        T, _ = oracle._transfer(d, variant)
+        kept = T.sum(axis=1)
+        assert np.all((np.abs(kept) < 1e-14) | (np.abs(kept - 1.0) < 1e-14))
+        assert np.all((T < 1e-14) | (np.abs(T - 1.0) < 1e-14))
+
+    def test_limit_enforced(self):
+        with pytest.raises(ValueError, match="limited to d <= 3 for 3 pairs"):
+            oracle._transfer(4, "THREE_COPY")
+
+    def test_run_checks_builds_no_density_matrix(self, monkeypatch, fresh_transfer):
+        def dense(*args, **kwargs):
+            raise AssertionError("run_checks built a dense state")
+
+        monkeypatch.setattr(oracle, "build_bell_pairs", dense)
+        monkeypatch.setattr(oracle, "simulate_recurrence_step", dense)
+        assert oracle.run_checks([2, 3], trials=2, seed=0)["pass"] is True
+
+    def test_run_checks_reports_offdiagonal_terms(self):
+        checks = oracle.run_checks([2, 4], trials=1, seed=0)["checks"]
+        names = {
+            name for name in checks if name.split("_offdiag_")[0] in oracle.VARIANT_PAIRS
+        }
+        assert names == {
+            "P1_offdiag_d2", "P2_offdiag_d2", "THREE_COPY_offdiag_d2",
+            "P1_offdiag_d4", "P2_offdiag_d4",
+        }
+        assert max(checks[name] for name in names) < 1e-14
+
+    def test_computational_projection_fails_offdiagonal_check(
+        self, monkeypatch, fresh_transfer
+    ):
+        """Reading the kept copy in the computational basis instead of the
+        Bell basis leaves coherences of 1/d between the d components of each
+        Bell vector, and run_checks must fail on them."""
+        monkeypatch.setattr(oracle, "_bell_amplitudes", lambda kept, d: kept)
+        report = oracle.run_checks([2], trials=1, seed=0)
+        for variant in ("P1", "P2", "THREE_COPY"):
+            assert report["checks"][f"{variant}_offdiag_d2"] > oracle.CHECK_TOL
+        assert report["max_abs_deviation"] >= report["checks"]["P1_offdiag_d2"]
+        assert report["pass"] is False
+
+    def test_rejects_kept_probability_above_one(self, monkeypatch, fresh_transfer):
+        monkeypatch.setattr(
+            oracle, "_bell_amplitudes", lambda kept, d: 2.0 * oracle.bell_basis(d).conj().T @ kept
+        )
+        with pytest.raises(ValueError, match="more than probability 1"):
+            oracle._transfer(2, "P1")
+
+    def test_rejects_non_finite_weight(self, monkeypatch, fresh_transfer):
+        monkeypatch.setattr(oracle, "_bell_amplitudes", lambda kept, d: np.full_like(kept, np.nan))
+        with pytest.raises(ValueError, match="negative or non-finite weight"):
+            oracle._transfer(2, "P1")
+
 
 class TestDepolarization:
     def test_kraus_route_matches_coefficient_route(self):
@@ -513,6 +620,14 @@ class TestDepolarization:
         """A twirl check that draws no state must not report 0.0."""
         with pytest.raises(ValueError, match="trials"):
             oracle.verify_depolarization_identity(2, trials=trials)
+
+    def test_rejects_fractional_trials(self):
+        """1.5 trials used to run one trial silently."""
+        with pytest.raises(ValueError, match="trials must be an integer, got 1.5"):
+            oracle.verify_depolarization_identity(2, trials=1.5)
+        assert oracle.verify_depolarization_identity(2, trials=2.0) == (
+            oracle.verify_depolarization_identity(2, trials=2)
+        )
 
 
 class TestGhzGate:
