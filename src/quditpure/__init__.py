@@ -22,7 +22,6 @@ from .states import (
     CoeffMatrix,
     StatePreset,
     depolarize_channel,
-    fidelity,
     make_preset,
     random_state,
     read_state_file,
@@ -42,7 +41,6 @@ from .recurrence import (
     Trajectory,
     TrajectoryStep,
     bbpssw_fixed_points,
-    bbpssw_map,
     bbpssw_step,
     bbpssw_threshold,
     bbpssw_threshold_asymptote,
@@ -51,7 +49,6 @@ from .recurrence import (
     noise_threshold,
     noisy_step,
     p1_map,
-    p1p2_run,
     p2_map,
     regime_scan,
     run_protocol,

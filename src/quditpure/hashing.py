@@ -34,7 +34,6 @@ __all__ = [
     "lemma1_montecarlo",
     "min_fidelity",
     "noisy_thresholds",
-    "resolve_delta",
     "universal_threshold",
 ]
 
@@ -126,17 +125,6 @@ def universal_threshold(d: int) -> float:
     return ((d - 1.0) / (d * d - 1.0)) ** 0.25
 
 
-def resolve_delta(policy, n: int, S: float) -> float:
-    """Turn a block-size policy into a concrete typicality margin delta.
-
-    Accepted forms: a finite positive float, "fixed:x", "npow:p" for n**p
-    with finite p < 0, and "n_to_1" which solves r = n - 1 (spend all but
-    one pair): delta = ((n - 1)/n - S) / 2, possibly non-positive when the
-    entropy is too large for that to be feasible.
-    """
-    return _delta_rule(policy, S)(n)
-
-
 def _delta_rule(policy, S: float):
     """Parse a delta policy once into a function of the block size n."""
     if isinstance(policy, (int, float)) and not isinstance(policy, bool):
@@ -202,6 +190,12 @@ def finite_size_sweep(d: int, ns, F: float, delta_policy="npow:-0.25") -> list[H
     log-weight and g = Var[log_d weight] / a.  The distillable fraction
     is 1 - S - 2 delta of the block.  Every input is validated, and the
     terms that do not depend on n are computed, before the first report.
+
+    ``delta_policy`` sets the typicality margin delta per block size: a
+    finite positive float, "fixed:x", "npow:p" for n**p with finite p < 0,
+    or "n_to_1", which solves r = n - 1 (spend all but one pair):
+    delta = ((n - 1)/n - S) / 2, non-positive when the entropy is too
+    large for that to be feasible (the report is then not feasible).
     """
     d = require_prime(d)
     ns = [n if type(n) is int else as_integer(n, "block size n") for n in ns]

@@ -131,7 +131,8 @@ def require_prime(d: int) -> int:
 
 
 def primes_in(lo: int, hi: int) -> list[int]:
-    """All primes in the inclusive range [lo, hi]."""
+    """All primes in the inclusive range [lo, hi]; non-integral bounds raise ValueError."""
+    lo, hi = as_integer(lo, "lower bound"), as_integer(hi, "upper bound")
     return [n for n in range(max(2, lo), hi + 1) if is_prime(n)]
 
 

@@ -50,7 +50,6 @@ __all__ = [
     "ghz_basis",
     "ghz_pair_index_map",
     "ghz_vector",
-    "outcome_class_probabilities",
     "pauli_matrix",
     "qft_matrix",
     "recurrence_map_deviation",
@@ -148,13 +147,9 @@ class DenseState:
     def check(self) -> "DenseState":
         """Validate shape, finiteness, trace, Hermiticity and positivity.
 
-        Hermiticity and positivity are tested on the diagonal blocks of
-        :func:`_difference_blocks` when every nonzero entry lies in them,
-        and on the whole matrix otherwise.  A basis permutation keeps both
-        the Hermitian deviation and the spectrum, so either way the test
-        covers the full matrix: each block's Hermitian part minus
-        ``PSD_TOL`` times the identity must admit a Cholesky factor, which
-        holds exactly when every eigenvalue lies above ``PSD_TOL``.
+        Positivity: the Hermitian part minus ``PSD_TOL`` times the identity
+        must admit a Cholesky factor, which holds exactly when every
+        eigenvalue lies above ``PSD_TOL``.
         """
         self._check_shape()
         rho = self.rho
@@ -163,18 +158,14 @@ class DenseState:
         trace = np.trace(rho)
         if abs(trace.real - 1.0) > TRACE_TOL or abs(trace.imag) > TRACE_TOL:
             raise ValueError(f"density matrix trace {trace:.12g} is not 1")
-        idx = _difference_blocks(self.d, self.pairs)
-        blocks = rho[idx[:, :, None], idx[:, None, :]]
-        if np.count_nonzero(blocks) != np.count_nonzero(rho):
-            blocks = rho[None]
-        blocks_h = blocks.conj().swapaxes(1, 2)
-        if np.abs(blocks - blocks_h).max() > HERM_TOL:
+        rho_h = rho.conj().T
+        if np.abs(rho - rho_h).max() > HERM_TOL:
             raise ValueError("density matrix is not Hermitian")
-        shifted = blocks + blocks_h
-        del blocks_h
+        shifted = rho + rho_h
+        del rho_h
         shifted *= 0.5
-        diag = np.arange(shifted.shape[1])
-        shifted[:, diag, diag] -= PSD_TOL
+        diag = np.arange(len(shifted))
+        shifted[diag, diag] -= PSD_TOL
         try:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
@@ -191,25 +182,6 @@ class DenseState:
                 f"density matrix shape {self.rho.shape} does not match "
                 f"d={self.d}, pairs={self.pairs}: expected {(size, size)}"
             )
-
-
-@functools.cache
-def _difference_blocks(d: int, pairs: int) -> np.ndarray:
-    """Basis indices grouped by per-copy amplitude differences, shared read-only.
-
-    Row k lists, in order, the computational indices whose digits
-    (a_i - b_i) mod d spell k in base d, so ``d**pairs`` rows of
-    ``d**pairs`` indices.  A Bell state |psi_mn> lies on a - b = n, so a
-    product of Bell-diagonal copies is zero outside the diagonal blocks
-    rho[np.ix_(idx[k], idx[k])].
-    """
-    dims = (d,) * (2 * pairs)
-    delta, a = np.indices(dims).reshape(2, pairs, -1)
-    digits = np.stack((a, (a - delta) % d), axis=1)
-    idx = np.ravel_multi_index(digits.reshape(len(dims), -1), dims)
-    idx = idx.reshape(d**pairs, d**pairs)
-    idx.setflags(write=False)
-    return idx
 
 
 def _check_pair_limit(d, pairs: int) -> int:
@@ -279,35 +251,12 @@ def _fourier_conjugate(rho: np.ndarray, d: int, pairs: int) -> np.ndarray:
     return out.reshape(rho.shape)
 
 
-def _gated(state: DenseState, variant: str) -> np.ndarray:
-    """Validate a round's variant against the state; return rho after its gates.
+def _postselect_even(rho: np.ndarray, d: int, pairs: int) -> tuple[np.ndarray, float]:
+    """Keep the branch where each measured copy's A and B outcomes agree,
+    and trace the measured copies out.
 
-    The gates are the forward bilateral Fourier transform on every copy
-    (P2 only), then the bilateral controlled-difference gates from copy 1.
-    """
-    d, pairs = state.d, state.pairs
-    _check_pair_limit(d, pairs)
-    if variant not in VARIANT_PAIRS:
-        raise ValueError(f"unknown variant {variant!r}")
-    needed = VARIANT_PAIRS[variant]
-    if pairs != needed:
-        raise ValueError(f"variant {variant} needs {needed} pairs, got {pairs}")
-    state._check_shape()
-    rho = state.rho
-    if variant == "P2":
-        rho = _fourier_conjugate(rho, d, pairs)
-    perm = _gxor_permutation(d, pairs)
-    return rho[np.ix_(perm, perm)]
-
-
-def _postselect_even(
-    rho: np.ndarray, d: int, pairs: int, classes: tuple[int, ...]
-) -> tuple[np.ndarray, float]:
-    """Project measured copies onto outcome-difference classes and trace them out.
-
-    ``classes`` gives, per target copy (copies 2..pairs), the required
-    value of (A outcome - B outcome) mod d.  Returns the unnormalized
-    kept-pair density matrix and its trace (the branch probability).
+    Returns the unnormalized kept-pair density matrix and its trace (the
+    branch probability).
     """
     n = 2 * pairs
     T = rho.reshape((d,) * (2 * n))
@@ -315,12 +264,9 @@ def _postselect_even(
     # Sum over all A-side outcomes of the measured copies.
     for outcome in np.ndindex(*((d,) * (pairs - 1))):
         sl = [slice(None)] * (2 * n)
-        for copy, (z, c) in enumerate(zip(outcome, classes), start=1):
-            zb = (z - c) % d
-            sl[2 * copy] = z
-            sl[2 * copy + 1] = zb
-            sl[n + 2 * copy] = z
-            sl[n + 2 * copy + 1] = zb
+        for copy, z in enumerate(outcome, start=1):
+            sl[2 * copy] = sl[2 * copy + 1] = z
+            sl[n + 2 * copy] = sl[n + 2 * copy + 1] = z
         kept += T[tuple(sl)]
     sigma = kept.reshape(d * d, d * d)
     prob = float(np.trace(sigma).real)
@@ -353,29 +299,24 @@ def simulate_recurrence_step(
     Returns the kept copy's weight matrix and the branch probability.
     """
     d, pairs = state.d, state.pairs
-    rho = _gated(state, variant)
-    sigma, prob = _postselect_even(rho, d, pairs, (0,) * (pairs - 1))
+    _check_pair_limit(d, pairs)
+    if variant not in VARIANT_PAIRS:
+        raise ValueError(f"unknown variant {variant!r}")
+    needed = VARIANT_PAIRS[variant]
+    if pairs != needed:
+        raise ValueError(f"variant {variant} needs {needed} pairs, got {pairs}")
+    state._check_shape()
+    rho = state.rho
+    if variant == "P2":
+        rho = _fourier_conjugate(rho, d, pairs)
+    perm = _gxor_permutation(d, pairs)
+    sigma, prob = _postselect_even(rho[np.ix_(perm, perm)], d, pairs)
     if prob <= 0.0:
         raise ValueError("postselected branch has zero probability")
     if variant == "P2":
         bq1 = _bilateral_qft(d)
         sigma = bq1.conj().T @ sigma @ bq1
     return CoeffMatrix(_extract_coefficients(sigma, d) / prob), prob
-
-
-def outcome_class_probabilities(state: DenseState, variant: str) -> np.ndarray:
-    """Branch probabilities over all outcome-difference classes.
-
-    Shape (d,) for two-pair variants, (d, d) for the three-copy one; the
-    entries sum to 1.
-    """
-    d, pairs = state.d, state.pairs
-    rho = _gated(state, variant)
-    shape = (d,) * (pairs - 1)
-    probs = np.empty(shape)
-    for classes in np.ndindex(*shape):
-        probs[classes] = _postselect_even(rho, d, pairs, classes)[1]
-    return probs
 
 
 def _pauli_sum(rho: np.ndarray, d: int, gate) -> np.ndarray:

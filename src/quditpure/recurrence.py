@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .indices import check_dimension, check_unit_interval
+from .indices import as_integer, check_dimension, check_unit_interval
 # make_preset and depolarize_channel stay bound here although nothing here
 # calls them: bench/tracer.py wraps them in every module that imports them.
 from .states import (
@@ -48,7 +48,6 @@ __all__ = [
     "Trajectory",
     "TrajectoryStep",
     "bbpssw_fixed_points",
-    "bbpssw_map",
     "bbpssw_step",
     "bbpssw_threshold",
     "bbpssw_threshold_asymptote",
@@ -57,7 +56,6 @@ __all__ = [
     "noise_threshold",
     "noisy_step",
     "p1_map",
-    "p1p2_run",
     "p2_map",
     "regime_scan",
     "run_protocol",
@@ -360,11 +358,6 @@ def bbpssw_step(F: float, d: int, Q: float = 1.0) -> tuple[float, float]:
     return float(s[0, 0]), float(prob)
 
 
-def bbpssw_map(F: float, d: int, Q: float = 1.0) -> float:
-    """Fidelity after one twirl-protocol round (see :func:`bbpssw_step`)."""
-    return bbpssw_step(F, d, Q)[0]
-
-
 def bbpssw_fixed_points(d: int, Q: float = 1.0) -> PurificationRegime:
     """Fixed points of the twirl-protocol fidelity map.
 
@@ -444,12 +437,15 @@ def run_protocol(
 
     Stops early after ``max_iters`` rounds or once the fidelity gain
     stays below STALL_TOL for STALL_RUNS consecutive rounds, in which
-    case ``reached_target`` is False; ``stop_reason`` says which.
+    case ``reached_target`` is False; ``stop_reason`` says which.  The
+    adaptive P1P2 protocol re-picks its subroutine every round, on the
+    state as it enters the gates, after the round's noise.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    max_iters = as_integer(max_iters, "max_iters")
     if max_iters < 1:
         raise ValueError(f"max_iters must be positive, got {max_iters}")
     target = 1.0 - epsilon
@@ -474,20 +470,6 @@ def run_protocol(
     traj.stop_reason = ("target" if traj.reached_target else
                         "max_iters" if len(traj.steps) >= max_iters else "stall")
     return traj
-
-
-def p1p2_run(
-    state: CoeffMatrix,
-    noise: NoiseParams = NOISELESS,
-    epsilon: float = 1e-4,
-    max_iters: int = 200,
-) -> Trajectory:
-    """Adaptive two-copy protocol: re-pick the subroutine every round.
-
-    The choice is made on the state as it enters the gates, i.e. after
-    the noise of the round has been accounted for.
-    """
-    return run_protocol(P1P2, state, noise, epsilon=epsilon, max_iters=max_iters)
 
 
 def yield_run(
@@ -594,16 +576,18 @@ def _bisect(improves, bad: float, good: float, tol: float, levels: int) -> float
 
 
 def _scan_grid(protocol: str, d, grid: int, iterations: int):
-    """Check a scan's arguments; return d and the initial fidelities,
-    from just above 1/d**2 to just below 1."""
+    """Check a scan's arguments; return d, the initial fidelities, from just
+    above 1/d**2 to just below 1, and the iteration count."""
     if protocol not in SCAN_PROTOCOLS:
         raise ValueError(f"scans support two-copy protocols, got {protocol!r}")
     d = check_dimension(d)
+    grid = as_integer(grid, "fidelity grid")
     if grid < 2:
         raise ValueError(f"fidelity grid needs at least 2 points, got {grid}")
+    iterations = as_integer(iterations, "iterations")
     if iterations < 1:
         raise ValueError(f"iterations must be at least 1, got {iterations}")
-    return d, np.linspace(1.0 / (d * d) + 1e-9, 1.0 - 1e-6, grid)
+    return d, np.linspace(1.0 / (d * d) + 1e-9, 1.0 - 1e-6, grid), iterations
 
 
 def regime_scan(
@@ -630,7 +614,7 @@ def regime_scan(
     For the twirl protocol the edges agree with
     :func:`bbpssw_fixed_points` to bisection accuracy.
     """
-    d, Fs = _scan_grid(protocol, d, grid, iterations)
+    d, Fs, iterations = _scan_grid(protocol, d, grid, iterations)
     check_unit_interval(Q, "retention Q")
 
     def improves(Fs: np.ndarray) -> np.ndarray:
@@ -641,7 +625,7 @@ def regime_scan(
     if not hits.size:
         return _no_regime(d)
 
-    hit = hits[np.argmin(np.abs(hits - grid // 2))]
+    hit = hits[np.argmin(np.abs(hits - Fs.size // 2))]
     fails = np.flatnonzero(~ok)
     i = np.searchsorted(fails, hit)
 
@@ -671,7 +655,7 @@ def noise_threshold(
     :func:`bbpssw_threshold`; the numeric route exists to cross-check it
     and to handle the adaptive and fixed-swap protocols.
     """
-    d, Fs = _scan_grid(protocol, d, grid, iterations)
+    d, Fs, iterations = _scan_grid(protocol, d, grid, iterations)
     if not (math.isfinite(q_tol) and q_tol > 0.0):
         raise ValueError(f"bisection tolerance must be finite and positive, got {q_tol}")
 

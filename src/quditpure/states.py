@@ -24,7 +24,6 @@ __all__ = [
     "PRESET_KINDS",
     "StatePreset",
     "depolarize_channel",
-    "fidelity",
     "make_preset",
     "random_state",
     "read_state_file",
@@ -134,11 +133,6 @@ def preset_block(kind: str, d: int, F, x_weight: float) -> np.ndarray:
     share = {"x_only": 1.0, "z_only": 0.0}.get(kind, x_weight)
     x, z = share * rest / (d - 1), (1.0 - share) * rest / (d - 1)
     return np.array(((F, x), (z, 0.0 * rest)))
-
-
-def fidelity(state: CoeffMatrix) -> float:
-    """Weight of the target basis state, entry [0, 0]."""
-    return state.fidelity
 
 
 def depolarize_channel(state: CoeffMatrix, retention: float) -> CoeffMatrix:

@@ -62,8 +62,8 @@ def test_02_twirl_fixed_point_consistency():
             if roots.purifiable:
                 worst_fix = max(
                     worst_fix,
-                    abs(recurrence.bbpssw_map(roots.F_min, d, Q) - roots.F_min),
-                    abs(recurrence.bbpssw_map(roots.F_max, d, Q) - roots.F_max),
+                    abs(recurrence.bbpssw_step(roots.F_min, d, Q)[0] - roots.F_min),
+                    abs(recurrence.bbpssw_step(roots.F_max, d, Q)[0] - roots.F_max),
                 )
                 worst_scan = max(
                     worst_scan,
@@ -144,14 +144,14 @@ def test_06_noiseless_purifiability():
     failures = []
     for d in (2, 3, 5, 7):
         for kind in ("isotropic", "x_only", "z_only", "xz_mixture"):
-            traj = recurrence.p1p2_run(
-                preset(kind, d, 1 / d + 0.02), epsilon=1e-4, max_iters=200
+            traj = recurrence.run_protocol(
+                recurrence.P1P2, preset(kind, d, 1 / d + 0.02), epsilon=1e-4, max_iters=200
             )
             if not traj.reached_target:
                 failures.append(f"{kind} d={d} stalled at {traj.final_fidelity:.4f}")
     for d in (2, 3, 5, 7):
-        traj = recurrence.p1p2_run(
-            preset("isotropic", d, 1 / d - 0.02), epsilon=1e-4, max_iters=200
+        traj = recurrence.run_protocol(
+            recurrence.P1P2, preset("isotropic", d, 1 / d - 0.02), epsilon=1e-4, max_iters=200
         )
         if traj.reached_target:
             failures.append(f"isotropic d={d} purified from below 1/d")

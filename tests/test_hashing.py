@@ -17,7 +17,6 @@ from quditpure.hashing import (
     lemma1_montecarlo,
     min_fidelity,
     noisy_thresholds,
-    resolve_delta,
     universal_threshold,
 )
 from quditpure.indices import primes_in
@@ -157,26 +156,32 @@ class TestUniversalThreshold:
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
+def resolved_delta(policy, n=10):
+    """The margin delta that finite_size_sweep takes from ``policy`` at block size n."""
+    return finite_size_sweep(3, [n], 0.9, policy)[0].delta
+
+
 class TestResolveDelta:
     def test_fixed_number_and_string(self):
-        assert resolve_delta(0.05, 100, 0.5) == 0.05
-        assert resolve_delta("fixed:0.05", 100, 0.5) == 0.05
+        assert resolved_delta(0.05, 100) == 0.05
+        assert resolved_delta("fixed:0.05", 100) == 0.05
 
     def test_npow(self):
-        assert resolve_delta("npow:-0.25", 16, 0.5) == pytest.approx(0.5, abs=1e-15)
+        assert resolved_delta("npow:-0.25", 16) == pytest.approx(0.5, abs=1e-15)
 
     def test_n_to_1(self):
-        assert resolve_delta("n_to_1", 10, 0.4) == pytest.approx(0.25, abs=1e-15)
+        report = finite_size_sweep(3, [10], 0.9, "n_to_1")[0]
+        assert report.delta == pytest.approx(0.5 * (0.9 - report.S), abs=1e-15)
 
     def test_rejects_bad_policies(self):
         with pytest.raises(ValueError):
-            resolve_delta(-0.1, 10, 0.5)
+            resolved_delta(-0.1)
         with pytest.raises(ValueError):
-            resolve_delta("npow:0.5", 10, 0.5)
+            resolved_delta("npow:0.5")
         with pytest.raises(ValueError):
-            resolve_delta("bogus", 10, 0.5)
+            resolved_delta("bogus")
         with pytest.raises(ValueError):
-            resolve_delta(None, 10, 0.5)
+            resolved_delta(None)
 
     @pytest.mark.parametrize(
         "policy, message",
@@ -193,7 +198,7 @@ class TestResolveDelta:
         """NaN fails both of the sign tests, and an infinite margin or
         exponent gives delta inf or 0 for every n."""
         with pytest.raises(ValueError, match=f"{message} must be finite"):
-            resolve_delta(policy, 10, 0.4)
+            resolved_delta(policy)
 
 
 class TestFiniteSizeReport:

@@ -112,6 +112,18 @@ class TestDimensionChecks:
     def test_primes_in(self):
         assert primes_in(2, 13) == [2, 3, 5, 7, 11, 13]
         assert primes_in(8, 10) == []
+        assert primes_in(2, 10.0) == primes_in(2.0, np.int64(10)) == [2, 3, 5, 7]
+
+    @pytest.mark.parametrize(
+        "lo, hi, message",
+        [(2.5, 10, "lower bound must be an integer, got 2.5"),
+         (2, 10.5, "upper bound must be an integer, got 10.5"),
+         (math.nan, 10, "lower bound must be an integer, got nan"),
+         (2, math.nan, "upper bound must be an integer, got nan")],
+    )
+    def test_primes_in_rejects_non_integral_bounds(self, lo, hi, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            primes_in(lo, hi)
 
 
 class TestUnitInterval:

@@ -117,7 +117,7 @@ class TestPairLimits:
             (lambda: oracle.recurrence_map_deviation(6, "P1"), 6, 2),
             (lambda: oracle.recurrence_map_deviation(4, "THREE_COPY"), 4, 3),
             (
-                lambda: oracle.outcome_class_probabilities(
+                lambda: oracle.simulate_recurrence_step(
                     oracle.DenseState(6, 2, np.zeros((1, 1))), "P1"
                 ),
                 6,
@@ -125,7 +125,7 @@ class TestPairLimits:
             ),
         ],
         ids=["bell_pairs_2", "bell_pairs_3", "index_maps", "twirl", "mgxor",
-             "deviation_P1", "deviation_three_copy", "outcome_classes"],
+             "deviation_P1", "deviation_three_copy", "simulate_step"],
     )
     def test_one_above_limit_raises(self, call, d, pairs):
         limit = oracle.PAIR_LIMITS[pairs]
@@ -165,7 +165,7 @@ def with_spectrum(eigenvalues, rng):
 
 
 def difference_groups(d, pairs):
-    """Reference grouping: basis indices by per-copy (a - b) mod d, in a loop."""
+    """Basis indices grouped by per-copy (a - b) mod d."""
     groups = {}
     for x, digits in enumerate(np.ndindex((d,) * (2 * pairs))):
         key = tuple((a - b) % d for a, b in zip(digits[::2], digits[1::2]))
@@ -183,55 +183,33 @@ def with_block_spectrum(eigenvalues, d, pairs, rng):
     return (U * np.asarray(eigenvalues)) @ U.conj().T
 
 
-@pytest.fixture
-def cholesky_shapes(monkeypatch):
-    """Shapes of every array passed to np.linalg.cholesky, in call order."""
-    shapes = []
-    factor = np.linalg.cholesky
-
-    def spy(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return factor(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "cholesky", spy)
-    return shapes
-
-
-# Every (d, pairs) that PAIR_LIMITS allows.
-ORACLE_SIZES = [
-    (d, pairs) for pairs, top in oracle.PAIR_LIMITS.items() for d in range(2, top + 1)
-]
-
-
 class TestDenseStateCheck:
     """``DenseState.check`` tolerances: trace and Hermiticity to 1e-10,
-    eigenvalues down to -1e-9 accepted.  A matrix that is zero outside its
-    difference blocks is factored block by block, any other as a whole."""
+    eigenvalues down to -1e-9 accepted, all on the whole matrix."""
 
     @pytest.mark.parametrize("d, pairs", [(2, 2), (3, 2)])
-    def test_eigenvalue_tolerance(self, cholesky_shapes, d, pairs):
-        """In a random eigenbasis the whole matrix is factored; in a
-        block-diagonal one, one block carries the negative eigenvalue."""
+    def test_eigenvalue_tolerance(self, d, pairs):
+        """In a random eigenbasis, and in one that is block-diagonal over the
+        difference groups, where one block carries the negative eigenvalue."""
         rng = np.random.default_rng(17)
         n = d ** (2 * pairs)
-        for side, (negative, accepted) in itertools.product(
-            (n, d**pairs), ((-5e-10, True), (-2e-9, False))
+        for blocked, (negative, accepted) in itertools.product(
+            (False, True), ((-5e-10, True), (-2e-9, False))
         ):
             spectrum = np.full(n, (1.0 - negative) / (n - 1))
             spectrum[n // 2] = negative
-            if side == n:
-                rho = with_spectrum(spectrum, rng)
-            else:
+            if blocked:
                 rho = with_block_spectrum(spectrum, d, pairs, rng)
+            else:
+                rho = with_spectrum(spectrum, rng)
             state = oracle.DenseState(d, pairs, rho)
             if accepted:
                 assert state.check() is state
             else:
                 with pytest.raises(ValueError, match="negative eigenvalue"):
                     state.check()
-            assert cholesky_shapes.pop() == (n // side, side, side)
 
-    def test_rejects_coupling_between_psd_blocks(self, cholesky_shapes):
+    def test_rejects_coupling_between_psd_blocks(self):
         """Every difference block is PSD, but a Hermitian coupling between
         two blocks gives the whole matrix the eigenvalue 1/16 - 0.1."""
         n = 16
@@ -243,20 +221,6 @@ class TestDenseStateCheck:
             assert np.linalg.eigvalsh(rho[np.ix_(group, group)]).min() > 0
         with pytest.raises(ValueError, match="negative eigenvalue"):
             oracle.DenseState(2, 2, rho).check()
-        assert cholesky_shapes == [(1, n, n)]
-
-    @pytest.mark.parametrize("d, pairs", ORACLE_SIZES)
-    def test_bell_pairs_factor_difference_blocks(self, cholesky_shapes, d, pairs):
-        """A product of Bell-diagonal copies is factored as d**pairs blocks."""
-        oracle.build_bell_pairs(random_state(d, np.random.default_rng(d)), pairs)
-        side = d**pairs
-        assert cholesky_shapes == [(side, side, side)]
-
-    @pytest.mark.parametrize("d, pairs", ORACLE_SIZES)
-    def test_difference_blocks_match_loop_grouping(self, d, pairs):
-        idx = oracle._difference_blocks(d, pairs)
-        assert idx.tolist() == difference_groups(d, pairs)
-        assert not idx.flags.writeable
 
     def test_rejects_trace_off_by_1e_9(self):
         rng = np.random.default_rng(3)
@@ -283,7 +247,7 @@ class TestDenseStateCheck:
         with pytest.raises(ValueError, match="shape"):
             oracle.DenseState(2, 2, rho).check()
         with pytest.raises(ValueError, match="shape"):
-            oracle.outcome_class_probabilities(oracle.DenseState(2, 2, rho), "P1")
+            oracle.simulate_recurrence_step(oracle.DenseState(2, 2, rho), "P1")
 
 
 def loop_gxor_permutation(d, pairs):
@@ -438,26 +402,6 @@ class TestRecurrenceSimulation:
         np.testing.assert_allclose(out.alpha, [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)
         assert prob == pytest.approx(1.0, abs=1e-12)
 
-    def test_outcome_classes_partition_probability(self):
-        state = preset("xz_mixture", 3, 0.6)
-        two = oracle.outcome_class_probabilities(
-            oracle.build_bell_pairs(state, 2), "P1"
-        )
-        assert two.shape == (3,)
-        assert two.sum() == pytest.approx(1.0, abs=1e-10)
-        three = oracle.outcome_class_probabilities(
-            oracle.build_bell_pairs(state, 3), "THREE_COPY"
-        )
-        assert three.shape == (3, 3)
-        assert three.sum() == pytest.approx(1.0, abs=1e-10)
-
-    def test_success_class_matches_step_probability(self):
-        state = preset("isotropic", 2, 0.7)
-        dense = oracle.build_bell_pairs(state, 2)
-        probs = oracle.outcome_class_probabilities(dense, "P1")
-        _, prob = oracle.simulate_recurrence_step(dense, "P1")
-        assert probs[0] == pytest.approx(prob, abs=1e-12)
-
     def test_variant_validation(self):
         dense = oracle.build_bell_pairs(preset("isotropic", 2, 0.9), 2)
         with pytest.raises(ValueError):
@@ -468,18 +412,17 @@ class TestRecurrenceSimulation:
             oracle.recurrence_map_deviation(5, "THREE_COPY", trials=1)
 
     def test_outcome_classes_validate_variant(self):
+        """The dense step names what is wrong with a variant before it simulates."""
         two = oracle.build_bell_pairs(preset("isotropic", 2, 0.9), 2)
         three = oracle.build_bell_pairs(preset("isotropic", 2, 0.9), 3)
         with pytest.raises(ValueError, match="unknown variant"):
-            oracle.outcome_class_probabilities(two, "BOGUS")
+            oracle.simulate_recurrence_step(two, "BOGUS")
         with pytest.raises(ValueError, match="needs 3 pairs"):
-            oracle.outcome_class_probabilities(two, "THREE_COPY")
+            oracle.simulate_recurrence_step(two, "THREE_COPY")
         with pytest.raises(ValueError, match="needs 2 pairs"):
-            oracle.outcome_class_probabilities(three, "P2")
+            oracle.simulate_recurrence_step(three, "P2")
         with pytest.raises(ValueError, match="limited to d <= 5"):
-            oracle.outcome_class_probabilities(
-                oracle.DenseState(7, 2, np.zeros((1, 1))), "P1"
-            )
+            oracle.simulate_recurrence_step(oracle.DenseState(7, 2, np.zeros((1, 1))), "P1")
 
     def test_rejects_zero_trials(self):
         """A check that compares nothing must not report a deviation of 0."""

@@ -20,7 +20,6 @@ from quditpure.recurrence import (
     PROTOCOLS,
     THREE_COPY,
     bbpssw_fixed_points,
-    bbpssw_map,
     bbpssw_step,
     bbpssw_threshold,
     bbpssw_threshold_asymptote,
@@ -29,7 +28,6 @@ from quditpure.recurrence import (
     noise_threshold,
     noisy_step,
     p1_map,
-    p1p2_run,
     p2_map,
     regime_scan,
     run_protocol,
@@ -299,25 +297,25 @@ class TestNoisyStep:
 
 class TestP1P2Run:
     def test_isotropic_d5_purifies(self):
-        traj = p1p2_run(preset("isotropic", 5, 0.5), NOISELESS, epsilon=1e-4)
+        traj = run_protocol(P1P2, preset("isotropic", 5, 0.5), NOISELESS, epsilon=1e-4)
         assert traj.reached_target
         assert traj.final_fidelity >= 1 - 1e-4
         assert traj.cumulative_yield > 0.0
 
     def test_already_pure_needs_no_iterations(self):
-        traj = p1p2_run(preset("isotropic", 2, 1.0), NOISELESS, epsilon=1e-4)
+        traj = run_protocol(P1P2, preset("isotropic", 2, 1.0), NOISELESS, epsilon=1e-4)
         assert traj.reached_target
         assert traj.iterations == 0
         assert traj.cumulative_yield == 1.0
 
     def test_below_threshold_stalls(self):
-        traj = p1p2_run(preset("isotropic", 2, 0.45), NOISELESS, epsilon=1e-4)
+        traj = run_protocol(P1P2, preset("isotropic", 2, 0.45), NOISELESS, epsilon=1e-4)
         assert not traj.reached_target
         assert traj.final_fidelity == pytest.approx(0.4079252103829514, abs=1e-9)
         assert traj.iterations == 3  # the stall rule cuts the run short
 
     def test_trajectory_bookkeeping(self):
-        traj = p1p2_run(preset("isotropic", 3, 0.6), NOISELESS, epsilon=1e-4)
+        traj = run_protocol(P1P2, preset("isotropic", 3, 0.6), NOISELESS, epsilon=1e-4)
         product = 1.0
         for step in traj.steps:
             assert step.step in (P1, P2)
@@ -326,9 +324,9 @@ class TestP1P2Run:
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
-            p1p2_run(preset("isotropic", 2, 0.8), NOISELESS, epsilon=0.0)
+            run_protocol(P1P2, preset("isotropic", 2, 0.8), NOISELESS, epsilon=0.0)
         with pytest.raises(ValueError):
-            p1p2_run(preset("isotropic", 2, 0.8), NOISELESS, epsilon=1e-4, max_iters=0)
+            run_protocol(P1P2, preset("isotropic", 2, 0.8), NOISELESS, epsilon=1e-4, max_iters=0)
 
 
 class TestNoiseParams:
@@ -342,15 +340,15 @@ class TestNoiseParams:
 
 class TestBbpssw:
     def test_map_anchor_d2(self):
-        assert bbpssw_map(0.75, 2, 1.0) == pytest.approx(41 / 52, abs=1e-14)
+        assert bbpssw_step(0.75, 2, 1.0)[0] == pytest.approx(41 / 52, abs=1e-14)
 
     def test_mixed_state_fixed_point(self):
         for d in (2, 3, 5):
-            assert bbpssw_map(1 / d**2, d, 1.0) == pytest.approx(1 / d**2, abs=1e-12)
+            assert bbpssw_step(1 / d**2, d, 1.0)[0] == pytest.approx(1 / d**2, abs=1e-12)
 
     def test_pure_fixed_point(self):
         for d in (2, 3, 5):
-            assert bbpssw_map(1.0, d, 1.0) == pytest.approx(1.0, abs=1e-12)
+            assert bbpssw_step(1.0, d, 1.0)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_step_matches_coefficient_route(self):
         """The closed form equals twirl -> noise -> two-copy map -> twirl."""
@@ -374,10 +372,10 @@ class TestBbpssw:
         for d in (2, 4, 7):
             for Q in (0.97, 1.0):
                 regime = bbpssw_fixed_points(d, Q)
-                assert bbpssw_map(regime.F_min, d, Q) == pytest.approx(
+                assert bbpssw_step(regime.F_min, d, Q)[0] == pytest.approx(
                     regime.F_min, abs=1e-9
                 )
-                assert bbpssw_map(regime.F_max, d, Q) == pytest.approx(
+                assert bbpssw_step(regime.F_max, d, Q)[0] == pytest.approx(
                     regime.F_max, abs=1e-9
                 )
 
@@ -412,7 +410,7 @@ class TestBbpssw:
                 F = 0.5 * (regime.F_min + regime.F_max)
                 previous = F
                 for _ in range(400):
-                    F = bbpssw_map(F, d, Q)
+                    F = bbpssw_step(F, d, Q)[0]
                     assert F >= previous - 1e-12
                     previous = F
                 assert F == pytest.approx(regime.F_max, abs=1e-6)
@@ -591,8 +589,9 @@ class TestStopReason:
         assert traj.iterations == 3 and traj.stop_reason == "stall"
 
     def test_max_iters(self):
-        traj = run_protocol(P1P2, preset("isotropic", 5, 0.5), max_iters=2)
-        assert traj.iterations == 2 and traj.stop_reason == "max_iters"
+        for max_iters in (2, 2.0, np.int64(2)):
+            traj = run_protocol(P1P2, preset("isotropic", 5, 0.5), max_iters=max_iters)
+            assert traj.iterations == 2 and traj.stop_reason == "max_iters"
 
     def test_stall_on_last_round_counts_as_max_iters(self):
         """A stall on the max_iters-th round reports max_iters; one round
@@ -600,6 +599,13 @@ class TestStopReason:
         state = preset("isotropic", 2, 0.45)
         assert run_protocol(P1P2, state, max_iters=3).stop_reason == "max_iters"
         assert run_protocol(P1P2, state, max_iters=4).stop_reason == "stall"
+
+    @pytest.mark.parametrize("max_iters", [2.5, math.nan, math.inf, "3"])
+    def test_rejects_non_integral_max_iters(self, max_iters):
+        """2.5 used to run 3 rounds and report max_iters, and NaN ran no
+        round and reported a stall."""
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            run_protocol(P1P2, preset("isotropic", 5, 0.5), max_iters=max_iters)
 
 
 class TestRunProtocol:
@@ -613,7 +619,7 @@ class TestRunProtocol:
         traj = run_protocol(BBPSSW, state, NoiseParams(Q=0.97), epsilon=1e-4)
         F = 0.6
         for step in traj.steps:
-            F = bbpssw_map(F, 3, 0.97)
+            F = bbpssw_step(F, 3, 0.97)[0]
             assert step.state.fidelity == pytest.approx(F, abs=1e-12)
 
     def test_three_copy_yield_accounting(self):
@@ -677,7 +683,7 @@ class TestPurifiability:
         its own test."""
         if (d, kind) == (7, "xz_mixture"):
             pytest.skip("covered by test_xz_mixture_d7_threshold_sits_higher")
-        traj = p1p2_run(preset(kind, d, 1 / d + 0.02), NOISELESS, epsilon=1e-4)
+        traj = run_protocol(P1P2, preset(kind, d, 1 / d + 0.02), NOISELESS, epsilon=1e-4)
         assert traj.reached_target
 
     def test_xz_mixture_d7_threshold_sits_higher(self):
@@ -688,15 +694,15 @@ class TestPurifiability:
         the P1/P2 family, which purifies the cell under a suitable fixed
         schedule.  Pinning both facts guards the documented exception."""
         state = preset("xz_mixture", 7, 1 / 7 + 0.02)
-        traj = p1p2_run(state, NOISELESS, epsilon=1e-4, max_iters=200)
+        traj = run_protocol(P1P2, state, NOISELESS, epsilon=1e-4, max_iters=200)
         assert not traj.reached_target
         assert traj.final_fidelity < 1 / 7 + 0.02
-        above = p1p2_run(preset("xz_mixture", 7, 0.170), NOISELESS, epsilon=1e-4)
+        above = run_protocol(P1P2, preset("xz_mixture", 7, 0.170), NOISELESS, epsilon=1e-4)
         assert above.reached_target
 
     @pytest.mark.parametrize("d", [2, 3, 5, 7])
     def test_isotropic_below_one_over_d_stalls(self, d):
-        traj = p1p2_run(preset("isotropic", d, 1 / d - 0.02), NOISELESS, epsilon=1e-4)
+        traj = run_protocol(P1P2, preset("isotropic", d, 1 / d - 0.02), NOISELESS, epsilon=1e-4)
         assert not traj.reached_target
 
 
@@ -759,6 +765,21 @@ class TestScans:
             regime_scan(P1P2, 2, iterations=iterations)
         with pytest.raises(ValueError, match="iterations"):
             noise_threshold(P1P2, 2, iterations=iterations)
+
+    def test_scans_accept_integral_float_counts(self):
+        """grid=10.0 and iterations=20.0 used to raise TypeError."""
+        counts = dict(grid=10, iterations=20)
+        as_floats = {name: float(value) for name, value in counts.items()}
+        assert regime_scan(BBPSSW, 3, **as_floats) == regime_scan(BBPSSW, 3, **counts)
+        assert noise_threshold(BBPSSW, 3, **as_floats) == noise_threshold(BBPSSW, 3, **counts)
+
+    @pytest.mark.parametrize("value", [10.5, math.nan])
+    @pytest.mark.parametrize("name", ["grid", "iterations"])
+    def test_scans_reject_non_integral_counts(self, monkeypatch, name, value):
+        monkeypatch.setattr(recurrence, "_lanes_improve", _no_lanes)
+        for scan in (regime_scan, noise_threshold):
+            with pytest.raises(ValueError, match=f"must be an integer, got {value}"):
+                scan(P1P2, 2, **{name: value})
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_scans_reject_bad_tolerance(self, monkeypatch, tol):

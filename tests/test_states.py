@@ -17,7 +17,6 @@ from quditpure.states import (
     StatePreset,
     depolarize_channel,
     depolarized,
-    fidelity,
     make_preset,
     preset_block,
     random_state,
@@ -34,7 +33,6 @@ class TestCoeffMatrix:
         m = CoeffMatrix([[0.7, 0.1], [0.1, 0.1]])
         assert m.d == 2
         assert m.fidelity == pytest.approx(0.7, abs=1e-15)
-        assert fidelity(m) == m.fidelity
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
