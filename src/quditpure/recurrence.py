@@ -108,7 +108,7 @@ class NoiseParams:
 NOISELESS = NoiseParams()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrajectoryStep:
     step: str
     state: CoeffMatrix
@@ -224,7 +224,7 @@ def _phase_power(a: np.ndarray, copies: int) -> np.ndarray:
     """
     d = a.shape[0]
     if d <= GATHER_MAX_D:
-        out, shifted = a, a[_gather_index(d)]
+        out, shifted = a, a.take(_gather_index(d), axis=0)
         for _ in range(copies - 1):
             out = np.einsum("mj,kmj->kj", out, shifted)
         return out
@@ -324,6 +324,7 @@ def noisy_step(state: CoeffMatrix, Q: float) -> CoeffMatrix:
     retention Q, which at the coefficient level is a single depolarizing
     mix with retention Q**2.
     """
+    check_unit_interval(Q, "retention")
     return CoeffMatrix(depolarized(state.alpha, Q, state.d, 2))
 
 
@@ -406,23 +407,34 @@ def bbpssw_threshold_asymptote(d: int) -> float:
     return math.sqrt(2.0) * d ** (-0.25)
 
 
-def _advance(protocol: str, a: np.ndarray, d: int, Q: float, conv):
-    """One noisy round on bare weights: the d x d matrix with ``conv=_conv_round``,
-    the sector block with ``_sector_conv``.  Returns (label, weights, prob)."""
+def _round(protocol: str, d: int, Q: float, conv):
+    """Check a run's protocol and retention Q once and return its noisy
+    round on bare weights, ``a -> (label, weights, prob)``: on the d x d
+    matrix with ``conv=_conv_round``, on the sector block with ``_sector_conv``."""
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    if protocol == BBPSSW:
-        # The twirl protocol lives on isotropic states; twirling the input
-        # is a no-op once the iteration is underway.
-        a = twirled(a, d)
-    a = depolarized(a, Q, d, 2)
+    check_unit_interval(Q, "retention")
     copies = 3 if protocol == THREE_COPY else 2
-    a, prob, rows = conv(a, d, copies, protocol in (P1P2, THREE_COPY))
-    if protocol == DEJMPS:
-        a = a.swapaxes(0, 1)
-    elif protocol == BBPSSW:
-        a = twirled(a, d)
-    return (P2 if rows else P1) if protocol == P1P2 else protocol, a, prob
+    adaptive = protocol in (P1P2, THREE_COPY)
+
+    def advance(a):
+        if protocol == BBPSSW:
+            # The twirl protocol lives on isotropic states; twirling the input
+            # is a no-op once the iteration is underway.
+            a = twirled(a, d)
+        a, prob, rows = conv(depolarized(a, Q, d, 2), d, copies, adaptive)
+        if protocol == DEJMPS:
+            a = a.swapaxes(0, 1)
+        elif protocol == BBPSSW:
+            a = twirled(a, d)
+        return (P2 if rows else P1) if protocol == P1P2 else protocol, a, prob
+
+    return advance
+
+
+def _advance(protocol: str, a: np.ndarray, d: int, Q: float, conv):
+    """One noisy round on bare weights, checked: :func:`_round` in one call."""
+    return _round(protocol, d, Q, conv)(a)
 
 
 def run_protocol(
@@ -441,8 +453,7 @@ def run_protocol(
     adaptive P1P2 protocol re-picks its subroutine every round, on the
     state as it enters the gates, after the round's noise.
     """
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}")
+    advance = _round(protocol, state.d, noise.Q, _conv_round)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     max_iters = as_integer(max_iters, "max_iters")
@@ -456,9 +467,9 @@ def run_protocol(
     cum_yield = 1.0
     stall = 0
     while F < target and len(traj.steps) < max_iters:
-        label, mapped, prob = _advance(protocol, current.alpha, current.d, noise.Q, _conv_round)
-        current = CoeffMatrix(mapped)
-        del mapped  # a copy lives on in current; free the raw weights now
+        label, mapped, prob = advance(current.alpha)
+        current = CoeffMatrix._adopt(mapped)
+        del mapped  # a view's base dies now, not after the next round
         cum_yield *= prob / copies
         traj.steps.append(TrajectoryStep(label, current, prob, cum_yield))
         new_F = current.fidelity
@@ -533,9 +544,10 @@ def _lanes_improve(
     final = F0.copy()
     lanes = np.arange(F0.size)
     stall = np.zeros(F0.size, dtype=int)
+    advance = _round(protocol, d, Q, _sector_conv)
     for _ in range(iterations):
         F = s[0, 0]
-        _, s, _ = _advance(protocol, s, d, Q, _sector_conv)
+        _, s, _ = advance(s)
         stall = _stall_count(stall, s[0, 0], F)
         done = stall >= STALL_RUNS
         if np.count_nonzero(done):

@@ -46,12 +46,14 @@ def checked_weights(a: np.ndarray, kind: str) -> np.ndarray:
     """Apply the policy above to the fresh float array ``a`` of a state
     ``kind`` ("matrix" or "vector"), clamping negatives down to NEG_TOL
     to 0; returns the weights read-only."""
-    if a.min() < NEG_TOL:
-        raise ValueError(f"negative weight {a.min():g} in state {kind}")
-    np.maximum(a, 0.0, out=a)
+    least = a.min()
+    if least < NEG_TOL:
+        raise ValueError(f"negative weight {least:g} in state {kind}")
+    if least <= 0.0:  # a zero may be -0.0, which the clamp makes +0.0
+        np.maximum(a, 0.0, out=a)
     drift = abs(a.sum() - 1.0)
     # Written so that a NaN or infinite sum fails too: NaN compares
-    # False both ways, and a.min() above is NaN when any weight is.
+    # False both ways, and ``least`` above is NaN when any weight is.
     if not drift <= RENORM_TOL:
         if not np.isfinite(a).all():
             raise ValueError(f"non-finite weight in state {kind}")
@@ -75,6 +77,15 @@ class CoeffMatrix:
             raise ValueError(f"weight matrix must be square, got shape {a.shape}")
         check_dimension(a.shape[0])
         self.alpha = checked_weights(a, "matrix")
+
+    @classmethod
+    def _adopt(cls, a: np.ndarray) -> "CoeffMatrix":
+        """The state of a round's fresh d x d float output ``a``: no shape
+        check and no copy, unless ``a`` is a view, which is copied as
+        ``__init__`` copies it; the weights get :func:`checked_weights`."""
+        state = cls.__new__(cls)
+        state.alpha = checked_weights(a if a.base is None else np.array(a), "matrix")
+        return state
 
     @property
     def d(self) -> int:
@@ -144,13 +155,13 @@ def depolarize_channel(state: CoeffMatrix, retention: float) -> CoeffMatrix:
     pair is exactly this channel with retention q**2, because the
     non-identity Pauli branches shift the basis labels uniformly.
     """
+    check_unit_interval(retention, "retention")
     return CoeffMatrix(depolarized(state.alpha, retention, state.d))
 
 
 def depolarized(alpha: np.ndarray, q: float, d: int, qudits: int = 1) -> np.ndarray:
     """Bare weights after local noise of retention q on 1 or 2 qudits of the
-    pair, for a d x d matrix or a preset block."""
-    check_unit_interval(q, "retention")
+    pair, for a d x d matrix or a preset block.  The caller checks q."""
     r = q * q if qudits == 2 else q
     return r * alpha + (1.0 - r) / (d * d)
 

@@ -1,5 +1,6 @@
 """Tests for the recurrence purification protocols and their scans."""
 
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -18,6 +19,7 @@ from quditpure.recurrence import (
     P1P2,
     P2,
     PROTOCOLS,
+    SCAN_PROTOCOLS,
     THREE_COPY,
     bbpssw_fixed_points,
     bbpssw_step,
@@ -39,6 +41,7 @@ from quditpure.states import (
     CoeffMatrix,
     StatePreset,
     make_preset,
+    preset_block,
     random_state,
     twirl_isotropic,
 )
@@ -573,6 +576,49 @@ class TestRetentionRange:
     def test_advance(self, protocol, Q):
         with pytest.raises(ValueError, match="retention"):
             matrix_round(protocol, preset("isotropic", 3, 0.8), Q)
+
+
+class TestSectorRetention:
+    @pytest.mark.parametrize("protocol", SCAN_PROTOCOLS)
+    @pytest.mark.parametrize("Q", [-0.5, 1.01, math.nan])
+    def test_advance(self, protocol, Q):
+        with pytest.raises(ValueError, match="retention"):
+            sector_round(protocol, preset_block("isotropic", 3, 0.8, 0.25), 3, Q)
+
+
+class TestStoredSteps:
+    """``run_protocol`` keeps each round's own output array as the next state."""
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 31, 37, 101])
+    def test_steps_match_replayed_rounds(self, protocol, d):
+        """Every step's label, success probability and weight bytes match a
+        replay of ``matrix_round``, which stores through ``CoeffMatrix``;
+        each stored array is read-only, owns its data and has no negative
+        weight, and the caller's input is untouched."""
+        rng = np.random.default_rng(d)
+        starts = [random_state(d, rng), preset("x_only", d, 0.5), preset("z_only", d, 0.5)]
+        for Q in (1.0, 0.95):
+            for state in starts:
+                before = state.alpha.tobytes()
+                traj = run_protocol(protocol, state, NoiseParams(Q=Q), epsilon=1e-12,
+                                    max_iters=12)
+                assert traj.steps
+                replay = state
+                for step in traj.steps:
+                    label, replay, prob = matrix_round(protocol, replay, Q)
+                    assert (step.step, step.success_prob) == (label, prob)
+                    alpha = step.state.alpha
+                    assert alpha.tobytes() == replay.alpha.tobytes()
+                    assert not alpha.flags.writeable and alpha.base is None
+                    assert alpha.min() >= 0.0
+                assert state.alpha.tobytes() == before
+
+    def test_step_is_frozen_and_slotted(self):
+        step = run_protocol(P1P2, preset("isotropic", 3, 0.8)).steps[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            step.success_prob = 0.5
+        assert not hasattr(step, "__dict__")
 
 
 class TestStopReason:

@@ -189,6 +189,8 @@ class TestDepolarizeChannel:
             depolarize_channel(m, 1.2)
         with pytest.raises(ValueError):
             depolarize_channel(m, -0.1)
+        with pytest.raises(ValueError, match="retention"):
+            depolarize_channel(m, math.nan)
 
 
 class TestTwirl:
