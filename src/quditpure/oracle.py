@@ -235,22 +235,6 @@ def _bilateral_qft(d: int) -> np.ndarray:
     return np.kron(Q, Q.conj())
 
 
-def _fourier_conjugate(rho: np.ndarray, d: int, pairs: int) -> np.ndarray:
-    """B rho B^dagger for B the kron of _bilateral_qft(d) over pairs, one copy at a time.
-
-    Each pass multiplies the leading copy axis (size d**2) by kron(Q, Q*)
-    on the row side or its conjugate on the column side, then rotates that
-    axis to the back; after 2 * pairs passes the axis order is restored.
-    That costs d**(4 * pairs + 2) operations instead of d**(6 * pairs).
-    """
-    single = _bilateral_qft(d)
-    size = d * d
-    out = rho
-    for M in (single,) * pairs + (single.conj(),) * pairs:
-        out = (M @ out.reshape(size, -1)).T
-    return out.reshape(rho.shape)
-
-
 def _postselect_even(rho: np.ndarray, d: int, pairs: int) -> tuple[np.ndarray, float]:
     """Keep the branch where each measured copy's A and B outcomes agree,
     and trace the measured copies out.
@@ -308,7 +292,8 @@ def simulate_recurrence_step(
     state._check_shape()
     rho = state.rho
     if variant == "P2":
-        rho = _fourier_conjugate(rho, d, pairs)
+        B = functools.reduce(np.kron, (_bilateral_qft(d),) * pairs)
+        rho = B @ rho @ B.conj().T
     perm = _gxor_permutation(d, pairs)
     sigma, prob = _postselect_even(rho[np.ix_(perm, perm)], d, pairs)
     if prob <= 0.0:

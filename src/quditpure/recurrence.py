@@ -12,8 +12,9 @@ phase-purifying twin.  On top of these sit:
 * a three-copy generalization that consumes two target copies per round.
 
 Gate imperfections are modelled by sandwiching each round with local
-depolarizing noise of retention Q per qudit (Q**2 per pair); measurement
-noise can be absorbed into the same parameter.  Numeric scans locate the
+depolarizing noise of retention Q per qudit (Q**2 per pair).  Q models
+gate noise only: a noisy measurement gives a round that is no
+depolarizing mix (ROADMAP item 14).  Numeric scans locate the
 purification regime in initial fidelity and the worst tolerable Q.
 """
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,9 +130,12 @@ class Trajectory:
     protocol: str
     initial: CoeffMatrix
     target_fidelity: float
-    steps: list[TrajectoryStep] = field(default_factory=list)
-    reached_target: bool = False
-    stop_reason: str | None = None  # "target", else "max_iters", else "stall"
+    steps: list[TrajectoryStep]
+    stop_reason: str  # "target", else "max_iters", else "stall"
+
+    @property
+    def reached_target(self) -> bool:
+        return self.stop_reason == "target"
 
     @property
     def final_state(self) -> CoeffMatrix:
@@ -325,7 +329,7 @@ def noisy_step(state: CoeffMatrix, Q: float) -> CoeffMatrix:
     mix with retention Q**2.
     """
     check_unit_interval(Q, "retention")
-    return CoeffMatrix(depolarized(state.alpha, Q, state.d, 2))
+    return CoeffMatrix(depolarized(state.alpha, Q * Q, state.d))
 
 
 def dejmps_map(state: CoeffMatrix, Q: float = 1.0) -> tuple[CoeffMatrix, float]:
@@ -335,7 +339,7 @@ def dejmps_map(state: CoeffMatrix, Q: float = 1.0) -> tuple[CoeffMatrix, float]:
     bilateral Fourier swap so that phase and amplitude errors trade
     places between rounds, as in the DEJMPS qubit protocol.
     """
-    _, mapped, prob = _advance(DEJMPS, state.alpha, state.d, Q, _conv_round)
+    _, mapped, prob = _round(DEJMPS, state.d, Q, _conv_round)(state.alpha)
     return CoeffMatrix(mapped), prob
 
 
@@ -355,7 +359,7 @@ def bbpssw_step(F: float, d: int, Q: float = 1.0) -> tuple[float, float]:
     d = check_dimension(d)
     check_unit_interval(F, "fidelity")
     check_unit_interval(Q, "retention Q")
-    _, s, prob = _advance(BBPSSW, preset_block("isotropic", d, F, 0.0), d, Q, _sector_conv)
+    _, s, prob = _round(BBPSSW, d, Q, _sector_conv)(preset_block("isotropic", d, F, 0.0))
     return float(s[0, 0]), float(prob)
 
 
@@ -422,7 +426,7 @@ def _round(protocol: str, d: int, Q: float, conv):
             # The twirl protocol lives on isotropic states; twirling the input
             # is a no-op once the iteration is underway.
             a = twirled(a, d)
-        a, prob, rows = conv(depolarized(a, Q, d, 2), d, copies, adaptive)
+        a, prob, rows = conv(depolarized(a, Q * Q, d), d, copies, adaptive)
         if protocol == DEJMPS:
             a = a.swapaxes(0, 1)
         elif protocol == BBPSSW:
@@ -430,11 +434,6 @@ def _round(protocol: str, d: int, Q: float, conv):
         return (P2 if rows else P1) if protocol == P1P2 else protocol, a, prob
 
     return advance
-
-
-def _advance(protocol: str, a: np.ndarray, d: int, Q: float, conv):
-    """One noisy round on bare weights, checked: :func:`_round` in one call."""
-    return _round(protocol, d, Q, conv)(a)
 
 
 def run_protocol(
@@ -461,26 +460,24 @@ def run_protocol(
         raise ValueError(f"max_iters must be positive, got {max_iters}")
     target = 1.0 - epsilon
     copies = 3.0 if protocol == THREE_COPY else 2.0
-    traj = Trajectory(protocol=protocol, initial=state, target_fidelity=target)
+    steps = []
     current = state
     F = state.fidelity
     cum_yield = 1.0
     stall = 0
-    while F < target and len(traj.steps) < max_iters:
+    while F < target and len(steps) < max_iters:
         label, mapped, prob = advance(current.alpha)
         current = CoeffMatrix._adopt(mapped)
         del mapped  # a view's base dies now, not after the next round
         cum_yield *= prob / copies
-        traj.steps.append(TrajectoryStep(label, current, prob, cum_yield))
+        steps.append(TrajectoryStep(label, current, prob, cum_yield))
         new_F = current.fidelity
         stall = _stall_count(stall, new_F, F)
         F = new_F
         if stall >= STALL_RUNS:
             break
-    traj.reached_target = F >= target
-    traj.stop_reason = ("target" if traj.reached_target else
-                        "max_iters" if len(traj.steps) >= max_iters else "stall")
-    return traj
+    stop = "target" if F >= target else "max_iters" if len(steps) >= max_iters else "stall"
+    return Trajectory(protocol, state, target, steps, stop)
 
 
 def yield_run(
@@ -506,7 +503,7 @@ def yield_run(
 
 
 def _sector_conv(s: np.ndarray, d: int, copies: int, adaptive: bool):
-    """The convolution of :func:`_advance` on the preset sector, at one cost for every d.
+    """The convolution of :func:`_round` on the preset sector, at one cost for every d.
 
     A sector matrix has x on the rest of row 0, z on the rest of column 0
     and w elsewhere, so its top-left block ``s = [[F, x], [z, w]]`` holds
@@ -516,6 +513,8 @@ def _sector_conv(s: np.ndarray, d: int, copies: int, adaptive: bool):
     cannot see, so ``adaptive`` keeps z <= x instead.  Two copies only.  Each lane
     is bit-identical to a one-lane run; returns ``(s, prob, False)``.
     """
+    if copies != 2:
+        raise ValueError(f"the sector round takes two copies, got {copies}")
     if adaptive:
         s[0, 1], s[1, 0] = np.maximum(s[0, 1], s[1, 0]), np.minimum(s[0, 1], s[1, 0])
     # P1 on both column classes: column 0 is (F, z), the others (x, w).
@@ -531,16 +530,15 @@ def _sector_conv(s: np.ndarray, d: int, copies: int, adaptive: bool):
 
 
 def _lanes_improve(
-    protocol: str, d: int, Q: float, preset_kind: str, x_weight: float,
-    F0: np.ndarray, iterations: int,
+    protocol: str, d: int, Q: float, preset_kind: str, F0: np.ndarray, iterations: int,
 ) -> np.ndarray:
     """Whether iterating the protocol from each initial fidelity in F0
     gains ground.  Each lane starts on the preset as :func:`make_preset`
-    builds it and follows the stall rule of :func:`run_protocol`; a lane
-    leaves the block once it stalls.
+    builds it, with the preset's default x_weight, and follows the stall
+    rule of :func:`run_protocol`; a lane leaves the block once it stalls.
     """
-    StatePreset(preset_kind, 1.0, x_weight)  # the preset's own validation
-    s = preset_block(preset_kind, d, F0, x_weight)
+    preset = StatePreset(preset_kind, 1.0)  # the preset's own validation
+    s = preset_block(preset_kind, d, F0, preset.x_weight)
     final = F0.copy()
     lanes = np.arange(F0.size)
     stall = np.zeros(F0.size, dtype=int)
@@ -608,7 +606,6 @@ def regime_scan(
     Q: float = 1.0,
     preset_kind: str = "isotropic",
     *,
-    x_weight: float = 0.25,
     grid: int = 192,
     iterations: int = 200,
 ) -> PurificationRegime:
@@ -630,7 +627,7 @@ def regime_scan(
     check_unit_interval(Q, "retention Q")
 
     def improves(Fs: np.ndarray) -> np.ndarray:
-        return _lanes_improve(protocol, d, Q, preset_kind, x_weight, Fs, iterations)
+        return _lanes_improve(protocol, d, Q, preset_kind, Fs, iterations)
 
     ok = improves(Fs)
     hits = np.flatnonzero(ok)
@@ -653,7 +650,6 @@ def noise_threshold(
     d: int,
     preset_kind: str = "isotropic",
     *,
-    x_weight: float = 0.25,
     q_tol: float = 1e-3,
     grid: int = 128,
     iterations: int = 160,
@@ -672,7 +668,7 @@ def noise_threshold(
         raise ValueError(f"bisection tolerance must be finite and positive, got {q_tol}")
 
     def purifiable(Q: float) -> bool:
-        return bool(_lanes_improve(protocol, d, Q, preset_kind, x_weight, Fs, iterations).any())
+        return bool(_lanes_improve(protocol, d, Q, preset_kind, Fs, iterations).any())
 
     if not purifiable(1.0):
         raise ValueError(f"protocol {protocol} does not purify {preset_kind} states at Q=1.0")

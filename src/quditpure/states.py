@@ -159,10 +159,10 @@ def depolarize_channel(state: CoeffMatrix, retention: float) -> CoeffMatrix:
     return CoeffMatrix(depolarized(state.alpha, retention, state.d))
 
 
-def depolarized(alpha: np.ndarray, q: float, d: int, qudits: int = 1) -> np.ndarray:
-    """Bare weights after local noise of retention q on 1 or 2 qudits of the
-    pair, for a d x d matrix or a preset block.  The caller checks q."""
-    r = q * q if qudits == 2 else q
+def depolarized(alpha: np.ndarray, r: float, d: int) -> np.ndarray:
+    """Bare weights after depolarizing of pair retention r (q**2 for local
+    noise q on both qudits), for a d x d matrix or a preset block.  The
+    caller checks r."""
     return r * alpha + (1.0 - r) / (d * d)
 
 

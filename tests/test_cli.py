@@ -6,8 +6,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -908,3 +911,33 @@ class TestDeterminism:
         row = out.strip().splitlines()[1].split(",")
         # q_min printed with 12 significant digits
         assert row[3] == "0.929863781713"
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_process(argv):
+    """``python -m quditpure.cli <argv>`` as a separate process, ``src`` on its path."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "quditpure.cli", *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+
+
+class TestSubprocess:
+    def test_output_matches_in_process_main(self, capsys):
+        argv = ["thresholds", "--protocol", "bbpssw", "--d-range", "2..3"]
+        proc = run_process(argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == run_cli(capsys, argv)[1]
+
+    def test_bad_input_is_one_error_line(self):
+        proc = run_process(["recurrence-run", "--d", "1", "--F", "0.5"])
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+    def test_unknown_flag_exits_2(self):
+        proc = run_process(["thresholds", "--no-such-flag"])
+        assert proc.returncode == 2 and "unrecognized arguments" in proc.stderr

@@ -301,19 +301,6 @@ class TestGateKernels:
             oracle._gxor_permutation(d, pairs), loop_gxor_permutation(d, pairs)
         )
 
-    @pytest.mark.parametrize("d, pairs", [(2, 2), (3, 2), (2, 3), (3, 3)])
-    def test_fourier_conjugation_matches_dense_product(self, d, pairs):
-        """Per-copy conjugation equals B rho B^dagger with the full
-        bilateral Fourier matrix, on a matrix with no structure."""
-        rng = np.random.default_rng(d * 10 + pairs)
-        n = d ** (2 * pairs)
-        rho = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        B = functools.reduce(np.kron, [oracle._bilateral_qft(d)] * pairs)
-        np.testing.assert_allclose(
-            oracle._fourier_conjugate(rho, d, pairs), B @ rho @ B.conj().T,
-            rtol=0, atol=1e-13,
-        )
-
 
 class TestPackaging:
     def test_numpy_floor_has_vecdot(self):

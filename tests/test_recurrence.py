@@ -496,17 +496,17 @@ class TestDejmps:
 
 
 def matrix_round(protocol, state, Q):
-    """``run_protocol``'s round: ``_advance`` on the weight matrix, the
+    """``run_protocol``'s round: ``_round`` on the weight matrix, the
     result stored as one validated state."""
-    label, mapped, prob = recurrence._advance(
-        protocol, state.alpha, state.d, Q, recurrence._conv_round
+    label, mapped, prob = recurrence._round(protocol, state.d, Q, recurrence._conv_round)(
+        state.alpha
     )
     return label, CoeffMatrix(mapped), prob
 
 
 def sector_round(protocol, s, d, Q):
-    """``_lanes_improve``'s round: ``_advance`` on the sector block."""
-    _, s, prob = recurrence._advance(protocol, s, d, Q, recurrence._sector_conv)
+    """``_lanes_improve``'s round: ``_round`` on the sector block."""
+    _, s, prob = recurrence._round(protocol, d, Q, recurrence._sector_conv)(s)
     return s, prob
 
 
@@ -532,7 +532,7 @@ class TestAdvance:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("d", [2, 3, 5, 7, 31, 32, 37, 38, 65, 101, 128])
     def test_matches_public_maps_bit_for_bit(self, protocol, d):
-        """20 rounds of ``_advance`` give the label, weight bytes and
+        """20 rounds of ``_round`` give the label, weight bytes and
         success probability of the public maps composed, on both sides of
         GATHER_MAX_D, and every stored state is clamped non-negative."""
         rng = np.random.default_rng(d)
@@ -638,6 +638,17 @@ class TestStopReason:
         for max_iters in (2, 2.0, np.int64(2)):
             traj = run_protocol(P1P2, preset("isotropic", 5, 0.5), max_iters=max_iters)
             assert traj.iterations == 2 and traj.stop_reason == "max_iters"
+
+    @pytest.mark.parametrize("reason, d, F, max_iters", [
+        ("target", 5, 0.5, 200), ("stall", 2, 0.45, 200), ("max_iters", 5, 0.5, 2),
+    ])
+    def test_reached_target_is_the_stop_reason(self, reason, d, F, max_iters):
+        """``reached_target`` is read off ``stop_reason``, never stored."""
+        traj = run_protocol(P1P2, preset("isotropic", d, F), max_iters=max_iters)
+        assert traj.stop_reason == reason
+        assert traj.reached_target == (traj.stop_reason == "target")
+        with pytest.raises(AttributeError):
+            traj.reached_target = not traj.reached_target
 
     def test_stall_on_last_round_counts_as_max_iters(self):
         """A stall on the max_iters-th round reports max_iters; one round
@@ -767,7 +778,7 @@ class TestScans:
         assert noise_threshold(P1P2, 6) == pytest.approx(0.824, abs=2e-3)
 
     def test_noise_threshold_rejects_protocol_that_does_not_purify_at_q1(self, monkeypatch):
-        def no_lane_improves(protocol, d, Q, kind, x_weight, F0, iterations):
+        def no_lane_improves(protocol, d, Q, kind, F0, iterations):
             return np.zeros(F0.size, dtype=bool)
 
         monkeypatch.setattr(recurrence, "_lanes_improve", no_lane_improves)
@@ -780,7 +791,7 @@ class TestScans:
         every 0.1 step to the bracket at 0, which it never passes."""
         seen = []
 
-        def improves_above_edge(protocol, d, Q, kind, x_weight, F0, iterations):
+        def improves_above_edge(protocol, d, Q, kind, F0, iterations):
             seen.append(Q)
             return np.full(F0.size, Q > edge)
 
@@ -896,18 +907,25 @@ class TestSector:
         for kind in PRESET_KINDS:
             Fs = np.linspace(0.05, 0.99, 16)
             lanes_improve = functools.partial(
-                recurrence._lanes_improve, P1P2, 7, 0.9, kind, 0.3, iterations=200
+                recurrence._lanes_improve, P1P2, 7, 0.9, kind, iterations=200
             )
             together = lanes_improve(Fs)
             alone = [lanes_improve(Fs[i : i + 1])[0] for i in range(Fs.size)]
             assert together.tolist() == alone
+
+    def test_three_copy_round_raises(self):
+        """The sector holds two-copy rounds only; three copies used to run
+        a two-copy round under the THREE_COPY label."""
+        three = recurrence._round(THREE_COPY, 3, 1.0, recurrence._sector_conv)
+        with pytest.raises(ValueError, match="two copies"):
+            three(preset_block("isotropic", 3, 0.8, 0.25))
 
     def test_batched_bisection_matches_sequential(self):
         """Evaluating five levels per call returns the float that one
         midpoint per call returns."""
 
         def improves(Fs):
-            return recurrence._lanes_improve(P1P2, 3, 1.0, "xz_mixture", 0.25, Fs, 200)
+            return recurrence._lanes_improve(P1P2, 3, 1.0, "xz_mixture", Fs, 200)
 
         edge = regime_scan(P1P2, 3, 1.0, "xz_mixture").F_min
         bad, good = edge - 0.01, edge + 0.01

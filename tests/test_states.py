@@ -238,9 +238,9 @@ class TestFoldedLayout:
             block = matrix[:2, :2]
             assert unfold(twirled(block, d), d).tobytes() == twirled(matrix, d).tobytes()
             for q in (1.0, 0.97, 0.5):
-                for qudits in (1, 2):
-                    on_block = unfold(depolarized(block, q, d, qudits), d)
-                    assert on_block.tobytes() == depolarized(matrix, q, d, qudits).tobytes()
+                for r in (q, q * q):
+                    on_block = unfold(depolarized(block, r, d), d)
+                    assert on_block.tobytes() == depolarized(matrix, r, d).tobytes()
 
 
 class TestRandomState:
