@@ -3,7 +3,7 @@
 Simulates and analyzes purification of noisy maximally entangled
 d-level states: adaptive and fixed recurrence protocols on Bell-diagonal
 weight matrices, closed-form dynamics of the twirl-based protocol,
-hashing and breeding yields with finite-size bounds, multiparty GHZ
+hashing yields with finite-size bounds, multiparty GHZ
 hashing, and a dense density-matrix oracle that validates every
 coefficient-level shortcut against explicit quantum mechanics.
 """

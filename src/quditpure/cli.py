@@ -36,11 +36,8 @@ __all__ = [
 ]
 
 
-def _flag(protocol: str) -> str:
-    return protocol.lower().replace("_", "-")  # the --protocol value: THREE_COPY -> three-copy
-
-
-PROTOCOL_NAMES = {_flag(p): p for p in recurrence.PROTOCOLS}
+# The --protocol values: THREE_COPY -> three-copy.
+PROTOCOL_NAMES = {p.lower().replace("_", "-"): p for p in recurrence.PROTOCOLS}
 
 
 def _fmt(value) -> str:
@@ -328,8 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_recurrence_run)
 
     p = sub.add_parser("thresholds", help="noise thresholds and regimes")
-    p.add_argument("--protocol", choices=tuple(map(_flag, recurrence.SCAN_PROTOCOLS)),
-                   default="bbpssw")
+    p.add_argument("--protocol", choices=tuple(PROTOCOL_NAMES), default="bbpssw")
     p.add_argument("--d-range", dest="d_range", default="2..8")
     p.add_argument("--Q", type=float, default=1.0)
     p.add_argument("--preset", choices=PRESET_KINDS, default="isotropic")

@@ -1,4 +1,4 @@
-"""Hashing and breeding purification: yields, finite-size bounds, thresholds.
+"""Hashing purification: yields, finite-size bounds, thresholds.
 
 Hashing consumes a large block of n Bell-diagonal pairs, measures random
 subset-sum parities of the block's index strings to pin down the error

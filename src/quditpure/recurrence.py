@@ -44,7 +44,6 @@ __all__ = [
     "P2",
     "PROTOCOLS",
     "PurificationRegime",
-    "SCAN_PROTOCOLS",
     "THREE_COPY",
     "Trajectory",
     "TrajectoryStep",
@@ -74,7 +73,6 @@ DEJMPS = "DEJMPS"
 BBPSSW = "BBPSSW"
 THREE_COPY = "THREE_COPY"
 PROTOCOLS = (P1P2, DEJMPS, BBPSSW, THREE_COPY)
-SCAN_PROTOCOLS = (BBPSSW, P1P2, DEJMPS)  # the two-copy ones, which _sector_conv runs
 
 # A fidelity gain below STALL_TOL for STALL_RUNS consecutive rounds stops
 # an iteration early; the trajectory is then reported as not converged.
@@ -358,7 +356,6 @@ def bbpssw_step(F: float, d: int, Q: float = 1.0) -> tuple[float, float]:
     """
     d = check_dimension(d)
     check_unit_interval(F, "fidelity")
-    check_unit_interval(Q, "retention Q")
     _, s, prob = _round(BBPSSW, d, Q, _sector_conv)(preset_block("isotropic", d, F, 0.0))
     return float(s[0, 0]), float(prob)
 
@@ -508,24 +505,29 @@ def _sector_conv(s: np.ndarray, d: int, copies: int, adaptive: bool):
     A sector matrix has x on the rest of row 0, z on the rest of column 0
     and w elsewhere, so its top-left block ``s = [[F, x], [z, w]]`` holds
     it (lanes on a trailing axis).  The sector holds the presets and is
-    closed under depolarizing, P1, the swap of P2 and DEJMPS, and the
-    twirl.  The adaptive round picks P2 exactly when z > x, a swap F
-    cannot see, so ``adaptive`` keeps z <= x instead.  Two copies only.  Each lane
-    is bit-identical to a one-lane run; returns ``(s, prob, False)``.
+    closed under depolarizing, P1 on two or three copies, the swap of P2
+    and DEJMPS, and the twirl.  The adaptive round picks P2 exactly when
+    z > x, a swap F cannot see, so ``adaptive`` keeps z <= x instead.  Each
+    lane is bit-identical to a one-lane run, so powers are plain products
+    (``**`` rounds differently on a lane array); returns ``(s, prob, False)``.
     """
-    if copies != 2:
-        raise ValueError(f"the sector round takes two copies, got {copies}")
     if adaptive:
         s[0, 1], s[1, 0] = np.maximum(s[0, 1], s[1, 0]), np.minimum(s[0, 1], s[1, 0])
-    # P1 on both column classes: column 0 is (F, z), the others (x, w).
+    # P1 on both column classes: column 0 is (F, z), the others (x, w).  A
+    # column [a, b, ..., b] keeps that form under convolution, so its power
+    # is the pair (u, v), and prob sums each column's sum to the copies.
     top, rest = s
     wide = (d - 1.0) * rest
     c = top + wide
-    prob = c[0] * c[0] + (d - 1.0) * c[1] * c[1]
-    s = np.array((
-        (top * top + wide * rest) / prob,
-        (2.0 * top * rest + (d - 2.0) * rest * rest) / prob,
-    ))
+    u, v = top, rest
+    for _ in range(copies - 1):
+        u, v = u * top + v * wide, u * rest + v * top + (d - 2.0) * v * rest
+    cpow = c
+    for _ in range(copies - 2):
+        cpow = cpow * c
+    prob = c[0] * cpow[0] + (d - 1.0) * c[1] * cpow[1]
+    s = np.array((u, v))
+    s /= prob
     return s, prob, False
 
 
@@ -588,8 +590,6 @@ def _bisect(improves, bad: float, good: float, tol: float, levels: int) -> float
 def _scan_grid(protocol: str, d, grid: int, iterations: int):
     """Check a scan's arguments; return d, the initial fidelities, from just
     above 1/d**2 to just below 1, and the iteration count."""
-    if protocol not in SCAN_PROTOCOLS:
-        raise ValueError(f"scans support two-copy protocols, got {protocol!r}")
     d = check_dimension(d)
     grid = as_integer(grid, "fidelity grid")
     if grid < 2:
@@ -624,7 +624,6 @@ def regime_scan(
     :func:`bbpssw_fixed_points` to bisection accuracy.
     """
     d, Fs, iterations = _scan_grid(protocol, d, grid, iterations)
-    check_unit_interval(Q, "retention Q")
 
     def improves(Fs: np.ndarray) -> np.ndarray:
         return _lanes_improve(protocol, d, Q, preset_kind, Fs, iterations)
@@ -661,11 +660,12 @@ def noise_threshold(
     The bracket walks down from Q = 0.7 in steps of 0.1; at Q = 0 nothing purifies.
     For the twirl protocol prefer the closed form
     :func:`bbpssw_threshold`; the numeric route exists to cross-check it
-    and to handle the adaptive and fixed-swap protocols.
+    and to handle the adaptive, fixed-swap and three-copy protocols.
     """
     d, Fs, iterations = _scan_grid(protocol, d, grid, iterations)
-    if not (math.isfinite(q_tol) and q_tol > 0.0):
-        raise ValueError(f"bisection tolerance must be finite and positive, got {q_tol}")
+    # The spacing of doubles in [0.5, 1): a finer bracket stops shrinking.
+    if not (math.isfinite(q_tol) and q_tol >= 2.0**-53):
+        raise ValueError(f"bisection tolerance must be finite and at least 2**-53, got {q_tol}")
 
     def purifiable(Q: float) -> bool:
         return bool(_lanes_improve(protocol, d, Q, preset_kind, Fs, iterations).any())

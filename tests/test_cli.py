@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quditpure import cli, oracle, recurrence
-from quditpure.states import random_state
+from quditpure.states import PRESET_KINDS, random_state
 from quditpure.cli import main
 from quditpure.indices import PRIMALITY_BOUND
 
@@ -160,14 +160,17 @@ class TestThresholds:
             (["--q-tol", "nan"], "tolerance"),
             (["--iterations", "0"], "iterations"),
             (["--iterations", "-5"], "iterations"),
+            (["--q-tol", "1e-16"], "tolerance"),
+            (["--q-tol", "1e-17"], "tolerance"),
         ],
     )
     def test_rejects_bad_tolerance_or_iterations(
         self, capsys, monkeypatch, flags, word
     ):
-        """Rejected before any lane runs: a tolerance of 0 used to bisect
-        forever, NaN skipped the bisection, and 0 iterations was reported
-        as "does not purify"."""
+        """Rejected before any lane runs: a tolerance of 0, or any below the
+        2**-53 spacing of doubles under 1, used to bisect forever, NaN
+        skipped the bisection, and 0 iterations was reported as "does not
+        purify"."""
 
         def no_lanes(*args):
             raise AssertionError("scan ran before its arguments were checked")
@@ -234,12 +237,16 @@ class TestThresholds:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "1000001 values" in err
 
-    def test_rejects_three_copy(self, capsys):
-        # argparse restricts --protocol to two-copy names and exits with 2
-        with pytest.raises(SystemExit) as exc_info:
-            main(["thresholds", "--protocol", "three-copy"])
-        assert exc_info.value.code == 2
-        capsys.readouterr()
+    def test_three_copy_scans_every_preset(self, capsys):
+        """thresholds takes every --protocol that recurrence-run takes."""
+        for kind in PRESET_KINDS:
+            code, out, err = run_cli(
+                capsys,
+                ["thresholds", "--protocol", "three-copy", "--d-range", "2..7", "--preset", kind],
+            )
+            assert code == 0 and err == ""
+            rows = [row.split(",")[:2] for row in out.splitlines()[1:]]
+            assert rows == [[str(d), "THREE_COPY"] for d in range(2, 8)]
 
 
 class TestHashing:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -19,7 +20,6 @@ from quditpure.recurrence import (
     P1P2,
     P2,
     PROTOCOLS,
-    SCAN_PROTOCOLS,
     THREE_COPY,
     bbpssw_fixed_points,
     bbpssw_step,
@@ -579,7 +579,7 @@ class TestRetentionRange:
 
 
 class TestSectorRetention:
-    @pytest.mark.parametrize("protocol", SCAN_PROTOCOLS)
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("Q", [-0.5, 1.01, math.nan])
     def test_advance(self, protocol, Q):
         with pytest.raises(ValueError, match="retention"):
@@ -802,11 +802,21 @@ class TestScans:
         assert min(seen) >= 0.0
         assert edge <= q_th < 1e-3
 
-    def test_scans_reject_three_copy(self):
-        with pytest.raises(ValueError):
-            regime_scan(THREE_COPY, 2)
-        with pytest.raises(ValueError):
-            noise_threshold(THREE_COPY, 2)
+    def test_scans_take_three_copy(self):
+        """Both scans run the three-copy protocol on the preset sector; an
+        unknown protocol is still rejected, by the round itself."""
+        regime = regime_scan(THREE_COPY, 2)
+        assert regime.purifiable and regime.F_min < 0.51 and regime.F_max == 1.0
+        assert 0.5 < noise_threshold(THREE_COPY, 2) < 1.0
+        for scan in (regime_scan, noise_threshold):
+            with pytest.raises(ValueError, match="unknown protocol"):
+                scan("bogus", 2)
+
+    @pytest.mark.parametrize("d", [2, 3, 7])
+    def test_three_copy_threshold_below_p1p2(self, d):
+        """Three copies tolerate more gate noise than the adaptive two-copy
+        protocol on isotropic states.  Only the order is pinned."""
+        assert noise_threshold(THREE_COPY, d) < noise_threshold(P1P2, d)
 
     @pytest.mark.parametrize("grid", [0, 1])
     def test_scans_reject_grid_below_two(self, grid):
@@ -846,6 +856,26 @@ class TestScans:
         with pytest.raises(ValueError, match="tolerance"):
             noise_threshold(P1P2, 2, q_tol=tol)
 
+    @pytest.mark.parametrize("tol", [2.0**-53, 1e-16, 1e-17])
+    def test_threshold_bisection_ends_or_is_refused(self, monkeypatch, tol):
+        """Adjacent doubles in [0.5, 1) lie 2**-53 apart, so a finer
+        tolerance never closed the Q bracket: it is refused at once, and
+        2**-53 itself ends.  A call budget fails the test in place of a hang."""
+        calls = []
+
+        def budgeted(protocol, d, Q, kind, F0, iterations):
+            calls.append(Q)
+            assert len(calls) <= 200, "bisection did not end"
+            return np.full(F0.size, Q > 0.8123456789)
+
+        monkeypatch.setattr(recurrence, "_lanes_improve", budgeted)
+        if tol < 2.0**-53:
+            with pytest.raises(ValueError, match="tolerance"):
+                noise_threshold(P1P2, 2, q_tol=tol)
+            assert not calls
+        else:
+            assert noise_threshold(P1P2, 2, q_tol=tol) == pytest.approx(0.8123456789, abs=tol)
+
     @pytest.mark.parametrize("d", [1000, 10**6])
     def test_adaptive_threshold_follows_twirl_asymptote(self, d):
         """At large d the adaptive threshold approaches the twirl
@@ -870,13 +900,23 @@ def assert_on_sector(state, F, x, z, w, unordered_xz, atol=1e-13):
     assert deviation <= atol
 
 
+# How far 30 sector rounds may drift from the matrix path.  Two copies
+# stay within 1e-13.  The three-copy map from the noiseless F = 1/2 start
+# at d = 2 keeps F at 1/2 and sends x and z round a chaotic orbit, which
+# doubles a rounding difference every round or two: 3.1e-12 by round 30
+# from xz_mixture and 2.6e-12 from isotropic (every other cell below
+# 4e-15), so three copies get 1e-11.
+SECTOR_TOL = {P1P2: 1e-13, DEJMPS: 1e-13, BBPSSW: 1e-13, THREE_COPY: 1e-11}
+
+
 class TestSector:
-    @pytest.mark.parametrize("protocol", [P1P2, DEJMPS, BBPSSW])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("d", [2, 3, 5, 7, 11])
     def test_rounds_match_matrix_path(self, protocol, d):
         """30 noisy rounds from each preset: fidelity, success probability
-        and the three error weights agree with the matrix path.  P1P2's
-        sector keeps z <= x, so its x and z are compared as a pair."""
+        and the three error weights agree with the matrix path.  The
+        adaptive sectors keep z <= x, so their x and z are compared as a pair."""
+        tol = SECTOR_TOL[protocol]
         for kind in PRESET_KINDS:
             for Q in (1.0, 0.95):
                 state = preset(kind, d, 0.5)
@@ -884,8 +924,8 @@ class TestSector:
                 for _ in range(30):
                     _, state, prob = matrix_round(protocol, state, Q)
                     sector, sector_prob = sector_round(protocol, sector, d, Q)
-                    assert abs(sector_prob - prob) <= 1e-13
-                    assert_on_sector(state, *sector.ravel(), unordered_xz=protocol == P1P2)
+                    assert abs(sector_prob - prob) <= tol
+                    assert_on_sector(state, *sector.ravel(), protocol in (P1P2, THREE_COPY), tol)
 
     def test_lanes_match_one_lane_runs(self):
         """A lane vector gives, bit for bit, what each lane gives alone."""
@@ -895,7 +935,7 @@ class TestSector:
         start = np.array((
             (F, 0.2 * rest / (d - 1)), (0.5 * rest / (d - 1), 0.3 * rest / (d - 1)**2)
         ))
-        for protocol in (P1P2, DEJMPS, BBPSSW):
+        for protocol in PROTOCOLS:
             lanes = start
             singles = [start[..., i].copy() for i in range(F.size)]
             for _ in range(30):
@@ -904,21 +944,30 @@ class TestSector:
                     single, single_prob = sector_round(protocol, single, d, Q)
                     assert [*lanes[..., i].ravel(), prob[i]] == [*single.ravel(), single_prob]
                     singles[i] = single
-        for kind in PRESET_KINDS:
+        for protocol, kind in itertools.product(PROTOCOLS, PRESET_KINDS):
             Fs = np.linspace(0.05, 0.99, 16)
             lanes_improve = functools.partial(
-                recurrence._lanes_improve, P1P2, 7, 0.9, kind, iterations=200
+                recurrence._lanes_improve, protocol, 7, 0.9, kind, iterations=200
             )
             together = lanes_improve(Fs)
             alone = [lanes_improve(Fs[i : i + 1])[0] for i in range(Fs.size)]
             assert together.tolist() == alone
 
-    def test_three_copy_round_raises(self):
-        """The sector holds two-copy rounds only; three copies used to run
-        a two-copy round under the THREE_COPY label."""
-        three = recurrence._round(THREE_COPY, 3, 1.0, recurrence._sector_conv)
-        with pytest.raises(ValueError, match="two copies"):
-            three(preset_block("isotropic", 3, 0.8, 0.25))
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_three_copy_round_is_the_column_cube(self, d):
+        """The noiseless three-copy sector round is the roll-loop cube of
+        each column of the full matrix, normalized by the sum of cubed
+        column sums."""
+        F, x, z, w = 0.55, 0.3 / (d - 1), 0.1 / (d - 1), 0.05 / (d - 1) ** 2
+        block = np.array(((F, x), (z, w)))
+        full = np.full((d, d), w)
+        full[0, 0], full[0, 1:], full[1:, 0] = F, x, z
+        cube = roll_phase_conv(roll_phase_conv(full, full), full)
+        prob = cube.sum()
+        three = recurrence._round(THREE_COPY, d, 1.0, recurrence._sector_conv)
+        _, s, sector_prob = three(block.copy())
+        assert sector_prob == pytest.approx(prob, rel=1e-14)
+        assert_on_sector(CoeffMatrix(cube / prob), *s.ravel(), unordered_xz=False)
 
     def test_batched_bisection_matches_sequential(self):
         """Evaluating five levels per call returns the float that one
