@@ -59,6 +59,7 @@ from .hashing import (
     HashingReport,
     asymptotic_yield,
     entropy_based,
+    finite_size_columns,
     finite_size_report,
     finite_size_sweep,
     isotropic_entropy,

@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -64,9 +65,13 @@ def _row_formatter(types: tuple):
     return lambda row: template % tuple(v if c else _fmt(v) for v, c in zip(row, codes))
 
 
-def _csv(header: list[str], rows: list[tuple]) -> str:
+def _csv(header: list[str], rows: Iterable[tuple], types: tuple | None = None) -> str:
+    """CSV text; ``types``, when given, are the value types of every row."""
     lines = [",".join(header)]
-    lines.extend(_row_formatter(tuple(map(type, row)))(row) for row in rows)
+    if types is None:
+        lines.extend(_row_formatter(tuple(map(type, row)))(row) for row in rows)
+    else:
+        lines.extend(map(_row_formatter(types), rows))
     return "\n".join(lines) + "\n"
 
 
@@ -74,10 +79,13 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _table(fmt: str | None, header: list[str], rows: list[tuple]) -> str:
+def _table(
+    fmt: str | None, header: list[str], rows: Iterable[tuple], types: tuple | None = None
+) -> str:
+    """JSON records or CSV text; ``types`` as for :func:`_csv`."""
     if fmt == "json":
         return _json([dict(zip(header, row)) for row in rows])
-    return _csv(header, rows)
+    return _csv(header, rows, types)
 
 
 def _record(fmt: str | None, obj: dict) -> str:
@@ -208,6 +216,8 @@ def cmd_thresholds(args) -> str:
     """Tabulate noise thresholds and purification regimes per dimension."""
     protocol = PROTOCOL_NAMES[args.protocol]
     _check_range_size(args.grid, "--grid")  # the scans hold one lane per grid point
+    # Checked for every protocol, though BBPSSW's closed forms run no scan.
+    recurrence.check_scan_settings(args.grid, args.iterations, args.q_tol)
     d_values = _parse_d_range(args.d_range)
     check_unit_interval(args.Q, "retention Q")  # before any lane runs
     rows = []
@@ -258,10 +268,13 @@ def cmd_hashing(args) -> str:
         report = hashing.finite_size_report(args.d, args.n, args.F, args.delta)
         return _record(args.format, {k.rstrip("_"): v for k, v in report._asdict().items()})
 
-    reports = hashing.finite_size_sweep(args.d, _parse_sweep(args.n_sweep), args.F, args.delta)
-    rows = [(r.n, r.delta, r.S, r.r, r.yield_, r.p1_bound, r.p2, r.F_out_bound) for r in reports]
-    header = ["n", "delta", "S", "r", "yield", "p1_bound", "p2", "F_out_bound"]
-    return _table(args.format, header, rows)
+    columns = hashing.finite_size_columns(args.d, _parse_sweep(args.n_sweep), args.F, args.delta)
+    fields = ["n", "delta", "S", "r", "yield_", "p1_bound", "p2", "F_out_bound"]
+    printed = [columns[f] for f in fields]
+    del columns  # the unprinted columns go before the text is built
+    # Each column holds values of one type, so every row has the first row's.
+    types = tuple(type(column[0]) for column in printed)
+    return _table(args.format, [f.rstrip("_") for f in fields], zip(*printed), types)
 
 
 def cmd_ghz(args) -> str:

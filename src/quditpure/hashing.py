@@ -15,6 +15,8 @@ in a finite field and random parities are uniform (see
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from typing import NamedTuple
 
@@ -28,6 +30,7 @@ __all__ = [
     "asymptotic_yield",
     "base_d_entropy",
     "entropy_based",
+    "finite_size_columns",
     "finite_size_report",
     "finite_size_sweep",
     "isotropic_entropy",
@@ -76,6 +79,9 @@ def asymptotic_yield(state: CoeffMatrix) -> float:
     return max(0.0, 1.0 - entropy_based(state))
 
 
+# hashing --threshold asks for min_fidelity(d) and then noisy_thresholds(d),
+# so the last result is kept and d is bisected once.
+@functools.lru_cache(maxsize=1)
 def min_fidelity(d: int) -> float:
     """Smallest isotropic fidelity with a positive hashing yield.
 
@@ -125,13 +131,21 @@ def universal_threshold(d: int) -> float:
     return ((d - 1.0) / (d * d - 1.0)) ** 0.25
 
 
+def _libm(fn, *args) -> np.ndarray:
+    """``fn`` from :mod:`math`, row by row over the float64 column in
+    ``args``; every other argument is a float passed to each call."""
+    (column,) = (a for a in args if isinstance(a, np.ndarray))
+    rows = (a.tolist() if a is column else itertools.repeat(a) for a in args)
+    return np.fromiter(map(fn, *rows), float, column.size)
+
+
 def _delta_rule(policy, S: float):
-    """Parse a delta policy once into a function of the block size n."""
+    """Parse a delta policy once into a function of the block-size column."""
     if isinstance(policy, (int, float)) and not isinstance(policy, bool):
         delta = float(policy)
         if not (math.isfinite(delta) and delta > 0.0):
             raise ValueError(f"fixed delta must be finite and positive, got {delta}")
-        return lambda n: delta
+        return lambda n: np.full_like(n, delta)
     if not isinstance(policy, str):
         raise ValueError(f"unrecognized delta policy {policy!r}")
     if policy == "n_to_1":
@@ -142,7 +156,7 @@ def _delta_rule(policy, S: float):
         power = float(policy[len("npow:"):])
         if not (math.isfinite(power) and power < 0.0):
             raise ValueError(f"npow exponent must be finite and negative, got {power}")
-        return lambda n: float(n) ** power
+        return lambda n: _libm(math.pow, n, power)
     raise ValueError(f"unrecognized delta policy {policy!r}")
 
 
@@ -196,12 +210,29 @@ def finite_size_sweep(d: int, ns, F: float, delta_policy="npow:-0.25") -> list[H
     or "n_to_1", which solves r = n - 1 (spend all but one pair):
     delta = ((n - 1)/n - S) / 2, non-positive when the entropy is too
     large for that to be feasible (the report is then not feasible).
+
+    The rows are computed by columns (:func:`finite_size_columns`): the
+    arithmetic, ceil and clamps on float64 arrays of n, which round
+    exactly as Python floats do, and pow, log1p and exp through
+    :mod:`math` on the feasible rows only.  numpy's own transcendentals
+    may differ from the platform libm by an ulp on some inputs, which
+    would change printed digits; on an infeasible row (delta <= 0)
+    log1p(delta / g) can leave its domain.
+    """
+    columns = finite_size_columns(d, ns, F, delta_policy)
+    return list(map(HashingReport._make, zip(*columns.values())))
+
+
+def finite_size_columns(d: int, ns, F: float, delta_policy="npow:-0.25") -> dict[str, list]:
+    """The rows of :func:`finite_size_sweep` as columns.
+
+    One list per :class:`HashingReport` field, in field order, holding
+    the same Python values (``r`` stays an exact int at any n).
     """
     d = require_prime(d)
     ns = [n if type(n) is int else as_integer(n, "block size n") for n in ns]
-    for n in ns:
-        if n < 2:
-            raise ValueError(f"block size n must be at least 2, got {n}")
+    if ns and min(ns) < 2:
+        raise ValueError(f"block size n must be at least 2, got {min(ns)}")
     if not 1.0 / d**2 < F <= 1.0:
         raise ValueError(f"fidelity must be in (1/d**2, 1], got {F}")
 
@@ -219,29 +250,47 @@ def finite_size_sweep(d: int, ns, F: float, delta_policy="npow:-0.25") -> list[H
         lt = math.log(tail) / log_d
         variance = F * lF * lF + (1.0 - F) * lt * lt - S * S
         g = max(variance, 0.0) / a
+    return _columns(d, ns, F, S, delta_of, a, g)
 
-    reports = []
-    for n in ns:
-        delta = delta_of(n)
-        yield_raw = 1.0 - S - 2.0 * delta
-        r = max(0, math.ceil(n * (S + 2.0 * delta) - 1e-12))
-        if not delta > 0.0:
-            reports.append(HashingReport(
-                d, n, F, delta, S, r, 0.0, 1.0, 1.0, 0.0, yield_raw, -1.0, False
-            ))
-            continue
-        p2 = float(d) ** (-n * delta)
-        if g <= 0.0:
-            p1 = 0.0
-        else:
-            exponent = -(n / a) * ((g + delta) * math.log1p(delta / g) - delta)
-            p1 = 2.0 * math.exp(exponent)
-        F_out_raw = 1.0 - p1 - p2
-        reports.append(HashingReport(
-            d, n, F, delta, S, r, max(0.0, yield_raw), min(1.0, p1), p2,
-            min(1.0, max(0.0, F_out_raw)), yield_raw, F_out_raw, True,
-        ))
-    return reports
+
+def _columns(d: int, ns: list[int], F: float, S: float, delta_of, a: float, g: float) -> dict:
+    """Every column of :func:`finite_size_columns` from its validated inputs."""
+    n = np.array(ns, dtype=float)
+    delta = delta_of(n)
+    yield_raw = 1.0 - S - 2.0 * delta
+    r = np.maximum(np.ceil(n * (S + 2.0 * delta) - 1e-12), 0.0)
+    # A row whose policy gives delta <= 0 distils nothing: p1 = p2 = 1.
+    feasible = delta > 0.0
+    n_ok, delta_ok = n[feasible], delta[feasible]
+    p1 = np.ones_like(n)
+    p2 = np.ones_like(n)
+    p2[feasible] = _libm(math.pow, float(d), -n_ok * delta_ok)
+    if g <= 0.0:
+        p1[feasible] = 0.0
+    else:
+        bennett = (g + delta_ok) * _libm(math.log1p, delta_ok / g) - delta_ok
+        p1[feasible] = 2.0 * _libm(math.exp, -(n_ok / a) * bennett)
+    F_out_raw = 1.0 - p1 - p2  # -1 on the infeasible rows
+    # The clamps keep the bound unless the value passes it strictly, as
+    # Python's max(0.0, x) and min(1.0, x) do.
+    yield_ = np.where(feasible & (yield_raw > 0.0), yield_raw, 0.0)
+    F_out = np.where(F_out_raw > 0.0, F_out_raw, 0.0)
+    k = len(ns)
+    return {
+        "d": [d] * k,
+        "n": ns,
+        "F": [F] * k,
+        "delta": delta.tolist(),
+        "S": [S] * k,
+        "r": list(map(int, r.tolist())),
+        "yield_": yield_.tolist(),
+        "p1_bound": np.where(p1 < 1.0, p1, 1.0).tolist(),
+        "p2": p2.tolist(),
+        "F_out_bound": np.where(F_out < 1.0, F_out, 1.0).tolist(),
+        "yield_raw": yield_raw.tolist(),
+        "F_out_raw": F_out_raw.tolist(),
+        "feasible": feasible.tolist(),
+    }
 
 
 def lemma1_montecarlo(

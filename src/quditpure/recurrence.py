@@ -51,6 +51,7 @@ __all__ = [
     "bbpssw_step",
     "bbpssw_threshold",
     "bbpssw_threshold_asymptote",
+    "check_scan_settings",
     "choose_subroutine",
     "dejmps_map",
     "noise_threshold",
@@ -587,16 +588,27 @@ def _bisect(improves, bad: float, good: float, tol: float, levels: int) -> float
     return 0.5 * (bad + good)
 
 
-def _scan_grid(protocol: str, d, grid: int, iterations: int):
-    """Check a scan's arguments; return d, the initial fidelities, from just
-    above 1/d**2 to just below 1, and the iteration count."""
-    d = check_dimension(d)
+def check_scan_settings(grid: int, iterations: int, q_tol: float | None = None):
+    """Check a scan's grid size and iteration count, and the Q bisection
+    tolerance of :func:`noise_threshold` unless it is None; return the
+    grid size and the iteration count as ints."""
     grid = as_integer(grid, "fidelity grid")
     if grid < 2:
         raise ValueError(f"fidelity grid needs at least 2 points, got {grid}")
     iterations = as_integer(iterations, "iterations")
     if iterations < 1:
         raise ValueError(f"iterations must be at least 1, got {iterations}")
+    # The spacing of doubles in [0.5, 1): a finer bracket stops shrinking.
+    if q_tol is not None and not (math.isfinite(q_tol) and q_tol >= 2.0**-53):
+        raise ValueError(f"bisection tolerance must be finite and at least 2**-53, got {q_tol}")
+    return grid, iterations
+
+
+def _scan_grid(d, grid: int, iterations: int, q_tol: float | None = None):
+    """Check a scan's arguments; return d, the initial fidelities, from just
+    above 1/d**2 to just below 1, and the iteration count."""
+    d = check_dimension(d)
+    grid, iterations = check_scan_settings(grid, iterations, q_tol)
     return d, np.linspace(1.0 / (d * d) + 1e-9, 1.0 - 1e-6, grid), iterations
 
 
@@ -623,7 +635,7 @@ def regime_scan(
     For the twirl protocol the edges agree with
     :func:`bbpssw_fixed_points` to bisection accuracy.
     """
-    d, Fs, iterations = _scan_grid(protocol, d, grid, iterations)
+    d, Fs, iterations = _scan_grid(d, grid, iterations)
 
     def improves(Fs: np.ndarray) -> np.ndarray:
         return _lanes_improve(protocol, d, Q, preset_kind, Fs, iterations)
@@ -662,10 +674,7 @@ def noise_threshold(
     :func:`bbpssw_threshold`; the numeric route exists to cross-check it
     and to handle the adaptive, fixed-swap and three-copy protocols.
     """
-    d, Fs, iterations = _scan_grid(protocol, d, grid, iterations)
-    # The spacing of doubles in [0.5, 1): a finer bracket stops shrinking.
-    if not (math.isfinite(q_tol) and q_tol >= 2.0**-53):
-        raise ValueError(f"bisection tolerance must be finite and at least 2**-53, got {q_tol}")
+    d, Fs, iterations = _scan_grid(d, grid, iterations, q_tol)
 
     def purifiable(Q: float) -> bool:
         return bool(_lanes_improve(protocol, d, Q, preset_kind, Fs, iterations).any())

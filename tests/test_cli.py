@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quditpure import cli, oracle, recurrence
+from quditpure import cli, hashing, oracle, recurrence
 from quditpure.states import PRESET_KINDS, random_state
 from quditpure.cli import main
 from quditpure.indices import PRIMALITY_BOUND
@@ -144,13 +144,14 @@ class TestThresholds:
 
     @pytest.mark.parametrize("grid", ["0", "1"])
     def test_rejects_grid_below_two(self, capsys, grid):
-        code, out, err = run_cli(
-            capsys,
-            ["thresholds", "--protocol", "p1p2", "--d-range", "2", "--grid", grid],
-        )
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert "grid" in err
+        """BBPSSW's closed forms run no scan, but the flag is checked alike."""
+        for protocol in ("p1p2", "bbpssw"):
+            code, out, err = run_cli(
+                capsys,
+                ["thresholds", "--protocol", protocol, "--d-range", "2", "--grid", grid],
+            )
+            assert code == 2 and out == ""
+            assert err == f"error: fidelity grid needs at least 2 points, got {grid}\n"
 
     @pytest.mark.parametrize(
         "flags, word",
@@ -170,20 +171,26 @@ class TestThresholds:
         """Rejected before any lane runs: a tolerance of 0, or any below the
         2**-53 spacing of doubles under 1, used to bisect forever, NaN
         skipped the bisection, and 0 iterations was reported as "does not
-        purify"."""
+        purify".  BBPSSW, whose closed forms ignore these flags, used to
+        print a row for them."""
 
         def no_lanes(*args):
             raise AssertionError("scan ran before its arguments were checked")
 
-        monkeypatch.setattr(recurrence, "_lanes_improve", no_lanes)
-        code, out, err = run_cli(
-            capsys,
-            ["thresholds", "--protocol", "dejmps", "--d-range", "2", "--grid", "4"]
-            + flags,
-        )
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert word in err
+        for name in ("_lanes_improve", "bbpssw_threshold", "bbpssw_fixed_points"):
+            monkeypatch.setattr(recurrence, name, no_lanes)
+        errors = set()
+        for protocol in ("dejmps", "bbpssw"):
+            code, out, err = run_cli(
+                capsys,
+                ["thresholds", "--protocol", protocol, "--d-range", "2", "--grid", "4"]
+                + flags,
+            )
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert word in err
+            errors.add(err)
+        assert len(errors) == 1  # one message, from the scans' own check
 
     @pytest.mark.parametrize("protocol", ["p1p2", "dejmps", "bbpssw"])
     @pytest.mark.parametrize("Q", ["1.5", "nan"])
@@ -229,13 +236,16 @@ class TestThresholds:
         def no_lanes(*args):
             raise AssertionError("scan ran before --grid was checked")
 
-        monkeypatch.setattr(recurrence, "_lanes_improve", no_lanes)
-        code, out, err = run_cli(
-            capsys, ["thresholds", "--protocol", "p1p2", "--d-range", "2", "--grid", "1000001"]
-        )
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert "1000001 values" in err
+        for name in ("_lanes_improve", "bbpssw_threshold", "bbpssw_fixed_points"):
+            monkeypatch.setattr(recurrence, name, no_lanes)
+        for protocol in ("p1p2", "bbpssw"):
+            code, out, err = run_cli(
+                capsys,
+                ["thresholds", "--protocol", protocol, "--d-range", "2", "--grid", "1000001"],
+            )
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "1000001 values" in err
 
     def test_three_copy_scans_every_preset(self, capsys):
         """thresholds takes every --protocol that recurrence-run takes."""
@@ -265,6 +275,24 @@ class TestHashing:
         row = lines[1].split(",")
         assert float(row[3]) == pytest.approx(0.891988671453, abs=1e-10)
         assert float(row[4]) < float(row[3])
+
+    def test_threshold_bisects_once_per_d(self, capsys, monkeypatch):
+        """F_min and the retentions of a row share one bisection of min_fidelity."""
+        entropy, calls = hashing.isotropic_entropy, []
+        monkeypatch.setattr(
+            hashing, "isotropic_entropy", lambda d, F: calls.append(d) or entropy(d, F)
+        )
+        one_bisection = {}
+        for d in (2, 3, 5):
+            hashing.min_fidelity(11)  # so that d is not the last result
+            calls.clear()
+            hashing.min_fidelity(d)
+            one_bisection[d] = len(calls)
+        hashing.min_fidelity(11)
+        calls.clear()
+        code, _, _ = run_cli(capsys, ["hashing", "--threshold", "--d-range", "primes:2..5"])
+        assert code == 0
+        assert {d: calls.count(d) for d in (2, 3, 5)} == one_bisection
 
     def test_finite_size_single_report(self, capsys):
         code, out, _ = run_cli(
@@ -402,9 +430,25 @@ class TestTableGoldens:
                 ["thresholds", "--protocol", "bbpssw", "--d-range", "2..50"],
                 "6e3e73292ea6135555d047bbc54e02dac2254b17abb0568cf8a7e49d57d3886f",
             ),
+            # The benchmark's sweep at full size (50,000 rows).  The JSON prints
+            # every float in full, so an ulp change in pow, log1p or exp shows.
+            (
+                ["hashing", "--d", "5", "--F", "0.9", "--n-sweep", "10:1000000:20"],
+                "71101dce13572b4a6145784dbe9966669ecc73112f41d0ced3b673e4acb5e923",
+            ),
+            (
+                ["hashing", "--d", "5", "--F", "0.9", "--n-sweep", "10:1000000:20",
+                 "--format", "json"],
+                "965b2fa30bfb91d6c04ad093959512826d7a30d701da9876ed4f0582fcc46255",
+            ),
+            (
+                ["hashing", "--threshold", "--d-range", "primes:2..200"],
+                "b35b3c0c627b3953039c80c72ab9df2bb29ef3aaab397f9ad4c8a22d7e8619d5",
+            ),
         ],
         ids=["npow", "fixed", "n_to_1", "pure", "n_to_1_json", "single_csv",
-             "single_json", "ghz", "ghz_json", "bbpssw"],
+             "single_json", "ghz", "ghz_json", "bbpssw", "bench_sweep",
+             "bench_sweep_json", "hashing_threshold"],
     )
     def test_golden_sha256(self, capsys, argv, digest):
         code, out, err = run_cli(capsys, argv)
@@ -523,6 +567,9 @@ class TestCsvFormatting:
         ]
         header = [f"c{i}" for i in range(14)]
         assert cli._csv(header, rows) == self.join_fmt(header, rows)
+        for row in rows:
+            types = tuple(map(type, row))
+            assert cli._csv(header, [row, row], types) == self.join_fmt(header, [row, row])
 
     def test_float_grid_is_python_floats(self):
         assert all(type(v) is float for v in cli._parse_float_grid("0.5:1:11"))

@@ -11,6 +11,7 @@ from quditpure.hashing import (
     HashingReport,
     asymptotic_yield,
     entropy_based,
+    finite_size_columns,
     finite_size_report,
     finite_size_sweep,
     isotropic_entropy,
@@ -358,12 +359,114 @@ class TestFiniteSizeSweep:
         def no_rows(*args):
             raise AssertionError("a row was built before the input was checked")
 
-        monkeypatch.setattr(hashing, "HashingReport", no_rows)
+        monkeypatch.setattr(hashing, "_columns", no_rows)
         with pytest.raises(ValueError, match=message):
             finite_size_sweep(d, ns, F, policy)
+        with pytest.raises(ValueError, match=message):
+            finite_size_columns(d, ns, F, policy)
         if min(ns) >= 2:
             with pytest.raises(ValueError, match=message):
                 finite_size_report(d, ns[0], F, policy)
+
+
+def reference_delta(policy, S, n):
+    """The margin delta of a valid policy at one block size n."""
+    if not isinstance(policy, str):
+        return float(policy)
+    if policy == "n_to_1":
+        return 0.5 * ((n - 1.0) / n - S)
+    kind, value = policy.split(":")
+    return float(value) if kind == "fixed" else float(n) ** float(value)
+
+
+def reference_sweep(d, ns, F, policy):
+    """finite_size_sweep one row at a time, as it was computed before it
+    worked by columns: Python floats and the math module throughout."""
+    S = isotropic_entropy(d, F)
+    if F >= 1.0:
+        a = g = 0.0
+    else:
+        log_d = math.log(d)
+        tail = (1.0 - F) / (d * d - 1.0)
+        a = abs(math.log(tail) / log_d) + S
+        lF = math.log(F) / log_d
+        lt = math.log(tail) / log_d
+        g = max(F * lF * lF + (1.0 - F) * lt * lt - S * S, 0.0) / a
+    reports = []
+    for n in ns:
+        delta = reference_delta(policy, S, n)
+        yield_raw = 1.0 - S - 2.0 * delta
+        r = max(0, math.ceil(n * (S + 2.0 * delta) - 1e-12))
+        if not delta > 0.0:
+            reports.append(HashingReport(
+                d, n, F, delta, S, r, 0.0, 1.0, 1.0, 0.0, yield_raw, -1.0, False
+            ))
+            continue
+        p2 = float(d) ** (-n * delta)
+        if g <= 0.0:
+            p1 = 0.0
+        else:
+            exponent = -(n / a) * ((g + delta) * math.log1p(delta / g) - delta)
+            p1 = 2.0 * math.exp(exponent)
+        F_out_raw = 1.0 - p1 - p2
+        reports.append(HashingReport(
+            d, n, F, delta, S, r, max(0.0, yield_raw), min(1.0, p1), p2,
+            min(1.0, max(0.0, F_out_raw)), yield_raw, F_out_raw, True,
+        ))
+    return reports
+
+
+# Short and long blocks, the n = 43 yield crossing, a float64 tie
+# (2**53 + 1 rounds to 2**53) and r past int64 (10**20).
+REFERENCE_NS = (
+    [2, 3, 43, 10**6, 2**53 + 1, 10**20]
+    + list(range(4, 3000, 7))
+    + [int(10 ** (k / 8)) for k in range(24, 160)]
+)
+
+
+class TestColumnsMatchScalarReference:
+    """The columns give the scalar loop's values bit for bit: same type,
+    same value, same sign of zero, for every field of every row."""
+
+    @pytest.mark.parametrize(
+        "d, F, policy",
+        [
+            (5, 0.9, "npow:-0.25"),
+            (5, 0.99, "npow:-0.2"),
+            (3, 0.95, "fixed:0.05"),
+            (3, 0.97, 0.02),
+            (7, 0.93, "n_to_1"),  # feasible from n = 2
+            (2, 0.85, "n_to_1"),  # infeasible below n = 7
+            (2, 0.7, "n_to_1"),  # infeasible everywhere
+            (7, 1.0, "n_to_1"),  # pure input
+            (11, 1.0, "npow:-0.25"),
+            (2, 0.999999, 0.3),
+            (9973, 0.6, "npow:-0.1"),
+        ],
+    )
+    def test_rows_match_reference(self, d, F, policy):
+        ns = REFERENCE_NS
+        columns = finite_size_columns(d, ns, F, policy)
+        assert list(columns) == list(HashingReport._fields)
+        rows = finite_size_sweep(d, ns, F, policy)
+        for n, row, ref in zip(ns, rows, reference_sweep(d, ns, F, policy), strict=True):
+            for field, a, b in zip(HashingReport._fields, row, ref):
+                assert type(a) is type(b) and a == b, (n, field, a, b)
+                if type(a) is float:
+                    assert math.copysign(1.0, a) == math.copysign(1.0, b), (n, field, a, b)
+        assert [tuple(row) for row in rows] == list(zip(*columns.values()))
+
+    def test_infeasible_rows_occur(self):
+        feasible = finite_size_columns(2, REFERENCE_NS, 0.85, "n_to_1")["feasible"]
+        assert not all(feasible) and any(feasible)
+        assert not any(finite_size_columns(2, REFERENCE_NS, 0.7, "n_to_1")["feasible"])
+
+    def test_r_stays_exact_past_int64(self):
+        (r,) = finite_size_columns(5, [10**20], 0.9)["r"]
+        assert type(r) is int and r > 2**63
+        delta = float(10**20) ** -0.25
+        assert r == math.ceil(10**20 * (isotropic_entropy(5, 0.9) + 2 * delta) - 1e-12)
 
 
 class TestLemma1MonteCarlo:
