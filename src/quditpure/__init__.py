@@ -4,8 +4,8 @@ Simulates and analyzes purification of noisy maximally entangled
 d-level states: adaptive and fixed recurrence protocols on Bell-diagonal
 weight matrices, closed-form dynamics of the twirl-based protocol,
 hashing yields with finite-size bounds, multiparty GHZ
-hashing, and a dense density-matrix oracle that validates every
-coefficient-level shortcut against explicit quantum mechanics.
+hashing, and an oracle that validates every coefficient-level shortcut
+against literal gates on pure Bell-product inputs.
 """
 
 from .indices import (
@@ -56,12 +56,10 @@ from .recurrence import (
     yield_run,
 )
 from .hashing import (
-    HashingReport,
     asymptotic_yield,
     entropy_based,
     finite_size_columns,
     finite_size_report,
-    finite_size_sweep,
     isotropic_entropy,
     lemma1_montecarlo,
     min_fidelity,

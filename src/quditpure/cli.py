@@ -6,7 +6,8 @@ Subcommands:
 * ``thresholds``: purification regimes and worst tolerable gate noise.
 * ``hashing``: minimum fidelities, noise thresholds, finite-size sweeps.
 * ``ghz``: multiparty hashing yields.
-* ``oracle-check``: dense-simulation validation suite.
+* ``oracle-check``: the round maps against literal gates on pure
+  Bell-product inputs.
 
 All numbers are printed with 12 significant digits; every command is
 deterministic given its flags (and ``--seed`` where randomness is
@@ -265,16 +266,15 @@ def cmd_hashing(args) -> str:
         raise ValueError("finite-size hashing needs --d and --F")
 
     if args.n is not None:
-        report = hashing.finite_size_report(args.d, args.n, args.F, args.delta)
-        return _record(args.format, {k.rstrip("_"): v for k, v in report._asdict().items()})
+        return _record(args.format, hashing.finite_size_report(args.d, args.n, args.F, args.delta))
 
     columns = hashing.finite_size_columns(args.d, _parse_sweep(args.n_sweep), args.F, args.delta)
-    fields = ["n", "delta", "S", "r", "yield_", "p1_bound", "p2", "F_out_bound"]
-    printed = [columns[f] for f in fields]
+    header = ["n", "delta", "S", "r", "yield", "p1_bound", "p2", "F_out_bound"]
+    printed = [columns[f] for f in header]
     del columns  # the unprinted columns go before the text is built
     # Each column holds values of one type, so every row has the first row's.
     types = tuple(type(column[0]) for column in printed)
-    return _table(args.format, [f.rstrip("_") for f in fields], zip(*printed), types)
+    return _table(args.format, header, zip(*printed), types)
 
 
 def cmd_ghz(args) -> str:
@@ -306,7 +306,8 @@ def cmd_ghz(args) -> str:
 
 
 def cmd_oracle_check(args) -> str:
-    """Dense-simulation validation suite; reports max deviations per check."""
+    """Score the round maps through the oracle's transfer tensor of pure
+    Bell-product inputs; reports max deviations per check."""
     if args.format == "csv":
         raise ValueError(f"oracle-check writes only JSON, not --format {args.format}")
     return _json(oracle.run_checks(_parse_int_list(args.d), args.trials, args.seed))
@@ -328,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int)
     p.add_argument("--preset", choices=PRESET_KINDS, default="isotropic")
     p.add_argument("--F", type=float)
-    p.add_argument("--x-weight", dest="x_weight", type=float, default=0.25)
+    p.add_argument("--x-weight", dest="x_weight", type=float, default=StatePreset.x_weight)
     p.add_argument("--state-file")
     p.add_argument("--protocol", choices=tuple(PROTOCOL_NAMES), default="p1p2")
     p.add_argument("--Q", type=float, default=1.0)

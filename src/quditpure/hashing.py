@@ -18,21 +18,18 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import NamedTuple
 
 import numpy as np
 
-from .indices import as_integer, check_dimension, check_unit_interval, require_prime
+from .indices import as_integer, check_count, check_dimension, check_unit_interval, require_prime
 from .states import CoeffMatrix
 
 __all__ = [
-    "HashingReport",
     "asymptotic_yield",
     "base_d_entropy",
     "entropy_based",
     "finite_size_columns",
     "finite_size_report",
-    "finite_size_sweep",
     "isotropic_entropy",
     "lemma1_montecarlo",
     "min_fidelity",
@@ -160,39 +157,13 @@ def _delta_rule(policy, S: float):
     raise ValueError(f"unrecognized delta policy {policy!r}")
 
 
-class HashingReport(NamedTuple):
-    """Finite-size hashing figures for one (d, n, F, delta) choice.
-
-    yield_, p1_bound and F_out_bound are clamped to [0, 1]; yield_raw and
-    F_out_raw = 1 - p1 - p2 use the unclamped values (p1's bound exceeds
-    1 on short blocks).  p1_bound bounds the probability that the block is
-    atypical, p2 the probability that parity rounds fail to isolate the
-    error pattern; 1 - p1_bound - p2 lower-bounds the output fidelity.
-    feasible is False when the requested policy produces a non-positive
-    delta (then nothing is distilled and yield_ is 0).
-    """
-
-    d: int
-    n: int
-    F: float
-    delta: float
-    S: float
-    r: int
-    yield_: float
-    p1_bound: float
-    p2: float
-    F_out_bound: float
-    yield_raw: float
-    F_out_raw: float
-    feasible: bool
+def finite_size_report(d: int, n: int, F: float, delta_policy="npow:-0.25") -> dict:
+    """One block size of :func:`finite_size_columns`, as a dict of its values."""
+    columns = finite_size_columns(d, [n], F, delta_policy)
+    return {name: column[0] for name, column in columns.items()}
 
 
-def finite_size_report(d: int, n: int, F: float, delta_policy="npow:-0.25") -> HashingReport:
-    """One block size of :func:`finite_size_sweep`."""
-    return finite_size_sweep(d, [n], F, delta_policy)[0]
-
-
-def finite_size_sweep(d: int, ns, F: float, delta_policy="npow:-0.25") -> list[HashingReport]:
+def finite_size_columns(d: int, ns, F: float, delta_policy="npow:-0.25") -> dict[str, list]:
     """Finite-block accounting for hashing isotropic states, per block size n.
 
     Uses r = ceil(n (S + 2 delta)) parity rounds, the collision bound
@@ -203,36 +174,35 @@ def finite_size_sweep(d: int, ns, F: float, delta_policy="npow:-0.25") -> list[H
     where a = |log_d((1 - F)/(d**2 - 1))| + S bounds the per-pair
     log-weight and g = Var[log_d weight] / a.  The distillable fraction
     is 1 - S - 2 delta of the block.  Every input is validated, and the
-    terms that do not depend on n are computed, before the first report.
+    terms that do not depend on n are computed, before the first row.
 
     ``delta_policy`` sets the typicality margin delta per block size: a
     finite positive float, "fixed:x", "npow:p" for n**p with finite p < 0,
     or "n_to_1", which solves r = n - 1 (spend all but one pair):
     delta = ((n - 1)/n - S) / 2, non-positive when the entropy is too
-    large for that to be feasible (the report is then not feasible).
+    large for that to be feasible (the row is then not feasible).
 
-    The rows are computed by columns (:func:`finite_size_columns`): the
-    arithmetic, ceil and clamps on float64 arrays of n, which round
-    exactly as Python floats do, and pow, log1p and exp through
+    Returns one list of Python values per column, one entry per block
+    size; ``r`` stays an exact int at any n.  yield, p1_bound and
+    F_out_bound are clamped to [0, 1]; yield_raw and F_out_raw =
+    1 - p1 - p2 use the unclamped values (p1's bound exceeds 1 on short
+    blocks).  p1_bound bounds the probability that the block is atypical,
+    p2 the probability that parity rounds fail to isolate the error
+    pattern; 1 - p1_bound - p2 lower-bounds the output fidelity.
+    feasible is False when the policy gives a non-positive delta (then
+    nothing is distilled and yield is 0).
+
+    The arithmetic, ceil and clamps run on float64 arrays of n, which
+    round exactly as Python floats do, and pow, log1p and exp go through
     :mod:`math` on the feasible rows only.  numpy's own transcendentals
     may differ from the platform libm by an ulp on some inputs, which
     would change printed digits; on an infeasible row (delta <= 0)
     log1p(delta / g) can leave its domain.
     """
-    columns = finite_size_columns(d, ns, F, delta_policy)
-    return list(map(HashingReport._make, zip(*columns.values())))
-
-
-def finite_size_columns(d: int, ns, F: float, delta_policy="npow:-0.25") -> dict[str, list]:
-    """The rows of :func:`finite_size_sweep` as columns.
-
-    One list per :class:`HashingReport` field, in field order, holding
-    the same Python values (``r`` stays an exact int at any n).
-    """
     d = require_prime(d)
     ns = [n if type(n) is int else as_integer(n, "block size n") for n in ns]
-    if ns and min(ns) < 2:
-        raise ValueError(f"block size n must be at least 2, got {min(ns)}")
+    if ns:
+        check_count(min(ns), "block size n", 2)
     if not 1.0 / d**2 < F <= 1.0:
         raise ValueError(f"fidelity must be in (1/d**2, 1], got {F}")
 
@@ -283,7 +253,7 @@ def _columns(d: int, ns: list[int], F: float, S: float, delta_of, a: float, g: f
         "delta": delta.tolist(),
         "S": [S] * k,
         "r": list(map(int, r.tolist())),
-        "yield_": yield_.tolist(),
+        "yield": yield_.tolist(),
         "p1_bound": np.where(p1 < 1.0, p1, 1.0).tolist(),
         "p2": p2.tolist(),
         "F_out_bound": np.where(F_out < 1.0, F_out, 1.0).tolist(),
@@ -315,12 +285,8 @@ def lemma1_montecarlo(
     below 2**31, so int32 holds every draw and every difference x - y.
     """
     d = require_prime(d)
-    n = as_integer(n, "string half-length n")
-    if n < 1:
-        raise ValueError(f"string half-length n must be positive, got {n}")
-    trials = as_integer(trials, "trials")
-    if trials < 10_000:
-        raise ValueError(f"need at least 10000 trials, got {trials}")
+    n = check_count(n, "string half-length n", 1)
+    trials = check_count(trials, "trials", 10_000)
     width = 2 * n
     if width * (d - 1) ** 2 >= 2**63:
         raise ValueError(

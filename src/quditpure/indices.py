@@ -25,6 +25,7 @@ __all__ = [
     "bqft_index_map",
     "as_integer",
     "check_bell_index",
+    "check_count",
     "check_dimension",
     "checked_power",
     "check_unit_interval",
@@ -51,11 +52,18 @@ def checked_power(d: int, n: int, limit: int = MAX_INDEX) -> int:
 
 def check_dimension(d: int) -> int:
     """Validate a qudit dimension and return it as a plain int."""
-    if type(d) is not int:
-        d = as_integer(d, "qudit dimension")
-    if d < 2:
-        raise ValueError(f"qudit dimension must be at least 2, got {d}")
-    return d
+    if type(d) is int and d >= 2:
+        return d
+    return check_count(d, "qudit dimension", 2)
+
+
+def check_count(value, name: str, least: int) -> int:
+    """``value`` as a plain int (see :func:`as_integer`), once it is at least ``least``."""
+    if type(value) is not int:
+        value = as_integer(value, name)
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def as_integer(value, name: str) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .hashing import base_d_entropy
 from .indices import (
-    MAX_INDEX, as_integer, check_dimension, check_unit_interval, checked_power,
+    MAX_INDEX, check_count, check_dimension, check_unit_interval, checked_power,
     require_prime,
 )
 from .states import checked_weights, json_weights
@@ -77,11 +77,7 @@ MAX_FLOAT_SIZE = int(sys.float_info.max)
 
 
 def _check_parties(N) -> int:
-    if type(N) is not int:
-        N = as_integer(N, "party count N")
-    if N < 2:
-        raise ValueError(f"party count N must be at least 2, got {N}")
-    return N
+    return check_count(N, "party count N", 2)
 
 
 def _isotropic_size(d: int, N, F: float, limit: int) -> int:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .indices import (
-    as_integer, bgxor_index_map, bqft_index_map, check_dimension, check_unit_interval,
+    bgxor_index_map, bqft_index_map, check_count, check_dimension, check_unit_interval,
     pauli_on_bell,
 )
 from .states import CoeffMatrix
@@ -340,9 +340,7 @@ def verify_depolarization_identity(d: int, trials: int = 5, seed: int = 0) -> fl
     off-diagonal magnitude after the twirl (should be ~0).
     """
     d = _check_pair_limit(d, 2)
-    trials = as_integer(trials, "trials")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    trials = check_count(trials, "trials", 1)
     rng = np.random.default_rng(seed)
     B = bell_basis(d)
     size = d * d
@@ -558,9 +556,7 @@ def recurrence_map_deviation(
 
     if variant not in VARIANT_PAIRS:
         raise ValueError(f"unknown variant {variant!r}")
-    trials = as_integer(trials, "trials")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    trials = check_count(trials, "trials", 1)
     fast_map = {"P1": p1_map, "P2": p2_map, "THREE_COPY": three_copy_map}[variant]
     pairs = VARIANT_PAIRS[variant]
     d = _check_pair_limit(d, pairs)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indices import as_integer, check_dimension, check_unit_interval
+from .indices import check_count, check_dimension, check_unit_interval
 # make_preset and depolarize_channel stay bound here although nothing here
 # calls them: bench/tracer.py wraps them in every module that imports them.
 from .states import (
@@ -453,9 +453,7 @@ def run_protocol(
     advance = _round(protocol, state.d, noise.Q, _conv_round)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    max_iters = as_integer(max_iters, "max_iters")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be positive, got {max_iters}")
+    max_iters = check_count(max_iters, "max_iters", 1)
     target = 1.0 - epsilon
     copies = 3.0 if protocol == THREE_COPY else 2.0
     steps = []
@@ -592,12 +590,8 @@ def check_scan_settings(grid: int, iterations: int, q_tol: float | None = None):
     """Check a scan's grid size and iteration count, and the Q bisection
     tolerance of :func:`noise_threshold` unless it is None; return the
     grid size and the iteration count as ints."""
-    grid = as_integer(grid, "fidelity grid")
-    if grid < 2:
-        raise ValueError(f"fidelity grid needs at least 2 points, got {grid}")
-    iterations = as_integer(iterations, "iterations")
-    if iterations < 1:
-        raise ValueError(f"iterations must be at least 1, got {iterations}")
+    grid = check_count(grid, "fidelity grid", 2)
+    iterations = check_count(iterations, "iterations", 1)
     # The spacing of doubles in [0.5, 1): a finer bracket stops shrinking.
     if q_tol is not None and not (math.isfinite(q_tol) and q_tol >= 2.0**-53):
         raise ValueError(f"bisection tolerance must be finite and at least 2**-53, got {q_tol}")

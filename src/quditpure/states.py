@@ -214,7 +214,8 @@ def state_from_json(obj: dict) -> CoeffMatrix:
             )
         return CoeffMatrix(a)
     if "preset" in obj:
-        preset = StatePreset(obj["preset"], obj.get("F", 1.0), obj.get("x_weight", 0.25))
+        x_weight = obj.get("x_weight", StatePreset.x_weight)
+        preset = StatePreset(obj["preset"], obj.get("F", 1.0), x_weight)
         return make_preset(preset, d)
     raise ValueError("state description needs either 'alpha' or 'preset'")
 

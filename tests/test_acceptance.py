@@ -248,14 +248,14 @@ def test_10_finite_size_hashing():
     crossing = next(
         n
         for n in range(2, 200)
-        if hashing.finite_size_report(5, n, 0.99, "npow:-0.2").yield_ > 0.0
+        if hashing.finite_size_report(5, n, 0.99, "npow:-0.2")["yield"] > 0.0
     )
     bounds = [
-        hashing.finite_size_report(5, n, 0.99, "npow:-0.2").F_out_bound
+        hashing.finite_size_report(5, n, 0.99, "npow:-0.2")["F_out_bound"]
         for n in (50, 100, 200, 400, 800, 1600)
     ]
     monotone = all(b >= a for a, b in zip(bounds, bounds[1:]))
-    spot = hashing.finite_size_report(2, 100, 0.95, 0.1).p2
+    spot = hashing.finite_size_report(2, 100, 0.95, 0.1)["p2"]
     ok = abs(crossing - 40) <= 5 and monotone and spot == 2.0**-10
     assert report(
         10,

@@ -19,7 +19,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quditpure import cli, hashing, oracle, recurrence
-from quditpure.states import PRESET_KINDS, random_state
+from quditpure.states import (
+    PRESET_KINDS, StatePreset, make_preset, random_state, state_from_json,
+)
 from quditpure.cli import main
 from quditpure.indices import PRIMALITY_BOUND
 
@@ -87,6 +89,17 @@ class TestRecurrenceRun:
         assert code == 0
         assert out.splitlines()[1].startswith("0,INIT,0.6,")
 
+    def test_xz_mixture_default_x_weight(self):
+        """A JSON preset without x_weight, the flag's default and StatePreset
+        give the same weights."""
+        expected = make_preset(StatePreset("xz_mixture", 0.6), 3).alpha
+        from_json = state_from_json({"d": 3, "preset": "xz_mixture", "F": 0.6})
+        args = cli._build_parser().parse_args(
+            ["recurrence-run", "--preset", "xz_mixture", "--d", "3", "--F", "0.6"]
+        )
+        np.testing.assert_array_equal(from_json.alpha, expected)
+        np.testing.assert_array_equal(cli._load_initial_state(args).alpha, expected)
+
     def test_non_finite_state_file(self, capsys, tmp_path):
         path = tmp_path / "state.json"
         path.write_text('{"d": 2, "alpha": [[NaN, 0], [0, 1]]}')
@@ -151,7 +164,7 @@ class TestThresholds:
                 ["thresholds", "--protocol", protocol, "--d-range", "2", "--grid", grid],
             )
             assert code == 2 and out == ""
-            assert err == f"error: fidelity grid needs at least 2 points, got {grid}\n"
+            assert err == f"error: fidelity grid must be at least 2, got {grid}\n"
 
     @pytest.mark.parametrize(
         "flags, word",
@@ -315,6 +328,24 @@ class TestHashing:
         assert doc["delta"] == pytest.approx(0.2671774589239929, abs=1e-12)
         assert doc["yield"] == pytest.approx(0.1, abs=1e-12)
         assert doc["r"] == 9
+
+    @pytest.mark.parametrize(
+        "d, F, policy, n",
+        [
+            (5, 0.99, "npow:-0.2", 43),  # the first positive yield
+            (2, 0.7, "n_to_1", 10),  # infeasible
+            (7, 1.0, "n_to_1", 10),  # pure input
+        ],
+    )
+    def test_single_report_is_the_sweeps_row(self, capsys, d, F, policy, n):
+        argv = ["hashing", "--d", str(d), "--F", str(F), "--delta", policy, "--format", "json"]
+        code, out, _ = run_cli(capsys, argv + ["--n", str(n)])
+        assert code == 0
+        report = json.loads(out)
+        code, out, _ = run_cli(capsys, argv + ["--n-sweep", f"{n}:{n}"])
+        assert code == 0
+        (row,) = json.loads(out)
+        assert len(row) == 8 and row == {name: report[name] for name in row}
 
     def test_block_sweep_csv(self, capsys):
         code, out, _ = run_cli(

@@ -8,12 +8,10 @@ import pytest
 
 from quditpure import hashing
 from quditpure.hashing import (
-    HashingReport,
     asymptotic_yield,
     entropy_based,
     finite_size_columns,
     finite_size_report,
-    finite_size_sweep,
     isotropic_entropy,
     lemma1_montecarlo,
     min_fidelity,
@@ -158,8 +156,8 @@ class TestUniversalThreshold:
 
 
 def resolved_delta(policy, n=10):
-    """The margin delta that finite_size_sweep takes from ``policy`` at block size n."""
-    return finite_size_sweep(3, [n], 0.9, policy)[0].delta
+    """The margin delta that finite_size_columns takes from ``policy`` at block size n."""
+    return finite_size_columns(3, [n], 0.9, policy)["delta"][0]
 
 
 class TestResolveDelta:
@@ -171,8 +169,8 @@ class TestResolveDelta:
         assert resolved_delta("npow:-0.25", 16) == pytest.approx(0.5, abs=1e-15)
 
     def test_n_to_1(self):
-        report = finite_size_sweep(3, [10], 0.9, "n_to_1")[0]
-        assert report.delta == pytest.approx(0.5 * (0.9 - report.S), abs=1e-15)
+        report = finite_size_report(3, 10, 0.9, "n_to_1")
+        assert report["delta"] == pytest.approx(0.5 * (0.9 - report["S"]), abs=1e-15)
 
     def test_rejects_bad_policies(self):
         with pytest.raises(ValueError):
@@ -206,51 +204,53 @@ class TestFiniteSizeReport:
     def test_yield_crossing_near_n_43(self):
         """d=5, F=0.99, delta = n**(-1/5): the first block size with a
         positive distillable fraction is n = 43."""
-        assert finite_size_report(5, 42, 0.99, "npow:-0.2").yield_ == 0.0
+        assert finite_size_report(5, 42, 0.99, "npow:-0.2")["yield"] == 0.0
         report = finite_size_report(5, 43, 0.99, "npow:-0.2")
-        assert report.yield_ > 0.0
-        assert report.yield_ == pytest.approx(0.00283868173688151, abs=1e-10)
+        assert report["yield"] > 0.0
+        assert report["yield"] == pytest.approx(0.00283868173688151, abs=1e-10)
 
     def test_structural_identities(self):
         report = finite_size_report(3, 500, 0.97, 0.02)
-        assert report.r == math.ceil(500 * (report.S + 2 * 0.02) - 1e-12)
-        assert report.p2 == pytest.approx(3.0 ** (-500 * 0.02), abs=1e-15)
-        assert report.yield_raw == pytest.approx(1 - report.S - 2 * 0.02, abs=1e-14)
+        assert report["r"] == math.ceil(500 * (report["S"] + 2 * 0.02) - 1e-12)
+        assert report["p2"] == pytest.approx(3.0 ** (-500 * 0.02), abs=1e-15)
+        assert report["yield_raw"] == pytest.approx(1 - report["S"] - 2 * 0.02, abs=1e-14)
         # The raw concentration bound is about 1.76 at this n: p1_bound
         # reports it clamped to 1, and F_out_raw keeps the raw value.
-        assert report.p1_bound == 1.0
-        assert report.F_out_raw == pytest.approx(-0.7589165867560562, abs=1e-14)
-        assert report.F_out_bound == 0.0
+        assert report["p1_bound"] == 1.0
+        assert report["F_out_raw"] == pytest.approx(-0.7589165867560562, abs=1e-14)
+        assert report["F_out_bound"] == 0.0
         longer = finite_size_report(3, 5000, 0.97, 0.02)
-        assert 0.0 < longer.p1_bound < 1.0
-        assert longer.F_out_raw == pytest.approx(1 - longer.p1_bound - longer.p2, abs=1e-14)
+        assert 0.0 < longer["p1_bound"] < 1.0
+        assert longer["F_out_raw"] == pytest.approx(
+            1 - longer["p1_bound"] - longer["p2"], abs=1e-14
+        )
 
     def test_p2_spot_check(self):
-        assert finite_size_report(2, 100, 0.95, 0.1).p2 == 2.0**-10
+        assert finite_size_report(2, 100, 0.95, 0.1)["p2"] == 2.0**-10
 
     def test_pure_input_edge(self):
         """At F=1 the block is never atypical, so only collisions hurt."""
         report = finite_size_report(3, 50, 1.0, 0.05)
-        assert report.p1_bound == 0.0
-        assert report.F_out_bound == pytest.approx(1.0 - report.p2, abs=1e-14)
+        assert report["p1_bound"] == 0.0
+        assert report["F_out_bound"] == pytest.approx(1.0 - report["p2"], abs=1e-14)
 
     def test_n_to_1_feasible(self):
         report = finite_size_report(2, 10, 0.95, "n_to_1")
-        assert report.feasible
-        assert report.delta == pytest.approx(0.2671774589239929, abs=1e-12)
-        assert report.yield_ == pytest.approx(0.1, abs=1e-12)
-        assert report.r == 9
+        assert report["feasible"]
+        assert report["delta"] == pytest.approx(0.2671774589239929, abs=1e-12)
+        assert report["yield"] == pytest.approx(0.1, abs=1e-12)
+        assert report["r"] == 9
 
     def test_n_to_1_infeasible(self):
         report = finite_size_report(2, 10, 0.7, "n_to_1")
-        assert not report.feasible
-        assert report.delta < 0.0
-        assert report.yield_ == 0.0
-        assert report.p1_bound == 1.0 and report.p2 == 1.0
+        assert not report["feasible"]
+        assert report["delta"] < 0.0
+        assert report["yield"] == 0.0
+        assert report["p1_bound"] == 1.0 and report["p2"] == 1.0
 
     def test_f_out_monotone_in_n(self):
         bounds = [
-            finite_size_report(5, n, 0.99, "npow:-0.2").F_out_bound
+            finite_size_report(5, n, 0.99, "npow:-0.2")["F_out_bound"]
             for n in (50, 100, 200, 400, 800)
         ]
         assert all(b >= a for a, b in zip(bounds, bounds[1:]))
@@ -262,8 +262,8 @@ class TestFiniteSizeReport:
         target = asymptotic_yield(iso(5, F))
         for n in (10**4, 10**6):
             report = finite_size_report(5, n, F, "npow:-0.25")
-            assert target - report.yield_ == pytest.approx(
-                2 * report.delta, abs=1e-12
+            assert target - report["yield"] == pytest.approx(
+                2 * report["delta"], abs=1e-12
             )
 
     def test_minimal_usable_fidelity_decreases_with_d(self):
@@ -272,7 +272,7 @@ class TestFiniteSizeReport:
 
         def minimal_F(d):
             for F in np.arange(1 / d**2 + 0.01, 1.0, 0.002):
-                if finite_size_report(d, 10**4, float(F), "npow:-0.25").yield_ > 0:
+                if finite_size_report(d, 10**4, float(F), "npow:-0.25")["yield"] > 0:
                     return float(F)
             return 1.0
 
@@ -290,15 +290,9 @@ class TestFiniteSizeReport:
         with pytest.raises(ValueError):
             finite_size_report(2, 100, 1.1)
 
-    def test_report_is_frozen(self):
-        report = finite_size_report(2, 100, 0.95, 0.1)
-        assert isinstance(report, HashingReport)
-        with pytest.raises(AttributeError):
-            report.yield_ = 0.5
-
 
 class TestFiniteSizeSweep:
-    """The sweep is the one finite-size code path; a report is one of its rows."""
+    """The columns are the one finite-size code path; a report is one of their rows."""
 
     @pytest.mark.parametrize(
         "d, F, policy",
@@ -315,30 +309,32 @@ class TestFiniteSizeSweep:
     )
     def test_rows_equal_single_reports(self, d, F, policy):
         ns = [2, 3, 7, 10, 43, 99, 1000, 12345, 10**6]
-        sweep = finite_size_sweep(d, ns, F, policy)
-        assert len(sweep) == len(ns)
-        for n, row in zip(ns, sweep):
+        columns = finite_size_columns(d, ns, F, policy)
+        rows = list(zip(*columns.values()))
+        assert len(rows) == len(ns)
+        for n, row in zip(ns, rows):
             single = finite_size_report(d, n, F, policy)
-            for field in HashingReport._fields:
-                a, b = getattr(row, field), getattr(single, field)
+            assert list(single) == list(columns)
+            for field, a, b in zip(columns, row, single.values()):
                 assert type(a) is type(b) and a == b, (n, field, a, b)
-        assert any(not row.feasible for row in sweep) == (policy == "n_to_1" and F < 0.9)
+        assert (not all(columns["feasible"])) == (policy == "n_to_1" and F < 0.9)
 
     def test_empty_sweep(self):
-        assert finite_size_sweep(5, [], 0.9) == []
+        columns = finite_size_columns(5, [], 0.9)
+        assert len(columns) == 13 and all(column == [] for column in columns.values())
 
     def test_rejects_fractional_block_size(self):
         """10.5 is not a block size; it used to be truncated to n = 10."""
         with pytest.raises(ValueError, match="block size n must be an integer, got 10.5"):
             finite_size_report(5, 10.5, 0.9)
         with pytest.raises(ValueError, match="got 10.5"):
-            finite_size_sweep(5, [10, 10.5], 0.9)
+            finite_size_columns(5, [10, 10.5], 0.9)
 
     @pytest.mark.parametrize("n", [10.0, np.int64(10)])
     def test_accepts_integral_block_size(self, n):
         report = finite_size_report(5, n, 0.9)
         assert report == finite_size_report(5, 10, 0.9)
-        assert type(report.n) is int
+        assert type(report["n"]) is int
 
     @pytest.mark.parametrize(
         "d, ns, F, policy, message",
@@ -361,8 +357,6 @@ class TestFiniteSizeSweep:
 
         monkeypatch.setattr(hashing, "_columns", no_rows)
         with pytest.raises(ValueError, match=message):
-            finite_size_sweep(d, ns, F, policy)
-        with pytest.raises(ValueError, match=message):
             finite_size_columns(d, ns, F, policy)
         if min(ns) >= 2:
             with pytest.raises(ValueError, match=message):
@@ -380,8 +374,9 @@ def reference_delta(policy, S, n):
 
 
 def reference_sweep(d, ns, F, policy):
-    """finite_size_sweep one row at a time, as it was computed before it
-    worked by columns: Python floats and the math module throughout."""
+    """The rows of finite_size_columns one at a time, as they were computed
+    before they were worked out by columns: Python floats and the math
+    module throughout."""
     S = isotropic_entropy(d, F)
     if F >= 1.0:
         a = g = 0.0
@@ -392,15 +387,13 @@ def reference_sweep(d, ns, F, policy):
         lF = math.log(F) / log_d
         lt = math.log(tail) / log_d
         g = max(F * lF * lF + (1.0 - F) * lt * lt - S * S, 0.0) / a
-    reports = []
+    rows = []
     for n in ns:
         delta = reference_delta(policy, S, n)
         yield_raw = 1.0 - S - 2.0 * delta
         r = max(0, math.ceil(n * (S + 2.0 * delta) - 1e-12))
         if not delta > 0.0:
-            reports.append(HashingReport(
-                d, n, F, delta, S, r, 0.0, 1.0, 1.0, 0.0, yield_raw, -1.0, False
-            ))
+            rows.append((d, n, F, delta, S, r, 0.0, 1.0, 1.0, 0.0, yield_raw, -1.0, False))
             continue
         p2 = float(d) ** (-n * delta)
         if g <= 0.0:
@@ -409,11 +402,11 @@ def reference_sweep(d, ns, F, policy):
             exponent = -(n / a) * ((g + delta) * math.log1p(delta / g) - delta)
             p1 = 2.0 * math.exp(exponent)
         F_out_raw = 1.0 - p1 - p2
-        reports.append(HashingReport(
+        rows.append((
             d, n, F, delta, S, r, max(0.0, yield_raw), min(1.0, p1), p2,
             min(1.0, max(0.0, F_out_raw)), yield_raw, F_out_raw, True,
         ))
-    return reports
+    return rows
 
 
 # Short and long blocks, the n = 43 yield crossing, a float64 tie
@@ -448,14 +441,17 @@ class TestColumnsMatchScalarReference:
     def test_rows_match_reference(self, d, F, policy):
         ns = REFERENCE_NS
         columns = finite_size_columns(d, ns, F, policy)
-        assert list(columns) == list(HashingReport._fields)
-        rows = finite_size_sweep(d, ns, F, policy)
+        # The order of `hashing --n --format csv`'s columns.
+        assert list(columns) == [
+            "d", "n", "F", "delta", "S", "r", "yield", "p1_bound", "p2",
+            "F_out_bound", "yield_raw", "F_out_raw", "feasible",
+        ]
+        rows = zip(*columns.values())
         for n, row, ref in zip(ns, rows, reference_sweep(d, ns, F, policy), strict=True):
-            for field, a, b in zip(HashingReport._fields, row, ref):
+            for field, a, b in zip(columns, row, ref, strict=True):
                 assert type(a) is type(b) and a == b, (n, field, a, b)
                 if type(a) is float:
                     assert math.copysign(1.0, a) == math.copysign(1.0, b), (n, field, a, b)
-        assert [tuple(row) for row in rows] == list(zip(*columns.values()))
 
     def test_infeasible_rows_occur(self):
         feasible = finite_size_columns(2, REFERENCE_NS, 0.85, "n_to_1")["feasible"]
@@ -499,7 +495,7 @@ class TestLemma1MonteCarlo:
         assert a == b
 
     def test_rejects_small_trial_counts(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^trials must be at least 10000, got 100$"):
             lemma1_montecarlo(2, 8, trials=100)
 
     def test_rejects_composite_d(self):
@@ -507,7 +503,7 @@ class TestLemma1MonteCarlo:
             lemma1_montecarlo(4, 8)
 
     def test_rejects_bad_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^string half-length n must be at least 1, got 0$"):
             lemma1_montecarlo(2, 0)
 
     @pytest.mark.parametrize(

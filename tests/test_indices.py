@@ -13,6 +13,7 @@ from quditpure.indices import (
     bgxor_index_map,
     bqft_index_map,
     check_bell_index,
+    check_count,
     check_dimension,
     check_unit_interval,
     checked_power,
@@ -42,6 +43,13 @@ class TestDimensionChecks:
     def test_integral_values_become_plain_int(self, value):
         d = check_dimension(value)
         assert d == 3 and type(d) is int
+
+    def test_count_settings_share_one_check(self):
+        assert check_count(np.float64(7.0), "trials", 1) == 7
+        with pytest.raises(ValueError, match="^trials must be at least 1, got 0$"):
+            check_count(0, "trials", 1)
+        with pytest.raises(ValueError, match="^trials must be an integer, got 1.5$"):
+            check_count(1.5, "trials", 1)
 
     def test_dimension_has_no_upper_bound(self):
         """Scalar routes take any d; only array builders bound it."""

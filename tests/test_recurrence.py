@@ -664,6 +664,10 @@ class TestStopReason:
         with pytest.raises(ValueError, match="max_iters must be an integer"):
             run_protocol(P1P2, preset("isotropic", 5, 0.5), max_iters=max_iters)
 
+    def test_rejects_max_iters_below_one(self):
+        with pytest.raises(ValueError, match="^max_iters must be at least 1, got 0$"):
+            run_protocol(P1P2, preset("isotropic", 5, 0.5), max_iters=0)
+
 
 class TestRunProtocol:
     def test_protocol_names(self):
