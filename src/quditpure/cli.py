@@ -396,6 +396,10 @@ def main(argv=None) -> int:
         # A scalar route takes any d, until its float arithmetic overflows.
         print(f"error: input beyond float range: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # A matrix route allocates d x d arrays, which a large d cannot get.
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,4 @@
-"""Dense density-matrix ground truth for small systems.
+"""Ground truth for small systems, from literal gates on pure Bell-product inputs.
 
 Everything here works with explicit complex matrices and literal
 basis-state definitions: maximally entangled pairs are built as state
@@ -584,6 +584,8 @@ def run_checks(d_values: list[int], trials: int, seed: int) -> dict:
     ``pass`` covers only the checks that ran.  A repeated d is rejected:
     its checks would share names, so the report could list only one run."""
     d_values = [_check_pair_limit(d, 2) for d in d_values]
+    if not d_values:
+        raise ValueError("need at least one d value")
     if len(set(d_values)) != len(d_values):
         raise ValueError(f"d values must be distinct, got {d_values}")
     checks: dict[str, float] = {}

@@ -490,8 +490,6 @@ def yield_run(
     """
     if not 0.0 < F_target < 1.0:
         raise ValueError(f"F_target must be in (0, 1), got {F_target}")
-    if state.fidelity >= F_target:
-        return 1.0
     traj = run_protocol(
         protocol, state, noise, epsilon=1.0 - F_target, max_iters=10_000
     )

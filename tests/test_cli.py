@@ -854,6 +854,18 @@ class TestOversizedInputs:
         assert err.startswith("error:") and err.count("\n") == 1
         assert phrase in err
 
+    def test_memory_error_exits_2_with_one_line_error(self, capsys, monkeypatch):
+        """A d whose d x d arrays cannot be allocated reports it, not a traceback."""
+        message = "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "make_preset", no_memory)
+        code, out, err = run_cli(capsys, ["recurrence-run", "--d", "100000", "--F", "0.9"])
+        assert code == 2 and out == ""
+        assert err == f"error: out of memory: {message}\n"
+
     @pytest.mark.parametrize(
         "argv, expected",
         [

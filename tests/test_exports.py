@@ -1,8 +1,13 @@
-"""Every exported name exists, and the package re-exports only exported names."""
+"""Every exported name exists, and the package root is the union of the
+library modules' export lists."""
 
-import ast
+import collections
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -10,6 +15,12 @@ import pytest
 import quditpure
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(quditpure.__path__))
+# The modules whose names the root re-exports; oracle and cli stay modules.
+ROOT_MODULES = ["indices", "states", "recurrence", "hashing", "multipartite"]
+
+
+def exported(module):
+    return importlib.import_module(f"quditpure.{module}").__all__
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -18,17 +29,29 @@ def test_every_exported_name_is_bound(module):
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
-def test_package_imports_only_exported_names():
-    tree = ast.parse(Path(quditpure.__file__).read_text())
-    imports = [
-        (node.module, alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    ]
-    assert imports
-    stale = [
-        f"{module}.{name}" for module, name in imports
-        if name not in importlib.import_module(f"quditpure.{module}").__all__
-    ]
-    assert stale == []
+def test_root_names_are_the_union_of_module_exports():
+    public = {
+        name for name, value in vars(quditpure).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == {name for module in ROOT_MODULES for name in exported(module)}
+
+
+def test_no_name_is_exported_by_two_root_modules():
+    """A later star import would silently shadow an earlier one."""
+    counts = collections.Counter(name for module in ROOT_MODULES for name in exported(module))
+    assert [name for name, n in counts.items() if n > 1] == []
+
+
+def test_root_import_leaves_oracle_and_cli_unloaded():
+    code = (
+        "import sys, quditpure; "
+        "print(sorted(m for m in ('quditpure.oracle', 'quditpure.cli') if m in sys.modules))"
+    )
+    src = str(Path(quditpure.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert result.stdout == "[]\n"

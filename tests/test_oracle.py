@@ -151,6 +151,14 @@ class TestRunChecks:
         with pytest.raises(ValueError, match=r"d values must be distinct, got \[2, 3, 2\]"):
             oracle.run_checks([2, 3, 2.0], trials=1, seed=0)
 
+    def test_rejects_empty_d_list_before_any_check(self, monkeypatch):
+        def no_checks(*args, **kwargs):
+            raise AssertionError("a check ran on an empty d list")
+
+        monkeypatch.setattr(oracle, "verify_bell_index_maps", no_checks)
+        with pytest.raises(ValueError, match="need at least one d value"):
+            oracle.run_checks([], trials=1, seed=0)
+
 
 def random_unitary(n, rng):
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))

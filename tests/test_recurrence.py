@@ -733,6 +733,16 @@ class TestYieldRun:
         with pytest.raises(ValueError):
             yield_run(P1P2, preset("isotropic", 2, 0.8), F_target=1.0)
 
+    def test_rejects_unknown_protocol_at_target(self):
+        """The protocol is checked even when no round needs to run."""
+        with pytest.raises(ValueError, match="unknown protocol 'nope'"):
+            yield_run("nope", preset("isotropic", 3, 0.9999))
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_every_protocol_yields_one_at_target(self, protocol):
+        assert yield_run(protocol, preset("isotropic", 3, 0.9999)) == 1.0
+        assert yield_run(protocol, preset("isotropic", 3, 0.999)) == 1.0
+
 
 class TestPurifiability:
     @pytest.mark.parametrize("d", [2, 3, 5, 7])
