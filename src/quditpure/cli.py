@@ -373,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(handler=cmd_ghz)
 
-    p = sub.add_parser("oracle-check", help="dense-simulation validation suite")
+    p = sub.add_parser("oracle-check", help="round and label maps against literal gates")
     p.add_argument("--d", default="2,3", help="dimensions, e.g. 2,3")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=12345)

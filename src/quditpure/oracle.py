@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,14 @@ PSD_TOL = -1e-9
 
 def _omega(d: int) -> complex:
     return np.exp(2j * math.pi / d)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two 1-D or two 2-D arrays: one broadcast multiply, the same elements."""
+    out = np.multiply.outer(a, b)
+    if out.ndim == 4:
+        out = out.transpose(0, 2, 1, 3)
+    return out.reshape(np.multiply(a.shape, b.shape))
 
 
 def bell_vector(d: int, phase: int, amplitude: int) -> np.ndarray:
@@ -210,7 +219,7 @@ def build_bell_pairs(coeffs: CoeffMatrix, pairs: int) -> DenseState:
     rho_pair = bell_diagonal_density(coeffs)
     rho = rho_pair
     for _ in range(pairs - 1):
-        rho = np.kron(rho, rho_pair)
+        rho = _kron(rho, rho_pair)
     return DenseState(d=d, pairs=pairs, rho=rho).check()
 
 
@@ -232,7 +241,7 @@ def _gxor_permutation(d: int, copies: int, parties: int = 2) -> np.ndarray:
 def _bilateral_qft(d: int) -> np.ndarray:
     """kron(QFT on A, conjugate QFT on B): the bilateral Fourier gate on one copy."""
     Q = qft_matrix(d)
-    return np.kron(Q, Q.conj())
+    return _kron(Q, Q.conj())
 
 
 def _postselect_even(rho: np.ndarray, d: int, pairs: int) -> tuple[np.ndarray, float]:
@@ -292,7 +301,7 @@ def simulate_recurrence_step(
     state._check_shape()
     rho = state.rho
     if variant == "P2":
-        B = functools.reduce(np.kron, (_bilateral_qft(d),) * pairs)
+        B = functools.reduce(_kron, (_bilateral_qft(d),) * pairs)
         rho = B @ rho @ B.conj().T
     perm = _gxor_permutation(d, pairs)
     sigma, prob = _postselect_even(rho[np.ix_(perm, perm)], d, pairs)
@@ -325,7 +334,7 @@ def depolarize_oracle(state: CoeffMatrix, retention: float) -> CoeffMatrix:
     d = state.d
     rho = bell_diagonal_density(state)
     eye = np.eye(d)
-    acc = _pauli_sum(rho, d, lambda P: np.kron(eye, P))
+    acc = _pauli_sum(rho, d, lambda P: _kron(eye, P))
     mixed = retention * rho + (1.0 - retention) / (d * d) * acc
     return CoeffMatrix(_extract_coefficients(mixed, d))
 
@@ -350,7 +359,7 @@ def verify_depolarization_identity(d: int, trials: int = 5, seed: int = 0) -> fl
         rho = G @ G.conj().T
         rho /= np.trace(rho).real
         before = _extract_coefficients(rho, d).reshape(-1)
-        acc = _pauli_sum(rho, d, lambda P: np.kron(P, P.conj()))
+        acc = _pauli_sum(rho, d, lambda P: _kron(P, P.conj()))
         acc /= d * d
         C = B.conj().T @ acc @ B
         after = np.diag(C).real
@@ -409,12 +418,10 @@ def verify_mgxor_index_map(d: int) -> bool:
     digits[1:] = -digits[1:] % d
     W = G[:, np.ravel_multi_index(digits, dims)] @ G.conj().T
 
-    # Column c * d**N + t of a product holds the input pair (c, t); the
-    # trilateral gate acts on copy-major qudits A1, B1, C1, A2, B2, C2.
-    vout = np.kron(G, W @ G)[_gxor_permutation(d, 2, N)]
+    # The trilateral gate acts on copy-major qudits A1, B1, C1, A2, B2, C2.
     labels = [(label[0], label[1:]) for label in np.ndindex(dims)]
     cols = _mapped_columns(labels, lambda c, t: ghz_pair_index_map(c, t, d))
-    return bool((_overlap_error(np.kron(G, G)[:, cols], vout) <= CHECK_TOL).all())
+    return bool(_pair_map_error(G, W @ G, _gxor_permutation(d, 2, N), cols) <= CHECK_TOL)
 
 
 def _mapped_columns(labels: list, pair_map) -> np.ndarray:
@@ -440,6 +447,30 @@ def _overlap_error(expected: np.ndarray, actual: np.ndarray) -> np.ndarray:
     return np.abs(np.abs(np.vecdot(expected, actual, axis=0)) - 1.0)
 
 
+def _pair_map_error(
+    basis: np.ndarray, second: np.ndarray, perm: np.ndarray, cols: np.ndarray
+) -> float:
+    """Largest :func:`_overlap_error` of a two-copy gate against a label map.
+
+    Input pair i = c * n + t is kron(basis[:, c], second[:, t]); the gate
+    sends it to that vector's rows ``perm``, and the map predicts column
+    cols[i] of kron(basis, basis).  Both are built for one control label c
+    (n columns) at a time, each element the product kron forms, so no
+    n**2 x n**2 matrix is held.  The blocks are C-ordered, so np.vecdot
+    strides each column as it would in the full matrix and gives the same
+    sums.
+    """
+    n = len(basis)
+    gate_a, gate_b = basis[perm // n], second[perm % n]
+    worst = []
+    for c in range(n):
+        pc, pt = np.divmod(cols[c * n : (c + 1) * n], n)
+        expected = np.multiply(basis[:, None, pc], basis[None, :, pt], order="C")
+        actual = gate_a[:, c, None] * gate_b
+        worst.append(_overlap_error(expected.reshape(n * n, n), actual).max())
+    return float(np.max(worst))
+
+
 def verify_bell_index_maps(d: int) -> dict[str, float]:
     """Max projector deviation of the label maps from unitary conjugation.
 
@@ -461,13 +492,10 @@ def verify_bell_index_maps(d: int) -> dict[str, float]:
     d = _check_pair_limit(d, 2)
     devs = {"bgxor": 0.0, "bqft": 0.0, "pauli": 0.0}
 
-    # Column c * d**2 + t of a product holds the input pair (c, t).
     B = bell_basis(d)
-    BB = np.kron(B, B)
-    vout = BB[_gxor_permutation(d, 2)]
     labels = list(np.ndindex(d, d))
     cols = _mapped_columns(labels, lambda c, t: bgxor_index_map(c, t, d))
-    devs["bgxor"] = float(_overlap_error(BB[:, cols], vout).max())
+    devs["bgxor"] = _pair_map_error(B, B, _gxor_permutation(d, 2), cols)
 
     BQ = _bilateral_qft(d)
     for m in range(d):
@@ -479,7 +507,7 @@ def verify_bell_index_maps(d: int) -> dict[str, float]:
 
     eye = np.eye(d)
     for a, b in labels:
-        vout = np.kron(eye, pauli_matrix(d, a, b)) @ B
+        vout = _kron(eye, pauli_matrix(d, a, b)) @ B
         cols = [m * d + n for m, n in (pauli_on_bell(a, b, label, d) for label in labels)]
         devs["pauli"] = max(devs["pauli"], float(_overlap_error(B[:, cols], vout).max()))
     return devs
@@ -566,7 +594,7 @@ def recurrence_map_deviation(
     worst_prob = 0.0
     for _ in range(trials):
         state = random_state(d, rng)
-        out = functools.reduce(np.kron, (state.alpha.reshape(-1),) * pairs) @ T
+        out = functools.reduce(_kron, (state.alpha.reshape(-1),) * pairs) @ T
         prob = float(out.sum())
         fast_state, fast_prob = fast_map(state)
         worst_state = max(
@@ -588,6 +616,8 @@ def run_checks(d_values: list[int], trials: int, seed: int) -> dict:
         raise ValueError("need at least one d value")
     if len(set(d_values)) != len(d_values):
         raise ValueError(f"d values must be distinct, got {d_values}")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     checks: dict[str, float] = {}
     mgxor_ok = None
     for d in d_values:

@@ -914,12 +914,14 @@ class TestInputErrors:
             (["hashing", "--n", "100", "--d", "5"], "finite-size hashing needs --d and --F"),
             (["oracle-check", "--d", "2", "--format", "csv"],
              "oracle-check writes only JSON, not --format csv"),
+            (["oracle-check", "--d", "2", "--seed", "-1"],
+             "seed must be a non-negative integer, got -1"),
         ],
         ids=["d_range_reversed", "N_list_empty", "F_grid_empty", "F_grid_blank",
              "primes_no_range", "primes_none",
              "F_grid_two_parts", "F_grid_count_0", "n_sweep_one_part", "n_sweep_reversed",
              "fmin_no_d", "threshold_no_d", "threshold_composite", "n_no_F",
-             "oracle_csv"],
+             "oracle_csv", "oracle_negative_seed"],
     )
     def test_exits_2_with_one_line_error(self, capsys, argv, phrase):
         code, out, err = run_cli(capsys, argv)

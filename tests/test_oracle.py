@@ -8,6 +8,7 @@ import functools
 import itertools
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,33 @@ def loop_bell_basis(d):
                 v[r * d + (r - n) % d] = w ** (m * r)
             B[:, m * d + n] = v / math.sqrt(d)
     return B
+
+
+def swap_copies(control, target, d):
+    return target, control
+
+
+def wrong_on_last_pair(pair_map, last):
+    """``pair_map``, except that the label pair ``last`` gets its control's
+    next phase: an orthogonal output for that pair alone."""
+
+    def wrong(control, target, d):
+        (phase, rest), new_target = pair_map(control, target, d)
+        if (control, target) == last:
+            phase = (phase + 1) % d
+        return (phase, rest), new_target
+
+    return wrong
+
+
+def traced_peak(call):
+    """Peak traced memory, in bytes, while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestBasisConstruction:
@@ -158,6 +186,37 @@ class TestRunChecks:
         monkeypatch.setattr(oracle, "verify_bell_index_maps", no_checks)
         with pytest.raises(ValueError, match="need at least one d value"):
             oracle.run_checks([], trials=1, seed=0)
+
+    def test_rejects_negative_seed_before_any_check(self, monkeypatch):
+        def no_checks(*args, **kwargs):
+            raise AssertionError("a check ran with a negative seed")
+
+        monkeypatch.setattr(oracle, "verify_bell_index_maps", no_checks)
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+            oracle.run_checks([2], trials=1, seed=-1)
+
+
+class TestLabelMapMemory:
+    """The label-map checks build their products one control label at a
+    time, so none holds an n**2 x n**2 matrix: 625 x 625 complex at d = 5
+    (6.0 MiB) and 729 x 729 at d = 3 with three parties (8.1 MiB).  One
+    untraced call first keeps one-time set-up, such as lazy imports, out of
+    the peak; the cleared cache makes the traced call build the transfer
+    tensors again."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: oracle.verify_bell_index_maps(5),
+            lambda: oracle.verify_mgxor_index_map(3),
+            lambda: oracle.run_checks([2, 3, 5], 5, 0),
+        ],
+        ids=["bell_d5", "mgxor_d3", "run_checks"],
+    )
+    def test_peak_memory_below_4_mib(self, call):
+        call()
+        oracle._transfer.cache_clear()
+        assert traced_peak(call) < 4 * 2**20
 
 
 def random_unitary(n, rng):
@@ -309,6 +368,21 @@ class TestGateKernels:
             oracle._gxor_permutation(d, pairs), loop_gxor_permutation(d, pairs)
         )
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (random_state(3, np.random.default_rng(4)).alpha.reshape(-1),) * 2,
+            (oracle.pauli_matrix(3, 1, 2), oracle.pauli_matrix(3, 1, 2).conj()),
+            (np.eye(5), oracle.pauli_matrix(5, 2, 3)),
+        ],
+        ids=["weights", "pauli_conj", "eye_pauli"],
+    )
+    def test_kron_matches_numpy_bit_for_bit(self, a, b):
+        expected = np.kron(a, b)
+        got = oracle._kron(a, b)
+        assert (got.shape, got.dtype) == (expected.shape, expected.dtype)
+        assert got.tobytes() == expected.tobytes()
+
 
 class TestPackaging:
     def test_numpy_floor_has_vecdot(self):
@@ -359,13 +433,33 @@ class TestIndexMapValidation:
             oracle.verify_bell_index_maps(7)
 
     def test_wrong_gxor_map_is_detected(self, monkeypatch):
-        """A label map that disagrees with the gate shows as a deviation."""
-
-        def swapped(control, target, d):
-            return target, control
-
-        monkeypatch.setattr(oracle, "bgxor_index_map", swapped)
+        """A label map that disagrees with the gate shows as a deviation:
+        one that swaps the copies at d = 2, and one wrong only for the last
+        label pair at d = 3, which falls in the last of nine blocks (one per
+        control label)."""
+        exact = oracle.bgxor_index_map
+        monkeypatch.setattr(oracle, "bgxor_index_map", swap_copies)
         assert oracle.verify_bell_index_maps(2)["bgxor"] > 0.5
+        last = wrong_on_last_pair(exact, ((2, 2), (2, 2)))
+        monkeypatch.setattr(oracle, "bgxor_index_map", last)
+        assert oracle.verify_bell_index_maps(3)["bgxor"] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_blocks_score_as_full_kron(self, monkeypatch, d):
+        """Block by block, the bgxor check scores every column bit for bit as
+        the full Kronecker products of the basis do."""
+        B = oracle.bell_basis(d)
+        labels = list(np.ndindex(d, d))
+        cols = oracle._mapped_columns(labels, lambda c, t: oracle.bgxor_index_map(c, t, d))
+        perm = oracle._gxor_permutation(d, 2)
+        full = oracle._overlap_error(np.kron(B, B)[:, cols], np.kron(B, B)[perm])
+        blocks = []
+        score = oracle._overlap_error
+        monkeypatch.setattr(
+            oracle, "_overlap_error", lambda e, a: blocks.append(score(e, a)) or blocks[-1]
+        )
+        assert oracle._pair_map_error(B, B, perm, cols) == full.max()
+        assert np.concatenate(blocks).tobytes() == full.tobytes()
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_wrong_pauli_map_is_detected(self, monkeypatch, d):
@@ -601,8 +695,12 @@ class TestGhzGate:
             oracle.verify_mgxor_index_map(5)
 
     def test_wrong_map_is_detected(self, monkeypatch):
-        def swapped(control, target, d):
-            return target, control
-
-        monkeypatch.setattr(oracle, "ghz_pair_index_map", swapped)
+        """Swapped copies at d = 2, and a map wrong only for the last label
+        pair at d = 3, which falls in the last of 27 blocks (one per control
+        label)."""
+        exact = oracle.ghz_pair_index_map
+        monkeypatch.setattr(oracle, "ghz_pair_index_map", swap_copies)
         assert not oracle.verify_mgxor_index_map(2)
+        last = wrong_on_last_pair(exact, ((2, (2, 2)), (2, (2, 2))))
+        monkeypatch.setattr(oracle, "ghz_pair_index_map", last)
+        assert not oracle.verify_mgxor_index_map(3)
