@@ -221,18 +221,15 @@ def cmd_thresholds(args) -> str:
     recurrence.check_scan_settings(args.grid, args.iterations, args.q_tol)
     d_values = _parse_d_range(args.d_range)
     check_unit_interval(args.Q, "retention Q")  # before any lane runs
-    rows = []
-    for d in d_values:
-        if protocol == recurrence.BBPSSW:
-            q_th = recurrence.bbpssw_threshold(d)
-            regime = recurrence.bbpssw_fixed_points(d, args.Q)
-        else:
-            scan = {"grid": args.grid, "iterations": args.iterations}
-            q_th = recurrence.noise_threshold(protocol, d, args.preset, q_tol=args.q_tol, **scan)
-            regime = recurrence.regime_scan(protocol, d, args.Q, args.preset, **scan)
-        rows.append(
-            (d, protocol, args.Q, q_th, regime.F_min, regime.F_max, regime.purifiable)
-        )
+    if protocol == recurrence.BBPSSW:
+        table = [(recurrence.bbpssw_threshold(d), recurrence.bbpssw_fixed_points(d, args.Q))
+                 for d in d_values]
+    else:
+        table = recurrence.threshold_table(protocol, d_values, args.Q, args.preset,
+                                           q_tol=args.q_tol, grid=args.grid,
+                                           iterations=args.iterations)
+    rows = [(d, protocol, args.Q, q_th, regime.F_min, regime.F_max, regime.purifiable)
+            for d, (q_th, regime) in zip(d_values, table)]
     header = ["d", "protocol", "Q", "Q_th", "F_min", "F_max", "purifiable"]
     return _table(args.format, header, rows)
 

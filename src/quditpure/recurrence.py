@@ -61,6 +61,7 @@ __all__ = [
     "regime_scan",
     "run_protocol",
     "three_copy_map",
+    "threshold_table",
     "yield_run",
 ]
 
@@ -249,10 +250,10 @@ def _phase_power(a: np.ndarray, copies: int) -> np.ndarray:
     return out
 
 
-def _conv_round(a: np.ndarray, d: int, copies: int, adaptive: bool):
+def _conv_round(a: np.ndarray, dims, copies: int, adaptive: bool):
     """Normalized weights, success probability and ``rows`` of a round on
     ``copies`` copies of ``a``: ``adaptive`` with phase errors dominating runs it
-    along rows (the Fourier-conjugated round).  ``d`` is unused (one conv signature)."""
+    along rows (the Fourier-conjugated round).  ``dims`` is unused (one conv signature)."""
     rows = adaptive and _phase_dominates(a)
     if rows:
         a = np.ascontiguousarray(a.T)
@@ -409,6 +410,13 @@ def bbpssw_threshold_asymptote(d: int) -> float:
     return math.sqrt(2.0) * d ** (-0.25)
 
 
+def _constants(d, Q):
+    """A round's r = Q**2, (1 - r) / d**2, d**2 - 1, d - 1.0 and d - 2.0.  d * d
+    is exact for an int d and integer lane arrays: lanes get a scalar's floats."""
+    r = Q * Q
+    return r, (1.0 - r) / (d * d), d * d - 1, d - 1.0, d - 2.0
+
+
 def _round(protocol: str, d: int, Q: float, conv):
     """Check a run's protocol and retention Q once and return its noisy
     round on bare weights, ``a -> (label, weights, prob)``: on the d x d
@@ -416,19 +424,27 @@ def _round(protocol: str, d: int, Q: float, conv):
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     check_unit_interval(Q, "retention")
+    advance, k = _noisy_round(protocol, conv), _constants(d, Q)
+    return lambda a: advance(a, k)
+
+
+def _noisy_round(protocol: str, conv):
+    """:func:`_round` as ``(a, k) -> (label, weights, prob)``, on the
+    :func:`_constants` ``k``: scalars, or lane arrays for sector lanes."""
     copies = 3 if protocol == THREE_COPY else 2
     adaptive = protocol in (P1P2, THREE_COPY)
 
-    def advance(a):
+    def advance(a, k):
+        r, mix, errors, dm1, dm2 = k
         if protocol == BBPSSW:
             # The twirl protocol lives on isotropic states; twirling the input
             # is a no-op once the iteration is underway.
-            a = twirled(a, d)
-        a, prob, rows = conv(depolarized(a, Q * Q, d), d, copies, adaptive)
+            a = twirled(a, errors)
+        a, prob, rows = conv(r * a + mix, (dm1, dm2), copies, adaptive)  # depolarized
         if protocol == DEJMPS:
             a = a.swapaxes(0, 1)
         elif protocol == BBPSSW:
-            a = twirled(a, d)
+            a = twirled(a, errors)
         return (P2 if rows else P1) if protocol == P1P2 else protocol, a, prob
 
     return advance
@@ -496,7 +512,7 @@ def yield_run(
     return traj.cumulative_yield if traj.reached_target else 0.0
 
 
-def _sector_conv(s: np.ndarray, d: int, copies: int, adaptive: bool):
+def _sector_conv(s: np.ndarray, dims, copies: int, adaptive: bool):
     """The convolution of :func:`_round` on the preset sector, at one cost for every d.
 
     A sector matrix has x on the rest of row 0, z on the rest of column 0
@@ -506,65 +522,109 @@ def _sector_conv(s: np.ndarray, d: int, copies: int, adaptive: bool):
     and DEJMPS, and the twirl.  The adaptive round picks P2 exactly when
     z > x, a swap F cannot see, so ``adaptive`` keeps z <= x instead.  Each
     lane is bit-identical to a one-lane run, so powers are plain products
-    (``**`` rounds differently on a lane array); returns ``(s, prob, False)``.
+    (``**`` rounds differently on a lane array); ``dims`` is (d - 1.0, d - 2.0),
+    floats or lane arrays.  Returns ``(s, prob, False)``.
     """
+    dm1, dm2 = dims
     if adaptive:
         s[0, 1], s[1, 0] = np.maximum(s[0, 1], s[1, 0]), np.minimum(s[0, 1], s[1, 0])
     # P1 on both column classes: column 0 is (F, z), the others (x, w).  A
     # column [a, b, ..., b] keeps that form under convolution, so its power
     # is the pair (u, v), and prob sums each column's sum to the copies.
     top, rest = s
-    wide = (d - 1.0) * rest
+    wide = dm1 * rest
     c = top + wide
     u, v = top, rest
     for _ in range(copies - 1):
-        u, v = u * top + v * wide, u * rest + v * top + (d - 2.0) * v * rest
+        u, v = u * top + v * wide, u * rest + v * top + dm2 * v * rest
     cpow = c
     for _ in range(copies - 2):
         cpow = cpow * c
-    prob = c[0] * cpow[0] + (d - 1.0) * c[1] * cpow[1]
+    prob = c[0] * cpow[0] + dm1 * c[1] * cpow[1]
     s = np.array((u, v))
     s /= prob
     return s, prob, False
 
 
 def _lanes_improve(
-    protocol: str, d: int, Q: float, preset_kind: str, F0: np.ndarray, iterations: int,
+    protocol: str, d: np.ndarray, Q: np.ndarray, preset_kind: str, F0: np.ndarray, iterations: int,
 ) -> np.ndarray:
-    """Whether iterating the protocol from each initial fidelity in F0
-    gains ground.  Each lane starts on the preset as :func:`make_preset`
-    builds it, with the preset's default x_weight, and follows the stall
-    rule of :func:`run_protocol`; a lane leaves the block once it stalls.
+    """Whether iterating the protocol from each initial fidelity in F0 gains
+    ground, each lane at its own integer d and retention Q (arrays aligned
+    with F0).  Each lane starts on the preset as :func:`make_preset` builds
+    it, with the preset's default x_weight, and follows the stall rule of
+    :func:`run_protocol`; a stalled lane leaves the block with its constants.
     """
-    preset = StatePreset(preset_kind, 1.0)  # the preset's own validation
-    s = preset_block(preset_kind, d, F0, preset.x_weight)
+    s = np.asarray(preset_block(preset_kind, d, F0, StatePreset.x_weight), float)
+    # Constants every lane shares stay scalars: a block of one d and one Q then
+    # runs at the cost of scalar constants (lane arrays made it 17% slower).
+    table = np.array(_constants(d, Q), float)
+    k = [c if varies else c[0] for c, varies in zip(table, table.min(1) < table.max(1))]
     final = F0.copy()
     lanes = np.arange(F0.size)
     stall = np.zeros(F0.size, dtype=int)
-    advance = _round(protocol, d, Q, _sector_conv)
+    advance = _noisy_round(protocol, _sector_conv)
     for _ in range(iterations):
         F = s[0, 0]
-        _, s, _ = advance(s)
+        _, s, _ = advance(s, k)
         stall = _stall_count(stall, s[0, 0], F)
         done = stall >= STALL_RUNS
         if np.count_nonzero(done):
             final[lanes[done]] = s[0, 0, done]
             keep = ~done
             s, lanes, stall = s[..., keep], lanes[keep], stall[keep]
+            k = [c[keep] if isinstance(c, np.ndarray) else c for c in k]
             if not lanes.size:
                 break
     final[lanes] = s[0, 0]
     return final > F0 + IMPROVE_TOL
 
 
-def _bisect(improves, bad: float, good: float, tol: float, levels: int) -> float:
-    """Bisect the edge between a failing and an improving value.
+# Lanes per _lanes_improve block of _lockstep.  A block's numpy calls, more
+# than its lanes, set its time: in three interleaved sessions on a 2-CPU VM the
+# benchmark's scan tables took 0.49-0.50 of their one-call-at-a-time time at
+# 1900 (three Q levels of 128 lanes), 0.39-0.65 at 1400, 0.72-0.78 at 900 and
+# 0.70-0.71 at 2600 (four levels).
+_LANE_BUDGET = 1900
 
-    ``improves`` maps an array of values to one verdict each.  It gets the
-    midpoints of the next ``levels`` sequential steps at once, as a tree
-    in level order (node i has children 2i + 1 if its midpoint fails,
-    2i + 2 if it improves), computed as the sequential steps compute them;
-    the walk follows the verdicts, so the result is sequential bisection's.
+
+def _lockstep(scans: list, protocol: str, preset_kind: str, iterations: int) -> list:
+    """Run step-form scans, which yield lane requests ``(d, Q, F0)`` (Q like F0)
+    and are sent the verdicts, and return their results.  Each round, one
+    :func:`_lanes_improve` block takes the pending requests in scan order up
+    to ``_LANE_BUDGET`` lanes, or the first alone; a lane's verdict does not
+    depend on its block.  This module's scans raise only on first verdicts,
+    which come in scan order, so the error is the one sequential runs raise."""
+    results, pending, sends = [None] * len(scans), {}, dict.fromkeys(range(len(scans)))
+    while sends:
+        for i, verdicts in sends.items():
+            try:
+                pending[i] = scans[i].send(verdicts)
+            except StopIteration as stop:
+                results[i] = stop.value
+        order = sorted(pending)
+        ends = np.cumsum([pending[i][1].size for i in order], dtype=int)
+        block = order[:max(1, np.searchsorted(ends, _LANE_BUDGET, side="right"))]
+        if not block:
+            break
+        ds, Qs, F0s = zip(*(pending.pop(i) for i in block))
+        # int64 d keeps d * d exact up to d = 3_037_000_499; Python ints beyond.
+        d = np.repeat(np.array(ds, int if max(ds) ** 2 < 2**63 else object), [Q.size for Q in Qs])
+        ok = _lanes_improve(protocol, d, np.concatenate(Qs), preset_kind, np.concatenate(F0s),
+                            iterations)
+        sends = dict(zip(block, np.split(ok, ends[:len(block) - 1])))
+    return results
+
+
+def _bisect(improves, bad: float, good: float, tol: float, levels: int):
+    """Bisect the edge between a failing and an improving value, in step form.
+
+    ``improves``, in step form too, maps an array of values to one verdict
+    each.  It gets the midpoints of the next ``levels`` sequential steps at
+    once, as a tree in level order (node i has children 2i + 1 if its
+    midpoint fails, 2i + 2 if it improves), computed as the sequential steps
+    compute them; the walk follows the verdicts, so the result is sequential
+    bisection's.
     """
     n = 2**levels - 1
     while abs(good - bad) > tol:
@@ -574,7 +634,7 @@ def _bisect(improves, bad: float, good: float, tol: float, levels: int) -> float
             lo += [mid, lo[i]]
             hi += [hi[i], mid]
         mids = 0.5 * (np.array(lo) + np.array(hi))
-        ok = improves(mids)
+        ok = yield from improves(mids)
         i = 0
         while i < n and abs(good - bad) > tol:
             if ok[i]:
@@ -596,12 +656,36 @@ def check_scan_settings(grid: int, iterations: int, q_tol: float | None = None):
     return grid, iterations
 
 
-def _scan_grid(d, grid: int, iterations: int, q_tol: float | None = None):
+def _scan_grid(protocol, d, Q, preset_kind, grid, iterations, q_tol=None):
     """Check a scan's arguments; return d, the initial fidelities, from just
     above 1/d**2 to just below 1, and the iteration count."""
     d = check_dimension(d)
     grid, iterations = check_scan_settings(grid, iterations, q_tol)
+    StatePreset(preset_kind, 1.0)  # the preset's own validation
+    _round(protocol, d, Q, _sector_conv)  # the round's checks of protocol and Q
     return d, np.linspace(1.0 / (d * d) + 1e-9, 1.0 - 1e-6, grid), iterations
+
+
+def _regime_steps(d: int, Q: float, Fs: np.ndarray):
+    """Step form of :func:`regime_scan` on its checked arguments."""
+
+    def improves(F0):
+        return (yield d, np.full(F0.size, Q), F0)
+
+    ok = yield from improves(Fs)
+    hits = np.flatnonzero(ok)
+    if not hits.size:
+        return _no_regime(d)
+
+    hit = hits[np.argmin(np.abs(hits - Fs.size // 2))]
+    fails = np.flatnonzero(~ok)
+    i = np.searchsorted(fails, hit)
+
+    # One 31-lane request holds every midpoint of an edge's next five steps.
+    edge = functools.partial(_bisect, improves, tol=REFINE_TOL, levels=5)
+    F_min = (yield from edge(Fs[fails[i - 1]], Fs[fails[i - 1] + 1])) if i else Fs[0]
+    F_max = (yield from edge(Fs[fails[i]], Fs[fails[i] - 1])) if i < fails.size else 1.0
+    return PurificationRegime(F_min=F_min, F_max=F_max, purifiable=True)
 
 
 def regime_scan(
@@ -620,32 +704,32 @@ def regime_scan(
     mid-range fidelities, so the purifiable point nearest the middle
     (the lower one on ties) picks the interval; the nearest failing point
     on each side brackets its edge, and bisection sharpens each edge to
-    ``REFINE_TOL``.  The convergence test iterates the noisy protocol up
-    to ``iterations`` rounds with the stall rule of :func:`run_protocol`,
-    on the preset sector (see :func:`_sector_conv`), so it costs the
-    same at any d.
+    ``REFINE_TOL``, five steps per lane block.  The convergence test
+    iterates the noisy protocol up to ``iterations`` rounds with the stall
+    rule of :func:`run_protocol`, on the preset sector (see
+    :func:`_sector_conv`), so it costs the same at any d.
     For the twirl protocol the edges agree with
     :func:`bbpssw_fixed_points` to bisection accuracy.
     """
-    d, Fs, iterations = _scan_grid(d, grid, iterations)
+    d, Fs, iterations = _scan_grid(protocol, d, Q, preset_kind, grid, iterations)
+    return _lockstep([_regime_steps(d, Q, Fs)], protocol, preset_kind, iterations)[0]
 
-    def improves(Fs: np.ndarray) -> np.ndarray:
-        return _lanes_improve(protocol, d, Q, preset_kind, Fs, iterations)
 
-    ok = improves(Fs)
-    hits = np.flatnonzero(ok)
-    if not hits.size:
-        return _no_regime(d)
+def _threshold_steps(protocol: str, d: int, preset_kind: str, Fs: np.ndarray, q_tol: float):
+    """Step form of :func:`noise_threshold` on its checked arguments."""
+    # As many bisection levels as (2**levels - 1) grids fit into the lane budget.
+    levels = max(1, (_LANE_BUDGET // Fs.size + 1).bit_length() - 1)
 
-    hit = hits[np.argmin(np.abs(hits - Fs.size // 2))]
-    fails = np.flatnonzero(~ok)
-    i = np.searchsorted(fails, hit)
+    def purifiable(Qs):
+        ok = yield d, np.repeat(Qs, Fs.size), np.tile(Fs, np.size(Qs))
+        return ok.reshape(-1, Fs.size).any(axis=1)
 
-    # One 31-lane call holds every midpoint of an edge's next five steps.
-    edge = functools.partial(_bisect, improves, tol=REFINE_TOL, levels=5)
-    F_min = edge(Fs[fails[i - 1]], Fs[fails[i - 1] + 1]) if i else Fs[0]
-    F_max = edge(Fs[fails[i]], Fs[fails[i] - 1]) if i < fails.size else 1.0
-    return PurificationRegime(F_min=F_min, F_max=F_max, purifiable=True)
+    if not (yield from purifiable(1.0))[0]:
+        raise ValueError(f"protocol {protocol} does not purify {preset_kind} states at Q=1.0")
+    q_lo, q_hi = 0.7, 1.0
+    while q_lo > 0.0 and (yield from purifiable(q_lo))[0]:
+        q_hi, q_lo = q_lo, max(q_lo - 0.1, 0.0)
+    return float((yield from _bisect(purifiable, q_lo, q_hi, q_tol, levels)))
 
 
 def noise_threshold(
@@ -661,20 +745,27 @@ def noise_threshold(
 
     Bisects Q on the predicate "the purification regime is non-empty",
     each evaluation iterating the fidelity grid of :func:`regime_scan`.
-    The bracket walks down from Q = 0.7 in steps of 0.1; at Q = 0 nothing purifies.
+    The bracket walks down from Q = 0.7 in steps of 0.1; at Q = 0 nothing
+    purifies.  The bisection evaluates as many levels of Q per lane block as
+    the lane budget holds grids (at least one), with the one-level result.
     For the twirl protocol prefer the closed form
     :func:`bbpssw_threshold`; the numeric route exists to cross-check it
     and to handle the adaptive, fixed-swap and three-copy protocols.
     """
-    d, Fs, iterations = _scan_grid(d, grid, iterations, q_tol)
+    d, Fs, iterations = _scan_grid(protocol, d, 1.0, preset_kind, grid, iterations, q_tol)
+    steps = _threshold_steps(protocol, d, preset_kind, Fs, q_tol)
+    return _lockstep([steps], protocol, preset_kind, iterations)[0]
 
-    def purifiable(Q: float) -> bool:
-        return bool(_lanes_improve(protocol, d, Q, preset_kind, Fs, iterations).any())
 
-    if not purifiable(1.0):
-        raise ValueError(f"protocol {protocol} does not purify {preset_kind} states at Q=1.0")
-    q_lo, q_hi = 0.7, 1.0
-    while q_lo > 0.0 and purifiable(q_lo):
-        q_hi, q_lo = q_lo, max(q_lo - 0.1, 0.0)
-    # One level per call: a Q evaluation is already a whole grid of lanes.
-    return float(_bisect(lambda Qs: [purifiable(Q) for Q in Qs], q_lo, q_hi, q_tol, 1))
+def threshold_table(
+    protocol: str, ds, Q: float = 1.0, preset_kind: str = "isotropic", *,
+    q_tol: float = 1e-3, grid: int = 128, iterations: int = 160,
+) -> list[tuple[float, PurificationRegime]]:
+    """``(noise_threshold, regime_scan)`` at each d of ``ds`` on one grid, with
+    every argument checked first.  All the rows' scans run in lockstep."""
+    grid, iterations = check_scan_settings(grid, iterations, q_tol)
+    rows = [_scan_grid(protocol, d, Q, preset_kind, grid, iterations, q_tol)[:2] for d in ds]
+    out = _lockstep([scan for d, Fs in rows for scan in (
+        _threshold_steps(protocol, d, preset_kind, Fs, q_tol), _regime_steps(d, Q, Fs))],
+        protocol, preset_kind, iterations)
+    return list(zip(out[::2], out[1::2]))

@@ -172,13 +172,13 @@ def twirl_isotropic(state: CoeffMatrix) -> CoeffMatrix:
     The result is the isotropic state with the same entry [0, 0]; the
     other d**2 - 1 weights are averaged into a single value.
     """
-    return CoeffMatrix(twirled(state.alpha, state.d))
+    return CoeffMatrix(twirled(state.alpha, state.d * state.d - 1))
 
 
-def twirled(alpha: np.ndarray, d: int) -> np.ndarray:
+def twirled(alpha: np.ndarray, errors) -> np.ndarray:
     """Bare weights of the isotropic state with alpha's fidelity, in alpha's
-    layout: a d x d matrix or a preset block."""
-    a = np.full(alpha.shape, (1.0 - alpha[0, 0]) / (d * d - 1))
+    layout: a d x d matrix or a preset block, ``errors`` = d**2 - 1 (or lanes of it)."""
+    a = np.full(alpha.shape, (1.0 - alpha[0, 0]) / errors)
     a[0, 0] = alpha[0, 0]
     return a
 

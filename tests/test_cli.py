@@ -234,8 +234,27 @@ class TestThresholds:
                 "2,DEJMPS,1,0.366015625,0.717283415642,1,true\n"
                 "3,DEJMPS,1,0.374609375,0.599989711135,1,true\n",
             ),
+            (  # both regime edges bisected
+                ["--protocol", "p1p2", "--d-range", "2..4", "--Q", "0.97", "--preset", "z_only"],
+                "d,protocol,Q,Q_th,F_min,F_max,purifiable\n"
+                "2,P1P2,0.97,0.93349609375,0.550730780784,0.957981636572,true\n"
+                "3,P1P2,0.97,0.90361328125,0.372253809065,0.966987197717,true\n"
+                "4,P1P2,0.97,0.87373046875,0.280251581012,0.973418030807,true\n",
+            ),
+            (  # nothing purifies: no regime
+                ["--protocol", "p1p2", "--d-range", "2,3", "--Q", "0.5"],
+                "d,protocol,Q,Q_th,F_min,F_max,purifiable\n"
+                "2,P1P2,0.5,0.93701171875,0.75,0.75,false\n"
+                "3,P1P2,0.5,0.90361328125,0.666666666667,0.666666666667,false\n",
+            ),
+            (  # large-d lane constants
+                ["--protocol", "p1p2", "--d-range", "1000,1000000"],
+                "d,protocol,Q,Q_th,F_min,F_max,purifiable\n"
+                "1000,P1P2,1,0.251171875,0.00100000288442,1,true\n"
+                "1000000,P1P2,1,0.044921875,1.00348441573e-06,1,true\n",
+            ),
         ],
-        ids=["p1p2", "dejmps_xz"],
+        ids=["p1p2", "dejmps_xz", "p1p2_z_only_q097", "p1p2_no_regime", "p1p2_large_d"],
     )
     def test_scan_tables_golden_bytes(self, capsys, argv, golden):
         """Byte for byte the output of the matrix-path scans."""
@@ -259,6 +278,40 @@ class TestThresholds:
             assert code == 2 and out == ""
             assert err.startswith("error:") and err.count("\n") == 1
             assert "1000001 values" in err
+
+    def test_lane_blocks_keep_to_the_budget(self, capsys, monkeypatch):
+        """A grid too large for two Q levels per block: every block holds at
+        most max(grid, budget) lanes, and the Q bisection asks for one level
+        at a time."""
+        grid, blocks = 100_000, []
+
+        def stub(protocol, d, Q, kind, F0, iterations):
+            blocks.append((F0.size, Q.copy()))
+            return Q > 0.8123456789
+
+        monkeypatch.setattr(recurrence, "_lanes_improve", stub)
+        code, out, err = run_cli(
+            capsys, ["thresholds", "--protocol", "p1p2", "--d-range", "2..4", "--grid", str(grid)]
+        )
+        assert code == 0 and err == ""
+        assert [row.split(",")[3] for row in out.splitlines()[1:]] == ["0.81220703125"] * 3
+        assert max(size for size, _ in blocks) <= max(grid, recurrence._LANE_BUDGET)
+        # Each block is one grid of one scan: the regime scans' at Q = 1, or a
+        # noise scan's at a single Q level.
+        assert all(size == grid and np.unique(Q).size == 1 for size, Q in blocks)
+        assert len(blocks) == 3 * 11 + 3
+
+    def test_later_row_error_leaves_stdout_empty(self, capsys, monkeypatch):
+        """A row after good ones fails the Q = 1 check: one error line, exit 2,
+        no table, as when the rows ran one after another."""
+
+        def stub(protocol, d, Q, kind, F0, iterations):
+            return np.broadcast_to((d != 4) & (Q > 0.8), F0.shape)
+
+        monkeypatch.setattr(recurrence, "_lanes_improve", stub)
+        code, out, err = run_cli(capsys, ["thresholds", "--protocol", "p1p2", "--d-range", "2..5"])
+        assert (code, out) == (2, "")
+        assert err == "error: protocol P1P2 does not purify isotropic states at Q=1.0\n"
 
     def test_three_copy_scans_every_preset(self, capsys):
         """thresholds takes every --protocol that recurrence-run takes."""

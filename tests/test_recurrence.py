@@ -806,8 +806,8 @@ class TestScans:
         seen = []
 
         def improves_above_edge(protocol, d, Q, kind, F0, iterations):
-            seen.append(Q)
-            return np.full(F0.size, Q > edge)
+            seen.extend(dict.fromkeys(Q.tolist()))  # a block's Q levels, in order
+            return Q > edge
 
         monkeypatch.setattr(recurrence, "_lanes_improve", improves_above_edge)
         q_th = noise_threshold(P1P2, 2, q_tol=1e-3)
@@ -960,12 +960,31 @@ class TestSector:
                     singles[i] = single
         for protocol, kind in itertools.product(PROTOCOLS, PRESET_KINDS):
             Fs = np.linspace(0.05, 0.99, 16)
-            lanes_improve = functools.partial(
-                recurrence._lanes_improve, protocol, 7, 0.9, kind, iterations=200
-            )
-            together = lanes_improve(Fs)
-            alone = [lanes_improve(Fs[i : i + 1])[0] for i in range(Fs.size)]
+            together = lanes_improve(protocol, 7, 0.9, kind, Fs, 200)
+            alone = [lanes_improve(protocol, 7, 0.9, kind, Fs[i : i + 1], 200)[0]
+                     for i in range(Fs.size)]
             assert together.tolist() == alone
+
+    def test_mixed_block_matches_separate_blocks(self):
+        """One block of lanes at d in {2, 7, 1000, 10**6} and several Q gives,
+        lane for lane, what a block of each (d, Q) alone gives; the lane
+        constants are the floats of a scalar round, huge d included."""
+        Fs = np.linspace(0.0, 0.6, 40) ** 2 + 1e-6
+        cells = list(itertools.product([2, 7, 1000, 10**6], [1.0, 0.97, 0.9, 0.8]))
+        for protocol, kind in itertools.product(PROTOCOLS, PRESET_KINDS):
+            d = np.repeat([cell[0] for cell in cells], Fs.size)
+            Q = np.repeat([cell[1] for cell in cells], Fs.size)
+            F0 = np.tile(Fs, len(cells))
+            together = recurrence._lanes_improve(protocol, d, Q, kind, F0, 120)
+            alone = [lanes_improve(protocol, dc, Qc, kind, Fs, 120) for dc, Qc in cells]
+            assert together.tolist() == np.concatenate(alone).tolist()
+            assert 0 < together.sum() < together.size
+        for d in (2, 7, 10**6, 3_037_000_499, 10**10, 10**30):
+            for Q in (1.0, 0.97, 0.1):
+                lanes = np.array([d, d], dtype=object if d**2 >= 2**63 else int)
+                table = np.array(recurrence._constants(lanes, np.array([Q, Q])), float)
+                scalar = [float(c) for c in recurrence._constants(d, Q)]
+                assert table[:, 0].tolist() == table[:, 1].tolist() == scalar
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
     def test_three_copy_round_is_the_column_cube(self, d):
@@ -988,22 +1007,42 @@ class TestSector:
         midpoint per call returns."""
 
         def improves(Fs):
-            return recurrence._lanes_improve(P1P2, 3, 1.0, "xz_mixture", Fs, 200)
+            return lanes_improve(P1P2, 3, 1.0, "xz_mixture", Fs, 200)
 
         edge = regime_scan(P1P2, 3, 1.0, "xz_mixture").F_min
         bad, good = edge - 0.01, edge + 0.01
         assert improves(np.array([bad, good])).tolist() == [False, True]
         expected = sequential_bisection(improves, bad, good, 1e-8)
         for levels in (1, 2, 5):
-            assert recurrence._bisect(improves, bad, good, 1e-8, levels) == expected
+            assert run_bisect(improves, bad, good, 1e-8, levels) == expected
 
         # An edge approached from above, as regime_scan's upper edge is.
         def below_third(xs):
             return xs < 1 / 3
 
-        assert recurrence._bisect(below_third, 1.0, 0.0, 1e-12, 5) == (
+        assert run_bisect(below_third, 1.0, 0.0, 1e-12, 5) == (
             sequential_bisection(below_third, 1.0, 0.0, 1e-12)
         )
+
+
+def lanes_improve(protocol, d, Q, kind, F0, iterations):
+    """``_lanes_improve`` with one d and one Q for every lane."""
+    lanes = np.ones(F0.size, dtype=int)
+    return recurrence._lanes_improve(protocol, d * lanes, Q * lanes, kind, F0, iterations)
+
+
+def run_bisect(improves, bad, good, tol, levels):
+    """``_bisect`` in step form, driven by a plain predicate."""
+
+    def ask(values):
+        return (yield values)
+
+    steps, verdicts = recurrence._bisect(ask, bad, good, tol, levels), None
+    try:
+        while True:
+            verdicts = improves(steps.send(verdicts))
+    except StopIteration as stop:
+        return stop.value
 
 
 def sequential_bisection(improves, bad, good, tol):
@@ -1059,9 +1098,12 @@ class TestRegimeWalk:
                 cases.append(ok)
         verdicts = {}
         monkeypatch.setattr(recurrence, "_lanes_improve", lambda *args: verdicts["ok"])
-        monkeypatch.setattr(
-            recurrence, "_bisect", lambda improves, bad, good, tol, levels: (bad, good)
-        )
+
+        def brackets(improves, bad, good, tol, levels):
+            return bad, good
+            yield  # a step form that asks for nothing
+
+        monkeypatch.setattr(recurrence, "_bisect", brackets)
         for ok in cases:
             verdicts["ok"] = ok
             n = ok.size
@@ -1075,3 +1117,73 @@ class TestRegimeWalk:
             F_min = (Fs[left - 1], Fs[left]) if left > 0 else Fs[0]
             F_max = (Fs[right + 1], Fs[right]) if right < n - 1 else 1.0
             assert (regime.F_min, regime.F_max) == (F_min, F_max), ok
+
+
+def tree_bisect(improves, bad, good, tol, levels):
+    """Reference: level-tree bisection with a plain predicate, one call per tree."""
+    n = 2**levels - 1
+    while abs(good - bad) > tol:
+        lo, hi = [bad], [good]
+        for i in range(n // 2):
+            mid = 0.5 * (lo[i] + hi[i])
+            lo += [mid, lo[i]]
+            hi += [hi[i], mid]
+        mids = 0.5 * (np.array(lo) + np.array(hi))
+        ok, i = improves(mids), 0
+        while i < n and abs(good - bad) > tol:
+            good, bad, i = (mids[i], bad, 2 * i + 2) if ok[i] else (good, mids[i], 2 * i + 1)
+    return 0.5 * (bad + good)
+
+
+def threshold_one_at_a_time(protocol, d, kind, grid, iterations, q_tol=1e-3):
+    """Reference for noise_threshold: one predicate call per Q, in order."""
+    Fs = np.linspace(1.0 / (d * d) + 1e-9, 1.0 - 1e-6, grid)
+
+    def purifiable(q):
+        return lanes_improve(protocol, d, q, kind, Fs, iterations).any()
+
+    assert purifiable(1.0)
+    q_lo, q_hi = 0.7, 1.0
+    while q_lo > 0.0 and purifiable(q_lo):
+        q_hi, q_lo = q_lo, max(q_lo - 0.1, 0.0)
+    return float(tree_bisect(lambda qs: [purifiable(q) for q in qs], q_lo, q_hi, q_tol, 1))
+
+
+def regime_one_at_a_time(protocol, d, Q, kind, grid, iterations):
+    """Reference for regime_scan: one predicate call per F tree, in order."""
+    Fs = np.linspace(1.0 / (d * d) + 1e-9, 1.0 - 1e-6, grid)
+
+    def improves(F0):
+        return lanes_improve(protocol, d, Q, kind, F0, iterations)
+
+    ok = improves(Fs)
+    if not ok.any():
+        return recurrence._no_regime(d)
+    hits, fails = np.flatnonzero(ok), np.flatnonzero(~ok)
+    i = np.searchsorted(fails, hits[np.argmin(np.abs(hits - grid // 2))])
+    edge = functools.partial(tree_bisect, improves, tol=recurrence.REFINE_TOL, levels=5)
+    F_min = edge(Fs[fails[i - 1]], Fs[fails[i - 1] + 1]) if i else Fs[0]
+    F_max = edge(Fs[fails[i]], Fs[fails[i] - 1]) if i < fails.size else 1.0
+    return recurrence.PurificationRegime(F_min, F_max, True)
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("kind", PRESET_KINDS)
+    @pytest.mark.parametrize("protocol", [P1P2, DEJMPS, THREE_COPY])
+    def test_matches_one_scan_at_a_time(self, protocol, kind):
+        """A table's scans in lockstep, and each scan run alone, return the
+        floats of one predicate call per Q and per F tree."""
+        ds, scan = [2, 3, 4, 7], dict(grid=128, iterations=160)
+        q_ths = [threshold_one_at_a_time(protocol, d, kind, **scan) for d in ds]
+        assert [noise_threshold(protocol, d, kind, **scan) for d in ds] == q_ths
+        for Q in (1.0, 0.97):
+            regimes = [regime_one_at_a_time(protocol, d, Q, kind, **scan) for d in ds]
+            assert [regime_scan(protocol, d, Q, kind, **scan) for d in ds] == regimes
+            table = recurrence.threshold_table(protocol, ds, Q, kind, **scan)
+            assert table == list(zip(q_ths, regimes))
+
+    def test_table_checks_every_row_first(self, monkeypatch):
+        monkeypatch.setattr(recurrence, "_lanes_improve", _no_lanes)
+        with pytest.raises(ValueError, match="qudit dimension must be at least 2, got 1"):
+            recurrence.threshold_table(P1P2, [2, 1])
+        assert recurrence.threshold_table(P1P2, []) == []

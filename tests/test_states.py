@@ -236,7 +236,8 @@ class TestFoldedLayout:
         for F in (1.0 / d**2, 0.37, 0.9):
             matrix = make_preset(StatePreset(kind, F, 0.1), d).alpha
             block = matrix[:2, :2]
-            assert unfold(twirled(block, d), d).tobytes() == twirled(matrix, d).tobytes()
+            errors = d * d - 1
+            assert unfold(twirled(block, errors), d).tobytes() == twirled(matrix, errors).tobytes()
             for q in (1.0, 0.97, 0.5):
                 for r in (q, q * q):
                     on_block = unfold(depolarized(block, r, d), d)
