@@ -25,7 +25,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from . import hashing, multipartite, oracle, recurrence
-from .indices import check_unit_interval, is_prime, primes_in
+from .indices import is_prime, primes_in
 from .states import PRESET_KINDS, StatePreset, make_preset, read_json_file, read_state_file
 
 __all__ = [
@@ -217,17 +217,9 @@ def cmd_thresholds(args) -> str:
     """Tabulate noise thresholds and purification regimes per dimension."""
     protocol = PROTOCOL_NAMES[args.protocol]
     _check_range_size(args.grid, "--grid")  # the scans hold one lane per grid point
-    # Checked for every protocol, though BBPSSW's closed forms run no scan.
-    recurrence.check_scan_settings(args.grid, args.iterations, args.q_tol)
     d_values = _parse_d_range(args.d_range)
-    check_unit_interval(args.Q, "retention Q")  # before any lane runs
-    if protocol == recurrence.BBPSSW:
-        table = [(recurrence.bbpssw_threshold(d), recurrence.bbpssw_fixed_points(d, args.Q))
-                 for d in d_values]
-    else:
-        table = recurrence.threshold_table(protocol, d_values, args.Q, args.preset,
-                                           q_tol=args.q_tol, grid=args.grid,
-                                           iterations=args.iterations)
+    table = recurrence.threshold_table(protocol, d_values, args.Q, args.preset, q_tol=args.q_tol,
+                                       grid=args.grid, iterations=args.iterations)
     rows = [(d, protocol, args.Q, q_th, regime.F_min, regime.F_max, regime.purifiable)
             for d, (q_th, regime) in zip(d_values, table)]
     header = ["d", "protocol", "Q", "Q_th", "F_min", "F_max", "purifiable"]

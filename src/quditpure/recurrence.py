@@ -51,7 +51,6 @@ __all__ = [
     "bbpssw_step",
     "bbpssw_threshold",
     "bbpssw_threshold_asymptote",
-    "check_scan_settings",
     "choose_subroutine",
     "dejmps_map",
     "noise_threshold",
@@ -328,7 +327,7 @@ def noisy_step(state: CoeffMatrix, Q: float) -> CoeffMatrix:
     retention Q, which at the coefficient level is a single depolarizing
     mix with retention Q**2.
     """
-    check_unit_interval(Q, "retention")
+    check_unit_interval(Q, "retention Q")
     return CoeffMatrix(depolarized(state.alpha, Q * Q, state.d))
 
 
@@ -423,7 +422,7 @@ def _round(protocol: str, d: int, Q: float, conv):
     matrix with ``conv=_conv_round``, on the sector block with ``_sector_conv``."""
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    check_unit_interval(Q, "retention")
+    check_unit_interval(Q, "retention Q")
     advance, k = _noisy_round(protocol, conv), _constants(d, Q)
     return lambda a: advance(a, k)
 
@@ -644,28 +643,6 @@ def _bisect(improves, bad: float, good: float, tol: float, levels: int):
     return 0.5 * (bad + good)
 
 
-def check_scan_settings(grid: int, iterations: int, q_tol: float | None = None):
-    """Check a scan's grid size and iteration count, and the Q bisection
-    tolerance of :func:`noise_threshold` unless it is None; return the
-    grid size and the iteration count as ints."""
-    grid = check_count(grid, "fidelity grid", 2)
-    iterations = check_count(iterations, "iterations", 1)
-    # The spacing of doubles in [0.5, 1): a finer bracket stops shrinking.
-    if q_tol is not None and not (math.isfinite(q_tol) and q_tol >= 2.0**-53):
-        raise ValueError(f"bisection tolerance must be finite and at least 2**-53, got {q_tol}")
-    return grid, iterations
-
-
-def _scan_grid(protocol, d, Q, preset_kind, grid, iterations, q_tol=None):
-    """Check a scan's arguments; return d, the initial fidelities, from just
-    above 1/d**2 to just below 1, and the iteration count."""
-    d = check_dimension(d)
-    grid, iterations = check_scan_settings(grid, iterations, q_tol)
-    StatePreset(preset_kind, 1.0)  # the preset's own validation
-    _round(protocol, d, Q, _sector_conv)  # the round's checks of protocol and Q
-    return d, np.linspace(1.0 / (d * d) + 1e-9, 1.0 - 1e-6, grid), iterations
-
-
 def _regime_steps(d: int, Q: float, Fs: np.ndarray):
     """Step form of :func:`regime_scan` on its checked arguments."""
 
@@ -709,10 +686,11 @@ def regime_scan(
     rule of :func:`run_protocol`, on the preset sector (see
     :func:`_sector_conv`), so it costs the same at any d.
     For the twirl protocol the edges agree with
-    :func:`bbpssw_fixed_points` to bisection accuracy.
+    :func:`bbpssw_fixed_points`, which :func:`threshold_table` takes, to
+    bisection accuracy.  The arguments are checked as a one-row table's.
     """
-    d, Fs, iterations = _scan_grid(protocol, d, Q, preset_kind, grid, iterations)
-    return _lockstep([_regime_steps(d, Q, Fs)], protocol, preset_kind, iterations)[0]
+    return _scan_table(protocol, [d], Q, preset_kind, grid, iterations, None,
+                       lambda d, Fs: [_regime_steps(d, Q, Fs)])[0][0]
 
 
 def _threshold_steps(protocol: str, d: int, preset_kind: str, Fs: np.ndarray, q_tol: float):
@@ -749,23 +727,46 @@ def noise_threshold(
     purifies.  The bisection evaluates as many levels of Q per lane block as
     the lane budget holds grids (at least one), with the one-level result.
     For the twirl protocol prefer the closed form
-    :func:`bbpssw_threshold`; the numeric route exists to cross-check it
-    and to handle the adaptive, fixed-swap and three-copy protocols.
+    :func:`bbpssw_threshold`, which :func:`threshold_table` takes; the
+    numeric route exists to cross-check it and to handle the adaptive,
+    fixed-swap and three-copy protocols.  The arguments are checked as a
+    one-row table's.
     """
-    d, Fs, iterations = _scan_grid(protocol, d, 1.0, preset_kind, grid, iterations, q_tol)
-    steps = _threshold_steps(protocol, d, preset_kind, Fs, q_tol)
-    return _lockstep([steps], protocol, preset_kind, iterations)[0]
+    return _scan_table(protocol, [d], 1.0, preset_kind, grid, iterations, q_tol,
+                       lambda d, Fs: [_threshold_steps(protocol, d, preset_kind, Fs, q_tol)])[0][0]
 
 
 def threshold_table(
     protocol: str, ds, Q: float = 1.0, preset_kind: str = "isotropic", *,
     q_tol: float = 1e-3, grid: int = 128, iterations: int = 160,
 ) -> list[tuple[float, PurificationRegime]]:
-    """``(noise_threshold, regime_scan)`` at each d of ``ds`` on one grid, with
-    every argument checked first.  All the rows' scans run in lockstep."""
-    grid, iterations = check_scan_settings(grid, iterations, q_tol)
-    rows = [_scan_grid(protocol, d, Q, preset_kind, grid, iterations, q_tol)[:2] for d in ds]
-    out = _lockstep([scan for d, Fs in rows for scan in (
-        _threshold_steps(protocol, d, preset_kind, Fs, q_tol), _regime_steps(d, Q, Fs))],
-        protocol, preset_kind, iterations)
-    return list(zip(out[::2], out[1::2]))
+    """``(Q_th, regime)`` at each d of ``ds``, with every argument checked
+    before any row.  BBPSSW's rows are its closed forms, ``(bbpssw_threshold(d),
+    bbpssw_fixed_points(d, Q))``, for any preset, since its first twirl makes
+    every preset isotropic.  The other protocols' rows are ``(noise_threshold,
+    regime_scan)`` on one grid, all the rows' scans run in lockstep."""
+    steps = None if protocol == BBPSSW else lambda d, Fs: (
+        _threshold_steps(protocol, d, preset_kind, Fs, q_tol), _regime_steps(d, Q, Fs))
+    return _scan_table(protocol, ds, Q, preset_kind, grid, iterations, q_tol, steps)
+
+
+def _scan_table(protocol, ds, Q, preset_kind, grid, iterations, q_tol, steps):
+    """The one checked entry of the scans.  Checks grid, iterations, q_tol
+    (unless None), the preset, the protocol, Q and every d of ``ds``, before
+    any row runs.  A row holds the results of the step-form scans
+    ``steps(d, Fs)`` on the fidelity grid Fs, from just above 1/d**2 to just
+    below 1, and every row's scans run in lockstep; ``steps=None`` gives
+    BBPSSW's closed-form rows instead."""
+    grid = check_count(grid, "fidelity grid", 2)
+    iterations = check_count(iterations, "iterations", 1)
+    # The spacing of doubles in [0.5, 1): a finer bracket stops shrinking.
+    if q_tol is not None and not (math.isfinite(q_tol) and q_tol >= 2.0**-53):
+        raise ValueError(f"bisection tolerance must be finite and at least 2**-53, got {q_tol}")
+    StatePreset(preset_kind, 1.0)  # the preset's own validation
+    _round(protocol, 2, Q, _sector_conv)  # the round's checks of protocol and Q
+    ds = [check_dimension(d) for d in ds]
+    if steps is None:
+        return [(bbpssw_threshold(d), bbpssw_fixed_points(d, Q)) for d in ds]
+    rows = [steps(d, np.linspace(1.0 / (d * d) + 1e-9, 1.0 - 1e-6, grid)) for d in ds]
+    out = iter(_lockstep([s for row in rows for s in row], protocol, preset_kind, iterations))
+    return [tuple(next(out) for _ in row) for row in rows]

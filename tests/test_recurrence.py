@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -558,31 +559,47 @@ class TestAdvance:
             matrix_round("bogus", preset("isotropic", 2, 0.8), 1.0)
 
 
+def bad_retention(Q):
+    """``pytest.raises`` for the one message every entry gives a bad Q."""
+    return pytest.raises(ValueError, match=re.escape(f"retention Q must be in [0, 1], got {Q}"))
+
+
 class TestRetentionRange:
     """Gate retention outside [0, 1] is rejected, not squared into range."""
 
     @pytest.mark.parametrize("Q", [-0.5, -1.0, -0.9, 1.01, math.nan])
     def test_noisy_step(self, Q):
-        with pytest.raises(ValueError, match="retention"):
+        with bad_retention(Q):
             noisy_step(preset("isotropic", 3, 0.8), Q)
 
     @pytest.mark.parametrize("Q", [-0.5, -1.0, -0.9, 1.01, math.nan])
     def test_dejmps_map(self, Q):
-        with pytest.raises(ValueError, match="retention"):
+        with bad_retention(Q):
             dejmps_map(preset("isotropic", 3, 0.8), Q)
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("Q", [-0.5, -1.0, -0.9, 1.01, math.nan])
     def test_advance(self, protocol, Q):
-        with pytest.raises(ValueError, match="retention"):
+        with bad_retention(Q):
             matrix_round(protocol, preset("isotropic", 3, 0.8), Q)
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("Q", [-0.5, 1.01, math.nan])
+    def test_scans(self, monkeypatch, protocol, Q):
+        """The scans and the table, BBPSSW's closed forms included, say what
+        the rounds and the CLI say, before any lane runs."""
+        monkeypatch.setattr(recurrence, "_lanes_improve", _no_lanes)
+        with bad_retention(Q):
+            regime_scan(protocol, 3, Q)
+        with bad_retention(Q):
+            recurrence.threshold_table(protocol, [2, 3], Q)
 
 
 class TestSectorRetention:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     @pytest.mark.parametrize("Q", [-0.5, 1.01, math.nan])
     def test_advance(self, protocol, Q):
-        with pytest.raises(ValueError, match="retention"):
+        with bad_retention(Q):
             sector_round(protocol, preset_block("isotropic", 3, 0.8, 0.25), 3, Q)
 
 
@@ -1183,7 +1200,29 @@ class TestLockstep:
             assert table == list(zip(q_ths, regimes))
 
     def test_table_checks_every_row_first(self, monkeypatch):
+        """Each bad argument, a later row's d included, raises before any
+        row runs, whether its rows are scans (P1P2) or closed forms (BBPSSW)."""
+        for name in ("_lanes_improve", "bbpssw_threshold", "bbpssw_fixed_points"):
+            monkeypatch.setattr(recurrence, name, _no_lanes)
+        faults = [
+            ({"grid": 1}, "fidelity grid must be at least 2, got 1"),
+            ({"iterations": 0}, "iterations must be at least 1, got 0"),
+            ({"q_tol": 0.0}, "bisection tolerance must be finite and at least 2**-53, got 0.0"),
+            ({"Q": 1.5}, "retention Q must be in [0, 1], got 1.5"),
+            ({"preset_kind": "bogus"}, "unknown preset kind 'bogus'"),
+            ({"ds": [2, 1]}, "qudit dimension must be at least 2, got 1"),
+            ({"ds": [2, 3, 7.5]}, "qudit dimension must be an integer, got 7.5"),
+        ]
+        for protocol, (fault, message) in itertools.product([P1P2, BBPSSW], faults):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                recurrence.threshold_table(protocol, **{"ds": [2, 3, 7], **fault})
+        assert recurrence.threshold_table(P1P2, []) == recurrence.threshold_table(BBPSSW, []) == []
+
+    @pytest.mark.parametrize("Q", [1.0, 0.95])
+    def test_bbpssw_rows_are_closed_forms(self, monkeypatch, Q):
+        """BBPSSW's table is its closed forms, as the CLI prints them, and
+        runs no lane."""
         monkeypatch.setattr(recurrence, "_lanes_improve", _no_lanes)
-        with pytest.raises(ValueError, match="qudit dimension must be at least 2, got 1"):
-            recurrence.threshold_table(P1P2, [2, 1])
-        assert recurrence.threshold_table(P1P2, []) == []
+        ds = [2, 3, 7]
+        rows = [(bbpssw_threshold(d), bbpssw_fixed_points(d, Q)) for d in ds]
+        assert recurrence.threshold_table(BBPSSW, ds, Q) == rows
