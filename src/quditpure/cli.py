@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from collections.abc import Iterable
@@ -66,14 +67,29 @@ def _row_formatter(types: tuple):
     return lambda row: template % tuple(v if c else _fmt(v) for v, c in zip(row, codes))
 
 
+# Rows a table formats at a time: a long table never holds all its row
+# tuples, CSV lines or JSON records at once, only its text.
+_ROW_BLOCK = 1024
+
+
+def _blocks(rows: Iterable[tuple]):
+    """``rows`` as lists of at most _ROW_BLOCK rows, taken as each is needed."""
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, _ROW_BLOCK)):
+        yield block
+
+
 def _csv(header: list[str], rows: Iterable[tuple], types: tuple | None = None) -> str:
     """CSV text; ``types``, when given, are the value types of every row."""
-    lines = [",".join(header)]
     if types is None:
-        lines.extend(_row_formatter(tuple(map(type, row)))(row) for row in rows)
+        def line(row):
+            return _row_formatter(tuple(map(type, row)))(row)
     else:
-        lines.extend(map(_row_formatter(types), rows))
-    return "\n".join(lines) + "\n"
+        line = _row_formatter(types)
+    lines = [",".join(header)]
+    lines.extend("\n".join(map(line, block)) for block in _blocks(rows))
+    lines.append("")  # the final newline, without a copy of the text
+    return "\n".join(lines)
 
 
 def _json(obj) -> str:
@@ -84,9 +100,13 @@ def _table(
     fmt: str | None, header: list[str], rows: Iterable[tuple], types: tuple | None = None
 ) -> str:
     """JSON records or CSV text; ``types`` as for :func:`_csv`."""
-    if fmt == "json":
-        return _json([dict(zip(header, row)) for row in rows])
-    return _csv(header, rows, types)
+    if fmt != "json":
+        return _csv(header, rows, types)
+    # Each block's list without its "[\n" and "\n]\n", so that the blocks
+    # join into the text of one list.
+    records = ",\n".join(_json([dict(zip(header, row)) for row in block])[2:-3]
+                          for block in _blocks(rows))
+    return f"[\n{records}\n]\n" if records else _json([])
 
 
 def _record(fmt: str | None, obj: dict) -> str:
@@ -113,20 +133,29 @@ def _check_range_size(count: int, text: str) -> None:
         raise ValueError(f"range {text!r} has {count} values, over {MAX_RANGE_VALUES}")
 
 
+def _numbers(kind, parts, form: str, text: str) -> list:
+    """``kind`` of each of ``parts``, or a ValueError that says ``text``
+    must look like ``form``."""
+    try:
+        return [kind(p) for p in parts]
+    except ValueError:
+        raise ValueError(f"{form}, got {text!r}") from None
+
+
 def _parse_int_list(text: str) -> list[int]:
     """Parse "2", "2,3,5" or "a..b" (inclusive) into a sorted int list."""
+    form = "integer list must look like 2,3,5 or a..b"
     values: list[int] = []
     for part in text.split(","):
         part = part.strip()
         if ".." in part:
-            lo_s, hi_s = part.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
+            lo, hi = _numbers(int, part.split("..", 1), form, text)
             if hi < lo:
                 raise ValueError(f"empty range {part!r}")
             _check_range_size(hi - lo + 1, part)
             values.extend(range(lo, hi + 1))
         elif part:
-            values.append(int(part))
+            values.extend(_numbers(int, [part], form, text))
     if not values:
         raise ValueError(f"no values in {text!r}")
     return sorted(set(values))
@@ -135,10 +164,11 @@ def _parse_int_list(text: str) -> list[int]:
 def _parse_d_range(text: str) -> list[int]:
     """Like :func:`_parse_int_list`, plus "primes:a..b" for primes only."""
     if text.startswith("primes:"):
-        body = text[len("primes:"):]
-        if ".." not in body:
-            raise ValueError(f"primes range must look like primes:a..b, got {text!r}")
-        lo, hi = (int(v) for v in body.split("..", 1))
+        form = "primes range must look like primes:a..b with integers a and b"
+        bounds = text[len("primes:"):].split("..")
+        if len(bounds) != 2:
+            raise ValueError(f"{form}, got {text!r}")
+        lo, hi = _numbers(int, bounds, form, text)
         _check_range_size(hi - lo + 1, text)
         values = primes_in(lo, hi)
         if not values:
@@ -152,28 +182,31 @@ def _parse_float_grid(text: str) -> list[float]:
     if not text.replace(",", "").strip():
         raise ValueError(f"no values in {text!r}")
     if ":" in text:
+        form = "grid must look like lo:hi:count with an integer count"
         parts = text.split(":")
         if len(parts) != 3:
-            raise ValueError(f"grid must look like lo:hi:count, got {text!r}")
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+            raise ValueError(f"{form}, got {text!r}")
+        lo, hi = _numbers(float, parts[:2], form, text)
+        (count,) = _numbers(int, parts[2:], form, text)
         if count < 1:
             raise ValueError(f"grid count must be positive, got {count}")
         _check_range_size(count, text)
         return np.linspace(lo, hi, count).tolist()
-    return [float(p) for p in text.split(",") if p.strip()]
+    form = "grid must look like x,y,z or lo:hi:count with numbers"
+    return _numbers(float, [p for p in text.split(",") if p.strip()], form, text)
 
 
-def _parse_sweep(text: str) -> list[int]:
+def _parse_sweep(text: str) -> range:
     """Parse "lo:hi" or "lo:hi:step" into an inclusive integer sweep."""
+    form = "sweep must look like lo:hi[:step] with integers"
     parts = text.split(":")
     if len(parts) not in (2, 3):
-        raise ValueError(f"sweep must look like lo:hi[:step], got {text!r}")
-    lo, hi = int(parts[0]), int(parts[1])
-    step = int(parts[2]) if len(parts) == 3 else 1
+        raise ValueError(f"{form}, got {text!r}")
+    lo, hi, step = _numbers(int, (parts + ["1"])[:3], form, text)  # step 1 by default
     if step < 1 or hi < lo:
         raise ValueError(f"invalid sweep {text!r}")
     _check_range_size((hi - lo) // step + 1, text)
-    return list(range(lo, hi + 1, step))
+    return range(lo, hi + 1, step)
 
 
 def _load_initial_state(args):
@@ -257,13 +290,15 @@ def cmd_hashing(args) -> str:
     if args.n is not None:
         return _record(args.format, hashing.finite_size_report(args.d, args.n, args.F, args.delta))
 
-    columns = hashing.finite_size_columns(args.d, _parse_sweep(args.n_sweep), args.F, args.delta)
+    ns = _parse_sweep(args.n_sweep)
     header = ["n", "delta", "S", "r", "yield", "p1_bound", "p2", "F_out_bound"]
-    printed = [columns[f] for f in header]
-    del columns  # the unprinted columns go before the text is built
+    # The sweep's columns a block at a time; the first block checks every input.
+    blocks = (hashing.finite_size_columns(args.d, ns[i:i + _ROW_BLOCK], args.F, args.delta)
+              for i in range(0, len(ns), _ROW_BLOCK))
+    rows = itertools.chain.from_iterable(zip(*map(c.get, header)) for c in blocks)
+    first = next(rows)
     # Each column holds values of one type, so every row has the first row's.
-    types = tuple(type(column[0]) for column in printed)
-    return _table(args.format, header, zip(*printed), types)
+    return _table(args.format, header, itertools.chain([first], rows), tuple(map(type, first)))
 
 
 def cmd_ghz(args) -> str:

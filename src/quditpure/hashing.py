@@ -278,11 +278,14 @@ def lemma1_montecarlo(
     redraws of y on rows where x == y, then s.  The draws are int32:
     below 2**32, numpy's int32 and int64 draws take the same 32-bit
     bounded generator, so they give the same numbers as the default int64
-    draws, split at any size.  A chunk keeps at most two int32 arrays of
-    100,000 * 2n entries live (16 MB each at n = 20).  The parity is
-    summed in int64, which is exact only while 2n (d - 1)**2 < 2**63; a
-    larger d or n raises ValueError before any draw.  That bound keeps d
-    below 2**31, so int32 holds every draw and every difference x - y.
+    draws, split at any size.  So a chunk draws each array 2,000 rows at
+    a time and keeps only x - y whole: 100,000 * 2n entries in the
+    narrowest signed type that holds +-(d - 1), int8 up to d = 127 (4 MB
+    at n = 20), plus one 2,000-row block of each draw (320 kB at n = 20).
+    The parity is summed in int64, which is exact only while
+    2n (d - 1)**2 < 2**63; a larger d or n raises ValueError before any
+    draw.  That bound keeps d below 2**31, so int32 holds every draw and
+    every difference x - y.
     """
     d = require_prime(d)
     n = check_count(n, "string half-length n", 1)
@@ -302,18 +305,44 @@ def lemma1_montecarlo(
     return hits / trials
 
 
+# Rows of a chunk that lemma1_montecarlo draws, and reduces, at a time.
+_DRAW_BLOCK = 2_000
+
+
 def _chunk_hits(rng: np.random.Generator, d: int, size: int, width: int) -> int:
-    """Colliding parities among ``size`` fresh trials of :func:`lemma1_montecarlo`."""
-    x = rng.integers(0, d, size=(size, width), dtype=np.int32)
-    y = rng.integers(0, d, size=(size, width), dtype=np.int32)
-    collide = (x == y).all(axis=1)
-    while collide.any():
-        y[collide] = rng.integers(0, d, size=(int(collide.sum()), width), dtype=np.int32)
-        collide = (x == y).all(axis=1)
-    x -= y
-    del y
-    s = rng.integers(0, d, size=(size, width), dtype=np.int32)
-    # Each term s * (x - y) is at most (d - 1)**2 in size, so the int64 sum
-    # of 2n of them is exact under the bound lemma1_montecarlo checks.
-    parity = np.einsum("ij,ij->i", s, x, dtype=np.int64) % d
-    return int(np.count_nonzero(parity == 0))
+    """Colliding parities among ``size`` fresh trials of :func:`lemma1_montecarlo`.
+
+    Draws x, y, the redraws of y on rows where x == y, then s, the same
+    numbers as whole int32 arrays, but _DRAW_BLOCK rows at a time.
+    """
+    def draw(rows: int) -> np.ndarray:
+        return rng.integers(0, d, size=(rows, width), dtype=np.int32)
+
+    blocks = [slice(i, min(i + _DRAW_BLOCK, size)) for i in range(0, size, _DRAW_BLOCK)]
+    dtype = next(t for t in (np.int8, np.int16, np.int32) if d - 1 <= np.iinfo(t).max)
+    x = np.empty((size, width), dtype)
+    for b in blocks:
+        x[b] = draw(b.stop - b.start)
+    # x becomes x - y; the rows where x == y keep their x in `same_x`.
+    same_rows, same_x = [], []
+    for b in blocks:
+        y = draw(b.stop - b.start)
+        xb = x[b]
+        xb -= y
+        same = ~xb.any(axis=1)
+        same_rows.append(np.flatnonzero(same) + b.start)
+        same_x.append(y[same])
+    rows, xs = np.concatenate(same_rows), np.concatenate(same_x)
+    while rows.size:
+        y = draw(rows.size)
+        same = (xs == y).all(axis=1)
+        x[rows[~same]] = xs[~same] - y[~same]
+        rows, xs = rows[same], xs[same]
+    hits = 0
+    for b in blocks:
+        s = draw(b.stop - b.start)
+        # Each term s * (x - y) is at most (d - 1)**2 in size, so the int64
+        # sum of 2n of them is exact under the bound lemma1_montecarlo checks.
+        parity = np.einsum("ij,ij->i", s, x[b], dtype=np.int64) % d
+        hits += int(np.count_nonzero(parity == 0))
+    return hits

@@ -12,6 +12,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -540,6 +541,40 @@ class TestTableGoldens:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def traced_peak(capsys, argv):
+    """stdout of ``quditpure <argv>`` and the traced memory peak of main()."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    return captured.out, peak
+
+
+class TestSweepMemory:
+    """A sweep builds its columns and its text in blocks of rows, so its
+    traced peak follows the text, not the row count.  Building every
+    row's values, lines or records at once peaked at 26.4 MiB (CSV) and
+    10.2 MiB (the JSON below)."""
+
+    SWEEP = ["hashing", "--d", "5", "--F", "0.9", "--n-sweep"]
+
+    def test_csv_sweep_peak(self, capsys):
+        out, peak = traced_peak(capsys, self.SWEEP + ["10:1000000:20"])
+        assert out.count("\n") == 50_001
+        assert peak < 16 * 2**20
+
+    def test_json_sweep_across_blocks(self, capsys):
+        assert len(cli._parse_sweep("10:100000:20")) > 2 * cli._ROW_BLOCK
+        out, peak = traced_peak(capsys, self.SWEEP + ["10:100000:20", "--format", "json"])
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == "c0373f4adcc15c07f1d57d3e8bf78cbea7fd6d8ae1ca45318723f502531ba12b")
+        assert peak < 6 * 2**20
+
+
 class TestCommandGoldens:
     """SHA-256 of stdout for the commands TestTableGoldens leaves out, so
     that every subcommand has a byte golden: trajectories of all four
@@ -969,12 +1004,24 @@ class TestInputErrors:
              "oracle-check writes only JSON, not --format csv"),
             (["oracle-check", "--d", "2", "--seed", "-1"],
              "seed must be a non-negative integer, got -1"),
+            (["hashing", "--d", "5", "--F", "0.95", "--n-sweep", "a:b"],
+             "sweep must look like lo:hi[:step] with integers, got 'a:b'"),
+            (["ghz", "--F-grid", "0.5:x:3"],
+             "grid must look like lo:hi:count with an integer count, got '0.5:x:3'"),
+            (["ghz", "--F-grid", "0.5,x"],
+             "grid must look like x,y,z or lo:hi:count with numbers, got '0.5,x'"),
+            (["thresholds", "--d-range", "2..x"],
+             "integer list must look like 2,3,5 or a..b, got '2..x'"),
+            (["hashing", "--threshold", "--d-range", "primes:2..x"],
+             "primes range must look like primes:a..b with integers a and b, got 'primes:2..x'"),
         ],
         ids=["d_range_reversed", "N_list_empty", "F_grid_empty", "F_grid_blank",
              "primes_no_range", "primes_none",
              "F_grid_two_parts", "F_grid_count_0", "n_sweep_one_part", "n_sweep_reversed",
              "fmin_no_d", "threshold_no_d", "threshold_composite", "n_no_F",
-             "oracle_csv", "oracle_negative_seed"],
+             "oracle_csv", "oracle_negative_seed", "n_sweep_not_integer",
+             "F_grid_count_not_integer", "F_grid_not_number", "d_range_not_integer",
+             "primes_not_integer"],
     )
     def test_exits_2_with_one_line_error(self, capsys, argv, phrase):
         code, out, err = run_cli(capsys, argv)

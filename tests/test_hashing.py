@@ -474,12 +474,19 @@ class TestLemma1MonteCarlo:
             (3, 5, 250_000, 7, 0.331844),
             (5, 20, 130_001, 11, 0.19980615533726664),
             (7, 3, 100_000, 3, 0.14108),
+            (2, 1, 250_000, 5, 0.49878),
+            (127, 3, 10_000, 4, 0.0071),
+            (131, 20, 10_000, 1, 0.0079),
+            (257, 1, 100_000, 3, 0.00417),
+            (32_771, 1, 200_000, 2, 3.5e-05),
         ],
     )
     def test_pinned_rates(self, d, n, trials, seed, rate):
         """Exact floats, so any change to the draws or to the parity
         arithmetic shows; 130,001 and 250,000 trials end on a partial
-        100,000-row chunk."""
+        100,000-row chunk.  At d = 2, n = 1 a quarter of the rows redraw
+        y, in every chunk; d = 127, 131, 257 and 32,771 sit on either side
+        of the int8 and int16 limits of x - y."""
         assert lemma1_montecarlo(d, n, trials=trials, seed=seed) == rate
 
     @pytest.mark.parametrize("d", [2, 3, 5, 7])
@@ -545,6 +552,18 @@ class TestLemma1MonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 100_000 * 40 * 4
+
+    def test_peak_memory_below_six_bytes_per_chunk_entry(self):
+        """Only x - y is a whole chunk (100,000 x 40 entries, int8 at d = 5);
+        y and s come a block of rows at a time.  Whole int32 y and x took
+        35 MB; this bound is 6 bytes per chunk entry."""
+        tracemalloc.start()
+        try:
+            lemma1_montecarlo(5, 20, trials=200_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000 * 40 * 6
 
     @pytest.mark.parametrize("d", [2, 3, 5, 7, 2**31 - 1])
     def test_int32_draws_match_default_int64_stream(self, d):
