@@ -82,7 +82,10 @@ class CoeffMatrix:
     def _adopt(cls, a: np.ndarray) -> "CoeffMatrix":
         """The state of a round's fresh d x d float output ``a``: no shape
         check and no copy, unless ``a`` is a view, which is copied as
-        ``__init__`` copies it; the weights get :func:`checked_weights`."""
+        ``__init__`` copies it; the weights get :func:`checked_weights`.
+        A P2 round's output is the transpose of the kernel's C-ordered
+        result, and ``np.array`` keeps its layout, so that state is stored
+        Fortran-ordered; the next round's kernel reads either layout."""
         state = cls.__new__(cls)
         state.alpha = checked_weights(a if a.base is None else np.array(a), "matrix")
         return state

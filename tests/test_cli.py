@@ -12,6 +12,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -953,6 +954,24 @@ class TestOversizedInputs:
         code, out, err = run_cli(capsys, ["recurrence-run", "--d", "100000", "--F", "0.9"])
         assert code == 2 and out == ""
         assert err == f"error: out of memory: {message}\n"
+
+    def test_fft_helper_memory_error_exits_2(self, capsys, monkeypatch):
+        """A MemoryError on the FFT helper thread of a d = 211 round reaches
+        the command as its own: one line, exit 2, and no thread left over."""
+        caller, real = threading.current_thread(), np.fft.irfft
+
+        def irfft(*args, **kwargs):
+            if threading.current_thread() is not caller:
+                raise MemoryError("helper block")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(recurrence, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(np.fft, "irfft", irfft)
+        before = threading.active_count()
+        code, out, err = run_cli(capsys, ["recurrence-run", "--d", "211", "--F", "0.6"])
+        assert code == 2 and out == ""
+        assert err == "error: out of memory: helper block\n"
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize(
         "argv, expected",

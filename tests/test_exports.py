@@ -3,6 +3,7 @@ library modules' export lists."""
 
 import collections
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -55,3 +56,30 @@ def test_root_import_leaves_oracle_and_cli_unloaded():
         env={**os.environ, "PYTHONPATH": path}, timeout=120,
     )
     assert result.stdout == "[]\n"
+
+
+# What ``import quditpure, quditpure.cli`` adds to a process that has
+# imported numpy, besides quditpure's own modules (Python 3.11).
+IMPORTED_WITH_PACKAGE = {
+    "__future__", "_json", "argparse", "copy", "dataclasses", "gettext",
+    "json", "json.decoder", "json.encoder", "json.scanner",
+}
+
+
+def test_package_import_loads_nothing_more():
+    """The FFT helper thread comes from ``threading``, which the
+    interpreter has loaded before numpy: no executor or pool module joins."""
+    code = (
+        "import json, sys, numpy; before = set(sys.modules); "
+        "import quditpure, quditpure.cli; "
+        "print(json.dumps([sorted(set(sys.modules) - before), 'concurrent.futures' in sys.modules]))"
+    )
+    src = str(Path(quditpure.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    added, futures = json.loads(result.stdout)
+    added = {m for m in added if m.split(".")[0] != "quditpure"}
+    assert added <= IMPORTED_WITH_PACKAGE and not futures

@@ -5,6 +5,9 @@ import functools
 import itertools
 import math
 import re
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -155,6 +158,28 @@ def roll_phase_conv(a, b):
     return out
 
 
+def serial_phase_power(a, copies):
+    """Reference large-d kernel: the single-thread form that the split
+    kernel replaced, 64-column blocks transformed down the strided columns
+    of ``a``, the three-copy product written as one expression."""
+    d = a.shape[0]
+    length = copies * (d - 1) + 1
+    n = recurrence._smooth_length(length)
+    a0 = a[0]
+    out = np.multiply(copies * a0 ** (copies - 1), a, order="C")
+    out[0] = a0 ** copies
+    for j in range(0, d, 64):
+        cols = slice(j, j + 64)
+        r = a[:, cols].copy()
+        r[0] = 0.0
+        spec = np.fft.rfft(r, n, axis=0)
+        spec *= spec * (spec + 3.0 * a0[cols]) if copies == 3 else spec
+        lin = np.fft.irfft(spec, n, axis=0)[:length]
+        for s in range(0, length, d):
+            out[:min(d, length - s), cols] += lin[s:s + d]
+    return out
+
+
 class TestPhaseKernel:
     """The maps equal the roll-loop reference on both sides of the kernel's
     size split (index gather up to d = 31, padded FFT above).  d = 38 pads
@@ -214,36 +239,46 @@ class TestPhaseKernel:
             expected.append(n)
         assert [recurrence._smooth_length(m) for m in range(1, 5001)] == expected
 
-    @pytest.mark.parametrize("d", [101, 211])
+    @pytest.mark.parametrize("d", [101, 211, 401])
     @pytest.mark.parametrize("kernel", [p1_map, three_copy_map])
     def test_one_transform_pair_per_block(self, monkeypatch, d, kernel):
         """Two and three copies each take one rfft and one irfft per
         column block: the three-copy round is one convolution power, not
-        nested convolutions (which take 3 rffts and 2 irffts a block)."""
+        nested convolutions (which take 3 rffts and 2 irffts a block).
+        From d = 160 on two threads split blocks half as wide, and both
+        count, so the count takes a lock."""
+        monkeypatch.setattr(recurrence, "_cpu_count", lambda: 2)
         calls = {"rfft": 0, "irfft": 0}
+        lock = threading.Lock()
 
         def spy(name):
             real = getattr(np.fft, name)
 
             def counted(*args, **kwargs):
-                calls[name] += 1
+                with lock:
+                    calls[name] += 1
                 return real(*args, **kwargs)
             return counted
 
         for name in calls:
             monkeypatch.setattr(np.fft, name, spy(name))
         kernel(random_state(d, np.random.default_rng(d)))
-        blocks = -(-d // recurrence._FFT_BLOCK)
+        threaded = d >= recurrence._THREAD_MIN_D
+        width = recurrence._FFT_BLOCK // 2 if threaded else recurrence._FFT_BLOCK
+        blocks = -(-d // width)
         assert calls == {"rfft": blocks, "irfft": blocks}
 
     @pytest.mark.parametrize("d", [401, 1009])
     @pytest.mark.parametrize("kernel, bound", [(p1_map, 2.5), (three_copy_map, 3.0)])
-    def test_memory_peak(self, d, kernel, bound):
+    def test_memory_peak(self, monkeypatch, d, kernel, bound):
         """The padded FFT runs on column blocks and the state's weight
         policy clamps in place, so one round's peak allocation stays a few
-        d x d arrays (numpy reports to tracemalloc).  Measured at d = 401
-        and 1009: p1_map 2.23 and 2.0, three_copy_map 2.72 and 2.0; a
-        clamp into a new array took both to 3.0 or more."""
+        d x d arrays (numpy reports to tracemalloc).  Two threads each
+        hold a half-width block, and both are traced.  Measured at d = 401
+        and 1009: p1_map 2.0 and 2.0, three_copy_map 2.24-2.34 and 2.0;
+        two full-width blocks in flight took them to 2.6 and 3.4, and a
+        clamp into a new array took both maps to 3.0 or more."""
+        monkeypatch.setattr(recurrence, "_cpu_count", lambda: 2)
         state = random_state(d, np.random.default_rng(d))
         tracemalloc.start()
         try:
@@ -252,6 +287,156 @@ class TestPhaseKernel:
         finally:
             tracemalloc.stop()
         assert peak < bound * d * d * 8
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The kernel sees two CPUs, so from d = 160 on it splits its blocks
+    between the caller and a helper thread on any machine."""
+    monkeypatch.setattr(recurrence, "_cpu_count", lambda: 2)
+
+
+@pytest.mark.usefixtures("two_cpus")
+class TestFftWorkers:
+    """Above ``_THREAD_MIN_D`` the FFT blocks run on two threads.  Two
+    copies match the serial reference bit for bit; three copies take their
+    complex product in the written order, which numpy's temporary elision
+    reversed on the reference's blocks of 256 KiB or more, so they match
+    within 4 ulp of the largest entry (2 ulp measured at d = 211 and 401).
+    A P2 round stores a Fortran-ordered state, so both layouts are fed."""
+
+    @staticmethod
+    def weights(d, order):
+        a = random_state(d, np.random.default_rng(d)).alpha
+        return np.asfortranarray(a) if order == "F" else np.ascontiguousarray(a)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("copies", [2, 3])
+    @pytest.mark.parametrize("d", [129, 211, 401])
+    def test_matches_serial_reference(self, d, copies, order):
+        a = self.weights(d, order)
+        got, expected = recurrence._phase_power(a, copies), serial_phase_power(a, copies)
+        assert got.flags.c_contiguous
+        if copies == 2:
+            np.testing.assert_array_equal(got, expected)
+        else:
+            assert np.abs(got - expected).max() <= 4 * np.spacing(np.abs(expected).max())
+
+    @pytest.mark.parametrize("copies", [2, 3])
+    def test_repeated_calls_are_identical(self, copies):
+        a = self.weights(401, "C")
+        first = recurrence._phase_power(a, copies)
+        for _ in range(20):
+            np.testing.assert_array_equal(recurrence._phase_power(a, copies), first)
+
+    @pytest.mark.parametrize("copies", [2, 3])
+    @pytest.mark.parametrize("d", [129, 211])
+    def test_bits_do_not_depend_on_width_or_threads(self, monkeypatch, d, copies):
+        a = self.weights(d, "F")
+        expected = recurrence._phase_power(a, copies)
+        for width in (8, 16, 32, 64, 128):
+            monkeypatch.setattr(recurrence, "_FFT_BLOCK", width)
+            np.testing.assert_array_equal(recurrence._phase_power(a, copies), expected)
+        monkeypatch.setattr(recurrence, "_cpu_count", lambda: 1)
+        np.testing.assert_array_equal(recurrence._phase_power(a, copies), expected)
+
+    def test_concurrent_callers_get_the_serial_bits(self, monkeypatch):
+        """Four callers at once, each with its helper, on a 1 us switch
+        interval: a block that wrote another call's columns, or state
+        shared between calls, would show as a changed bit."""
+        inputs = [(self.weights(d, order), copies)
+                  for d, order, copies in [(211, "C", 2), (211, "F", 3), (401, "F", 2), (401, "C", 3)]]
+        with monkeypatch.context() as m:
+            m.setattr(recurrence, "_cpu_count", lambda: 1)
+            serial = [recurrence._phase_power(a, copies) for a, copies in inputs]
+        results = [[] for _ in inputs]
+
+        def call(i):
+            a, copies = inputs[i]
+            for _ in range(5):
+                results[i].append(recurrence._phase_power(a, copies))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(i,)) for i in range(len(inputs))]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        for expected, got in zip(serial, results):
+            assert len(got) == 5
+            for out in got:
+                np.testing.assert_array_equal(out, expected)
+
+    def test_helper_failure_reaches_caller_after_join(self, monkeypatch):
+        caller, real = threading.current_thread(), np.fft.irfft
+
+        def irfft(*args, **kwargs):
+            if threading.current_thread() is not caller:
+                time.sleep(0.05)  # the caller's blocks end first, so it waits in the join
+                raise MemoryError("helper block")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", irfft)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="helper block"):
+            recurrence._phase_power(self.weights(211, "C"), 2)
+        assert threading.active_count() == before
+
+    def test_caller_failure_joins_helper(self, monkeypatch):
+        caller, real = threading.current_thread(), np.fft.rfft
+        helper_done = threading.Event()
+
+        def rfft(*args, **kwargs):
+            if threading.current_thread() is caller:
+                raise MemoryError("caller block")
+            out = real(*args, **kwargs)
+            time.sleep(0.05)
+            helper_done.set()
+            return out
+
+        monkeypatch.setattr(np.fft, "rfft", rfft)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="caller block"):
+            recurrence._phase_power(self.weights(211, "C"), 3)
+        assert helper_done.is_set() and threading.active_count() == before
+
+    @staticmethod
+    def count_starts(monkeypatch):
+        starts, real = [], threading.Thread.start
+
+        def start(thread):
+            starts.append(thread.name)
+            real(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        return starts
+
+    @pytest.mark.parametrize("d, per_round", [(101, 0), (211, 1)])
+    def test_threads_only_from_threshold(self, monkeypatch, d, per_round):
+        starts = self.count_starts(monkeypatch)
+        traj = run_protocol(P1P2, random_state(d, np.random.default_rng(d)), max_iters=3)
+        assert len(starts) == per_round * traj.iterations
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        starts = self.count_starts(monkeypatch)
+        monkeypatch.setattr(recurrence, "_cpu_count", lambda: 1)
+        recurrence._phase_power(self.weights(401, "C"), 2)
+        assert starts == []
+
+    def test_unstartable_helper_leaves_the_caller_every_block(self, monkeypatch):
+        a = self.weights(211, "C")
+        expected = recurrence._phase_power(a, 2)
+
+        def start(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        np.testing.assert_array_equal(recurrence._phase_power(a, 2), expected)
 
 
 class TestThreeCopyMap:
