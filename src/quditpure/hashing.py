@@ -21,7 +21,9 @@ import math
 
 import numpy as np
 
-from .indices import as_integer, check_count, check_dimension, check_unit_interval, require_prime
+from .indices import (
+    _on_two_cpus, as_integer, check_count, check_dimension, check_unit_interval, require_prime,
+)
 from .states import CoeffMatrix
 
 __all__ = [
@@ -286,6 +288,20 @@ def lemma1_montecarlo(
     2n (d - 1)**2 < 2**63; a larger d or n raises ValueError before any
     draw.  That bound keeps d below 2**31, so int32 holds every draw and
     every difference x - y.
+
+    With two CPUs or more, a chunk's rows split in two halves, the first
+    on one helper thread and the second on the caller; numpy's draws
+    release the GIL, so the two run at once.  Each half draws its rows of
+    x, then y, then s, 500 rows at a time, from its own PCG64 copy
+    jumped (``advance``, O(log n)) to where the serial stream reaches
+    them, into its own rows of the chunk's x - y.  Those places assume that
+    every row takes n 64-bit words, two int32 draws to a word.  So,
+    after the join, the six segments x0, x1, y0, y1, s0, s1 must meet,
+    each ending where the next nominally starts, and no row may have
+    x == y.  A Lemire rejection in numpy's bounded draw, or a redraw of
+    y, breaks a seam; then the chunk runs again serially from its start.
+    Hit counts are integers, so the rate is the same to the last bit on
+    any number of CPUs, whichever path a chunk took.
     """
     d = require_prime(d)
     n = check_count(n, "string half-length n", 1)
@@ -301,12 +317,27 @@ def lemma1_montecarlo(
     chunk = 100_000
     hits = 0
     for start in range(0, trials, chunk):
-        hits += _chunk_hits(rng, d, min(chunk, trials - start), width)
+        size = min(chunk, trials - start)
+        split = _split_hits(rng, d, size, width)
+        hits += _chunk_hits(rng, d, size, width) if split is None else split
     return hits / trials
 
 
 # Rows of a chunk that lemma1_montecarlo draws, and reduces, at a time.
 _DRAW_BLOCK = 2_000
+
+
+def _difference_dtype(d: int):
+    """Narrowest signed type that holds every x - y, +-(d - 1)."""
+    return next(t for t in (np.int8, np.int16, np.int32) if d - 1 <= np.iinfo(t).max)
+
+
+def _parity_hits(s: np.ndarray, x: np.ndarray, d: int) -> int:
+    """Rows whose parity s . (x - y) is 0 mod d; ``x`` holds x - y.  Each
+    term is at most (d - 1)**2 in size, so the int64 sum of 2n of them is
+    exact under the bound lemma1_montecarlo checks."""
+    parity = np.einsum("ij,ij->i", s, x, dtype=np.int64) % d
+    return int(np.count_nonzero(parity == 0))
 
 
 def _chunk_hits(rng: np.random.Generator, d: int, size: int, width: int) -> int:
@@ -319,8 +350,7 @@ def _chunk_hits(rng: np.random.Generator, d: int, size: int, width: int) -> int:
         return rng.integers(0, d, size=(rows, width), dtype=np.int32)
 
     blocks = [slice(i, min(i + _DRAW_BLOCK, size)) for i in range(0, size, _DRAW_BLOCK)]
-    dtype = next(t for t in (np.int8, np.int16, np.int32) if d - 1 <= np.iinfo(t).max)
-    x = np.empty((size, width), dtype)
+    x = np.empty((size, width), _difference_dtype(d))
     for b in blocks:
         x[b] = draw(b.stop - b.start)
     # x becomes x - y; the rows where x == y keep their x in `same_x`.
@@ -338,11 +368,95 @@ def _chunk_hits(rng: np.random.Generator, d: int, size: int, width: int) -> int:
         same = (xs == y).all(axis=1)
         x[rows[~same]] = xs[~same] - y[~same]
         rows, xs = rows[same], xs[same]
-    hits = 0
+    return sum(_parity_hits(draw(b.stop - b.start), x[b], d) for b in blocks)
+
+
+def _split_hits(rng: np.random.Generator, d: int, size: int, width: int):
+    """:func:`_chunk_hits` split by rows between the caller and one helper
+    thread, or None, with ``rng`` untouched, where the split does not
+    give the serial stream's numbers.
+
+    The first ``size // 2`` rows go to the helper and the rest to the
+    caller (see :func:`_rows_hits`).  Once both are joined, the stream's
+    six segments x0, x1, y0, y1, s0, s1 must meet: each one's end is the
+    next one's nominal start (see :func:`_place`).  A Lemire rejection
+    moves a segment's end; a row with x == y would redraw y and move s,
+    and ends its half early.  Then ``rng`` is set to the end of s1 and the
+    hits are those of :func:`_chunk_hits`.  A chunk that starts halfway
+    through a 64-bit word, which only a serial chunk can leave behind, is
+    not split.
+    """
+    start = rng.bit_generator.state
+    if start["has_uint32"]:
+        return None
+    halves = [None, None]
+    # Both halves fill one x - y allocated here: a half allocated on the
+    # helper came from a fresh malloc arena and raised the peak RSS.
+    x = np.empty((size, width), _difference_dtype(d))
+
+    def run(half: int, rows: slice):
+        halves[half] = _rows_hits(start, d, size, x[rows], rows.start)
+
+    middle = size // 2
+    split = _on_two_cpus(
+        lambda: run(0, slice(0, middle)), lambda: run(1, slice(middle, size)), "quditpure-lemma1"
+    )
+    if not split or None in halves:
+        return None
+    (hits0, segments0), (hits1, segments1) = halves
+    stream = [segment for pair in zip(segments0, segments1) for segment in pair]
+    if any(_place(end) != _place(begin) for (_, end), (begin, _) in zip(stream, stream[1:])):
+        return None
+    rng.bit_generator.state = stream[-1][1]
+    return hits0 + hits1
+
+
+def _place(state: dict):
+    """Where a PCG64 state stands in its stream: a stale ``uinteger`` is
+    never read, so only ``state`` and ``has_uint32`` count."""
+    return state["state"], state["has_uint32"]
+
+
+def _rows_hits(start: dict, d: int, size: int, x: np.ndarray, first: int):
+    """Colliding parities on the rows of a chunk that ``x`` holds, from
+    row ``first`` on, drawn with no redraws from a chunk that begins at
+    PCG64 state ``start``, and the (nominal start, end) states of their
+    x, y and s segments; None if a row has x == y.
+
+    Each segment draws from its own copy of ``start``, advanced to where
+    the serial stream reaches the segment's first row: (segment * size +
+    first) * width / 2 64-bit words, two int32 draws to a word, whole
+    since width = 2n is even.  Blocks are ``_DRAW_BLOCK // 4`` rows: the
+    helper's temporaries take a malloc arena of their own, which blocks
+    of 1,000 rows grew past the serial path's peak RSS.
+    """
+    bits = np.random.PCG64(0)  # any seed: every segment sets its state
+    generator = np.random.Generator(bits)
+
+    def seek(segment: int) -> dict:
+        bits.state = start
+        bits.advance((segment * size + first) * width // 2)
+        return bits.state
+
+    def draw(b: slice) -> np.ndarray:
+        return generator.integers(0, d, size=(b.stop - b.start, width), dtype=np.int32)
+
+    count, width = x.shape
+    step = _DRAW_BLOCK // 4
+    blocks = [slice(i, min(i + step, count)) for i in range(0, count, step)]
+    # Each block is drawn straight into its use, so none is held while the next is drawn.
+    begin = seek(0)
     for b in blocks:
-        s = draw(b.stop - b.start)
-        # Each term s * (x - y) is at most (d - 1)**2 in size, so the int64
-        # sum of 2n of them is exact under the bound lemma1_montecarlo checks.
-        parity = np.einsum("ij,ij->i", s, x[b], dtype=np.int64) % d
-        hits += int(np.count_nonzero(parity == 0))
-    return hits
+        x[b] = draw(b)
+    segments = [(begin, bits.state)]
+    begin = seek(1)
+    for b in blocks:
+        xb = x[b]
+        xb -= draw(b)
+        if not xb.any(axis=1).all():
+            return None
+    segments.append((begin, bits.state))
+    begin = seek(2)
+    hits = sum(_parity_hits(draw(b), x[b], d) for b in blocks)
+    segments.append((begin, bits.state))
+    return hits, segments

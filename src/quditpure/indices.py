@@ -6,14 +6,17 @@ Clifford operations used by purification circuits permute these labels
 (global phases drop out for the diagonal ensembles handled by this
 package), so whole protocols can be tracked exactly on index data.  The
 dense simulator in :mod:`quditpure.oracle` pins every map defined here
-against literal unitary conjugation.
+against literal unitary conjugation.  The argument checks and the
+two-CPU runner that the other modules share live here too.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
 import sys
+import threading
 
 BellIndex = tuple[int, int]
 
@@ -84,6 +87,48 @@ def check_unit_interval(value, name: str):
     except TypeError:
         pass
     raise ValueError(f"{name} must be in [0, 1], got {value}")
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity, where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _on_two_cpus(first, second, name: str) -> bool:
+    """Run ``first()`` on a helper thread called ``name`` while the caller
+    runs ``second()``, when the process may run on two CPUs or more, and
+    return True; on one CPU run neither and return False.  The helper is
+    joined before the call returns, also when ``second`` raises, and its
+    own exception, if any, is raised here after the join.  A helper that
+    cannot start (``RuntimeError``) leaves both to the caller, in order.
+    """
+    if _cpu_count() < 2:
+        return False
+    failure = []
+
+    def helper():
+        try:
+            first()
+        except BaseException as exc:  # raised in the caller, after the join
+            failure.append(exc)
+
+    worker = threading.Thread(target=helper, name=name)
+    try:
+        worker.start()
+    except RuntimeError:  # no thread to be had: the caller runs both
+        first()
+        second()
+        return True
+    try:
+        second()
+    finally:
+        worker.join()
+    if failure:
+        raise failure[0]
+    return True
 
 
 # Miller-Rabin with the prime bases up to 41 is exact below this bound:

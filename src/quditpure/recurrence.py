@@ -22,13 +22,11 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .indices import check_count, check_dimension, check_unit_interval
+from .indices import _on_two_cpus, check_count, check_dimension, check_unit_interval
 # make_preset and depolarize_channel stay bound here although nothing here
 # calls them: bench/tracer.py wraps them in every module that imports them.
 from .states import (
@@ -197,14 +195,6 @@ _FFT_BLOCK = 64
 _THREAD_MIN_D = 160
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on: its affinity, where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 @functools.cache
 def _gather_index(d: int) -> np.ndarray:
     """``idx[k, m] = (k - m) mod d``, shared read-only (only d <= GATHER_MAX_D)."""
@@ -254,8 +244,8 @@ def _phase_power(a: np.ndarray, copies: int) -> np.ndarray:
     first, and the caller the rest; numpy's FFT and array loops release
     the GIL, so the two run at once.  Each block reads ``a`` and writes
     only its own columns of ``out``, so the threads share no other state.
-    The helper is joined before the call returns, and its exception, if
-    any, is raised here.
+    ``indices._on_two_cpus`` runs the two halves: the helper is joined
+    before the call returns, and its exception, if any, is raised here.
     """
     d = a.shape[0]
     if d <= GATHER_MAX_D:
@@ -267,32 +257,13 @@ def _phase_power(a: np.ndarray, copies: int) -> np.ndarray:
     # (a P2 round stores a Fortran-ordered state), so the round's sum adds
     # in one order.
     out = np.empty((d, d))
-    if d < _THREAD_MIN_D or _cpu_count() < 2:
-        _fft_blocks(a, out, copies, range(0, d, _FFT_BLOCK), _FFT_BLOCK)
-        return out
     width = _FFT_BLOCK // 2
     starts = range(0, d, width)
     blocks = functools.partial(_fft_blocks, a, out, copies, width=width)
-    failure = []
-
-    def helper():
-        try:
-            blocks(starts[::2])
-        except BaseException as exc:  # raised in the caller, after the join
-            failure.append(exc)
-
-    worker = threading.Thread(target=helper, name="quditpure-fft")
-    try:
-        worker.start()
-    except RuntimeError:  # no thread to be had: the caller runs every block
-        blocks(starts)
-        return out
-    try:
-        blocks(starts[1::2])
-    finally:
-        worker.join()
-    if failure:
-        raise failure[0]
+    if d < _THREAD_MIN_D or not _on_two_cpus(
+        lambda: blocks(starts[::2]), lambda: blocks(starts[1::2]), "quditpure-fft"
+    ):
+        _fft_blocks(a, out, copies, range(0, d, _FFT_BLOCK), _FFT_BLOCK)
     return out
 
 

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quditpure import cli, hashing, oracle, recurrence
+from quditpure import cli, hashing, indices, oracle, recurrence
 from quditpure.states import (
     PRESET_KINDS, StatePreset, make_preset, random_state, state_from_json,
 )
@@ -965,7 +965,7 @@ class TestOversizedInputs:
                 raise MemoryError("helper block")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(recurrence, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(indices, "_cpu_count", lambda: 2)
         monkeypatch.setattr(np.fft, "irfft", irfft)
         before = threading.active_count()
         code, out, err = run_cli(capsys, ["recurrence-run", "--d", "211", "--F", "0.6"])

@@ -1,12 +1,14 @@
 """Tests for hashing yields, thresholds, and finite-size bounds."""
 
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from quditpure import hashing
+from quditpure import hashing, indices
 from quditpure.hashing import (
     asymptotic_yield,
     entropy_based,
@@ -20,6 +22,25 @@ from quditpure.hashing import (
 )
 from quditpure.indices import primes_in
 from quditpure.states import StatePreset, make_preset
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the CPU count the two-CPU runner sees."""
+    return lambda count: monkeypatch.setattr(indices, "_cpu_count", lambda: count)
+
+
+@pytest.fixture
+def serial_chunks(monkeypatch):
+    """Counts the calls of the serial chunk, which a failed split falls back to."""
+    calls, real = [], hashing._chunk_hits
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(hashing, "_chunk_hits", counted)
+    return calls
 
 
 def iso(d, F):
@@ -481,13 +502,16 @@ class TestLemma1MonteCarlo:
             (32_771, 1, 200_000, 2, 3.5e-05),
         ],
     )
-    def test_pinned_rates(self, d, n, trials, seed, rate):
+    def test_pinned_rates(self, cpus, d, n, trials, seed, rate):
         """Exact floats, so any change to the draws or to the parity
         arithmetic shows; 130,001 and 250,000 trials end on a partial
         100,000-row chunk.  At d = 2, n = 1 a quarter of the rows redraw
         y, in every chunk; d = 127, 131, 257 and 32,771 sit on either side
-        of the int8 and int16 limits of x - y."""
-        assert lemma1_montecarlo(d, n, trials=trials, seed=seed) == rate
+        of the int8 and int16 limits of x - y.  The same on one CPU and on
+        two, where the chunks split by rows."""
+        for count in (1, 2):
+            cpus(count)
+            assert lemma1_montecarlo(d, n, trials=trials, seed=seed) == rate
 
     @pytest.mark.parametrize("d", [2, 3, 5, 7])
     def test_collision_rate_matches_1_over_d(self, d):
@@ -532,7 +556,8 @@ class TestLemma1MonteCarlo:
         def no_draws(*args):
             raise AssertionError("a chunk was drawn before the bound was checked")
 
-        monkeypatch.setattr(hashing, "_chunk_hits", no_draws)
+        for entry in ("_chunk_hits", "_split_hits", "_rows_hits"):
+            monkeypatch.setattr(hashing, entry, no_draws)
         with pytest.raises(ValueError, match=r"2n \(d - 1\)\*\*2 < 2\*\*63"):
             lemma1_montecarlo(d, 20, trials=10_000)
 
@@ -542,28 +567,32 @@ class TestLemma1MonteCarlo:
         rate = lemma1_montecarlo(d, 20, trials=10_000, seed=0)
         assert 0.0 <= rate < 1e-3
 
-    def test_peak_memory_below_three_chunk_arrays(self):
-        """The 200,000-trial run at n = 20 stays below three int32 chunk
-        arrays (3 x 100,000 x 40 x 4 B) of traced memory."""
-        tracemalloc.start()
-        try:
-            lemma1_montecarlo(5, 20, trials=200_000, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * 100_000 * 40 * 4
+    @staticmethod
+    def traced_peaks(cpus):
+        """Traced peak of a 200,000-trial run at n = 20, on one CPU and on
+        two (tracemalloc sees both threads' arrays)."""
+        peaks = []
+        for count in (1, 2):
+            cpus(count)
+            tracemalloc.start()
+            try:
+                lemma1_montecarlo(5, 20, trials=200_000, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return peaks
 
-    def test_peak_memory_below_six_bytes_per_chunk_entry(self):
-        """Only x - y is a whole chunk (100,000 x 40 entries, int8 at d = 5);
-        y and s come a block of rows at a time.  Whole int32 y and x took
-        35 MB; this bound is 6 bytes per chunk entry."""
-        tracemalloc.start()
-        try:
-            lemma1_montecarlo(5, 20, trials=200_000, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100_000 * 40 * 6
+    def test_peak_memory_below_three_chunk_arrays(self, cpus):
+        """The run stays below three int32 chunk arrays (3 x 100,000 x 40 x
+        4 B) of traced memory."""
+        assert max(self.traced_peaks(cpus)) < 3 * 100_000 * 40 * 4
+
+    def test_peak_memory_below_six_bytes_per_chunk_entry(self, cpus):
+        """Only x - y is a whole chunk (100,000 x 40 entries, int8 at d = 5),
+        which both halves fill on two CPUs; y and s come a block of rows at
+        a time.  Whole int32 y and x took 35 MB; this bound is 6 bytes per
+        chunk entry."""
+        assert max(self.traced_peaks(cpus)) < 100_000 * 40 * 6
 
     @pytest.mark.parametrize("d", [2, 3, 5, 7, 2**31 - 1])
     def test_int32_draws_match_default_int64_stream(self, d):
@@ -579,3 +608,95 @@ class TestLemma1MonteCarlo:
             [rng.integers(0, d, (rows, 13), dtype=np.int32) for rows in (7, 1, 993)]
         )
         np.testing.assert_array_equal(split, wide)
+
+
+class TestLemma1Split:
+    """On two CPUs each chunk's rows split between the caller and a helper
+    thread, which draw from PCG64 copies jumped to their rows' place in
+    the serial stream; a chunk whose segments do not meet falls back to
+    the serial ``_chunk_hits``."""
+
+    def test_redraw_chunks_fall_back(self, cpus, serial_chunks):
+        """At d = 2, n = 1 a quarter of the rows have x == y in every chunk."""
+        cpus(2)
+        assert lemma1_montecarlo(2, 1, trials=250_000, seed=5) == 0.49878
+        assert serial_chunks == [100_000, 100_000, 50_000]
+
+    def test_lemire_rejections_fall_back(self, cpus, serial_chunks):
+        """d = 1,431,655,777 is prime and just above 2**32 / 3, so numpy's
+        bounded draw rejects about a third of its 32-bit words."""
+        d = 1_431_655_777
+        assert indices.is_prime(d) and 2**32 % d / 2**32 > 0.33
+        cpus(1)
+        serial = lemma1_montecarlo(d, 1, trials=150_000, seed=3)
+        assert serial_chunks == [100_000, 50_000]
+        cpus(2)
+        assert lemma1_montecarlo(d, 1, trials=150_000, seed=3) == serial
+        assert serial_chunks == [100_000, 50_000] * 2
+
+    def test_no_fallback_on_the_benchmark_shape(self, cpus, serial_chunks):
+        """A fallback that always fired would keep every bit and lose the
+        gain: d = 5, n = 20 neither rejects nor redraws."""
+        cpus(2)
+        for seed in range(10):
+            lemma1_montecarlo(5, 20, trials=500_000, seed=seed)
+        assert serial_chunks == []
+
+    def test_chunk_starting_mid_word_is_not_split(self, cpus):
+        """After an odd number of 32-bit draws the stream starts halfway
+        through a 64-bit word, where no jumped copy can start."""
+        cpus(2)
+        rng = np.random.default_rng(0)
+        rng.integers(0, 5, size=1, dtype=np.int32)
+        state = rng.bit_generator.state
+        assert state["has_uint32"] == 1
+        assert hashing._split_hits(rng, 5, 10_000, 40) is None
+        assert rng.bit_generator.state == state
+        serial = hashing._chunk_hits(rng, 5, 10_000, 40)
+        rng.bit_generator.state = state
+        cpus(1)
+        assert hashing._chunk_hits(rng, 5, 10_000, 40) == serial
+
+    def test_split_leaves_the_serial_end_state(self, cpus):
+        cpus(2)
+        split, serial = np.random.default_rng(4), np.random.default_rng(4)
+        assert hashing._split_hits(split, 7, 30_001, 6) == hashing._chunk_hits(serial, 7, 30_001, 6)
+        assert split.bit_generator.state == serial.bit_generator.state
+
+    def test_helper_failure_reaches_caller_after_join(self, cpus, monkeypatch):
+        cpus(2)
+        caller, real, helpers = threading.current_thread(), hashing._rows_hits, []
+
+        def rows_hits(*args):
+            if threading.current_thread() is not caller:
+                helpers.append(threading.current_thread())
+                time.sleep(0.05)  # the caller's rows end first, so it waits in the join
+                raise MemoryError("helper rows")
+            return real(*args)
+
+        monkeypatch.setattr(hashing, "_rows_hits", rows_hits)
+        with pytest.raises(MemoryError, match="helper rows"):
+            lemma1_montecarlo(5, 20, trials=10_000)
+        assert len(helpers) == 1 and not helpers[0].is_alive()
+
+    def test_unstartable_helper_leaves_the_caller_every_row(self, cpus, monkeypatch, serial_chunks):
+        cpus(2)
+        real, threads = hashing._rows_hits, []
+
+        def rows_hits(*args):
+            threads.append(threading.current_thread())
+            return real(*args)
+
+        def start(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(hashing, "_rows_hits", rows_hits)
+        monkeypatch.setattr(threading.Thread, "start", start)
+        assert lemma1_montecarlo(5, 20, trials=130_001, seed=11) == 0.19980615533726664
+        assert threads == [threading.current_thread()] * 4 and serial_chunks == []
+
+    def test_one_cpu_runs_serial_chunks_only(self, cpus, monkeypatch, serial_chunks):
+        cpus(1)
+        monkeypatch.setattr(hashing, "_rows_hits", None)
+        lemma1_montecarlo(5, 20, trials=130_001, seed=11)
+        assert serial_chunks == [100_000, 30_001]

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from quditpure import recurrence
+from quditpure import indices, recurrence
 from quditpure.indices import bgxor_index_map, bqft_index_map
 from quditpure.recurrence import (
     BBPSSW,
@@ -247,7 +247,7 @@ class TestPhaseKernel:
         nested convolutions (which take 3 rffts and 2 irffts a block).
         From d = 160 on two threads split blocks half as wide, and both
         count, so the count takes a lock."""
-        monkeypatch.setattr(recurrence, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(indices, "_cpu_count", lambda: 2)
         calls = {"rfft": 0, "irfft": 0}
         lock = threading.Lock()
 
@@ -278,7 +278,7 @@ class TestPhaseKernel:
         and 1009: p1_map 2.0 and 2.0, three_copy_map 2.24-2.34 and 2.0;
         two full-width blocks in flight took them to 2.6 and 3.4, and a
         clamp into a new array took both maps to 3.0 or more."""
-        monkeypatch.setattr(recurrence, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(indices, "_cpu_count", lambda: 2)
         state = random_state(d, np.random.default_rng(d))
         tracemalloc.start()
         try:
@@ -293,7 +293,7 @@ class TestPhaseKernel:
 def two_cpus(monkeypatch):
     """The kernel sees two CPUs, so from d = 160 on it splits its blocks
     between the caller and a helper thread on any machine."""
-    monkeypatch.setattr(recurrence, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(indices, "_cpu_count", lambda: 2)
 
 
 @pytest.mark.usefixtures("two_cpus")
@@ -337,7 +337,7 @@ class TestFftWorkers:
         for width in (8, 16, 32, 64, 128):
             monkeypatch.setattr(recurrence, "_FFT_BLOCK", width)
             np.testing.assert_array_equal(recurrence._phase_power(a, copies), expected)
-        monkeypatch.setattr(recurrence, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(indices, "_cpu_count", lambda: 1)
         np.testing.assert_array_equal(recurrence._phase_power(a, copies), expected)
 
     def test_concurrent_callers_get_the_serial_bits(self, monkeypatch):
@@ -347,7 +347,7 @@ class TestFftWorkers:
         inputs = [(self.weights(d, order), copies)
                   for d, order, copies in [(211, "C", 2), (211, "F", 3), (401, "F", 2), (401, "C", 3)]]
         with monkeypatch.context() as m:
-            m.setattr(recurrence, "_cpu_count", lambda: 1)
+            m.setattr(indices, "_cpu_count", lambda: 1)
             serial = [recurrence._phase_power(a, copies) for a, copies in inputs]
         results = [[] for _ in inputs]
 
@@ -424,7 +424,7 @@ class TestFftWorkers:
 
     def test_one_cpu_starts_no_thread(self, monkeypatch):
         starts = self.count_starts(monkeypatch)
-        monkeypatch.setattr(recurrence, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(indices, "_cpu_count", lambda: 1)
         recurrence._phase_power(self.weights(401, "C"), 2)
         assert starts == []
 
