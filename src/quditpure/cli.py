@@ -124,7 +124,8 @@ def _write_output(path: str, text: str) -> None:
 
 
 # Most values one range in a flag may stand for, checked from its bounds
-# before anything is built (the largest in use, 10:1000000:20, has 50,000).
+# before anything is built (the largest in use, 10:1000000:20, has 50,000),
+# and most rows of a ghz (d, N, F) grid.
 MAX_RANGE_VALUES = 10**6
 
 
@@ -320,6 +321,10 @@ def cmd_ghz(args) -> str:
     ds = _parse_d_range(args.d_list)
     Ns = _parse_int_list(args.N_list)
     Fs = _parse_float_grid(args.F_grid)
+    count = len(ds) * len(Ns) * len(Fs)
+    if count > MAX_RANGE_VALUES:
+        raise ValueError(f"ghz grid has {len(ds)} x {len(Ns)} x {len(Fs)} = {count} rows,"
+                         f" over {MAX_RANGE_VALUES}")
     rows = []
     for d in ds:
         for N in Ns:

@@ -276,36 +276,31 @@ def lemma1_montecarlo(
     of how x and y differ, which is what makes each parity round reveal
     one base-d symbol of information.
 
-    Trials run in chunks of 100,000 rows, each drawing x, y, the
-    redraws of y on rows where x == y, then s.  The draws are int32:
-    below 2**32, numpy's int32 and int64 draws take the same 32-bit
-    bounded generator, so they give the same numbers as the default int64
-    draws, split at any size.  So a chunk draws each array 2,000 rows at
-    a time and keeps only x - y whole: 100,000 * 2n entries in the
-    narrowest signed type that holds +-(d - 1), int8 up to d = 127 (4 MB
-    at n = 20), plus one 2,000-row block of each draw (320 kB at n = 20).
+    ``SeedSequence(seed).spawn(2)`` gives each half of the trials its own
+    stream: rows [0, trials // 2) draw from the first, the rest from the
+    second.  Each half runs chunks of 50,000 rows, and each chunk draws x,
+    then y, then the redraws of y on rows where x == y, then s, in int32
+    and 500 rows at a time, keeping only x - y whole.  Below 2**32,
+    numpy's int32 draws give the numbers of its default int64 draws,
+    split at any size, so each block draws what whole arrays would.
+    x - y is one buffer for both halves' chunks, allocated once per call
+    in the narrowest signed type that holds +-(d - 1): int8 up to
+    d = 127, 4 MB at n = 20.
     The parity is summed in int64, which is exact only while
     2n (d - 1)**2 < 2**63; a larger d or n raises ValueError before any
     draw.  That bound keeps d below 2**31, so int32 holds every draw and
-    every difference x - y.
+    every difference x - y.  A negative or non-integral seed raises
+    ValueError too.
 
-    With two CPUs or more, a chunk's rows split in two halves, the first
-    on one helper thread and the second on the caller; numpy's draws
-    release the GIL, so the two run at once.  Each half draws its rows of
-    x, then y, then s, 500 rows at a time, from its own PCG64 copy
-    jumped (``advance``, O(log n)) to where the serial stream reaches
-    them, into its own rows of the chunk's x - y.  Those places assume that
-    every row takes n 64-bit words, two int32 draws to a word.  So,
-    after the join, the six segments x0, x1, y0, y1, s0, s1 must meet,
-    each ending where the next nominally starts, and no row may have
-    x == y.  A Lemire rejection in numpy's bounded draw, or a redraw of
-    y, breaks a seam; then the chunk runs again serially from its start.
-    Hit counts are integers, so the rate is the same to the last bit on
-    any number of CPUs, whichever path a chunk took.
+    With two CPUs or more, the first half runs on one helper thread and
+    the second on the caller; numpy's draws release the GIL, so the two
+    run at once.  On one CPU the caller runs both halves in order.  So the
+    rate depends only on the seed, on any number of CPUs.
     """
     d = require_prime(d)
     n = check_count(n, "string half-length n", 1)
     trials = check_count(trials, "trials", 10_000)
+    seed = check_count(seed, "seed", 0)
     width = 2 * n
     if width * (d - 1) ** 2 >= 2**63:
         raise ValueError(
@@ -313,18 +308,30 @@ def lemma1_montecarlo(
             f" got d={d}, n={n}"
         )
 
-    rng = np.random.default_rng(seed)
-    chunk = 100_000
-    hits = 0
-    for start in range(0, trials, chunk):
-        size = min(chunk, trials - start)
-        split = _split_hits(rng, d, size, width)
-        hits += _chunk_hits(rng, d, size, width) if split is None else split
-    return hits / trials
+    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
+    sizes = (trials // 2, trials - trials // 2)
+    first_rows = min(_CHUNK, sizes[0])
+    # Both halves fill one x - y allocated here: an array allocated on the
+    # helper came from a fresh malloc arena and raised the peak RSS.
+    x = np.empty((first_rows + min(_CHUNK, sizes[1]), width), _difference_dtype(d))
+    buffers = (x[:first_rows], x[first_rows:])
+    hits = [0, 0]
+
+    def run(half: int):
+        size, buffer = sizes[half], buffers[half]
+        for start in range(0, size, len(buffer)):
+            hits[half] += _chunk_hits(streams[half], d, buffer[:size - start])
+
+    if not _on_two_cpus(lambda: run(0), lambda: run(1), "quditpure-lemma1"):
+        run(0)
+        run(1)
+    return sum(hits) / trials
 
 
-# Rows of a chunk that lemma1_montecarlo draws, and reduces, at a time.
-_DRAW_BLOCK = 2_000
+# Rows of a lemma1_montecarlo chunk, and of the blocks a chunk draws and
+# reduces at a time.
+_CHUNK = 50_000
+_DRAW_BLOCK = 500
 
 
 def _difference_dtype(d: int):
@@ -340,123 +347,38 @@ def _parity_hits(s: np.ndarray, x: np.ndarray, d: int) -> int:
     return int(np.count_nonzero(parity == 0))
 
 
-def _chunk_hits(rng: np.random.Generator, d: int, size: int, width: int) -> int:
-    """Colliding parities among ``size`` fresh trials of :func:`lemma1_montecarlo`.
+def _chunk_hits(rng: np.random.Generator, d: int, x: np.ndarray) -> int:
+    """Colliding parities among ``len(x)`` fresh trials of
+    :func:`lemma1_montecarlo`, drawn from ``rng`` into ``x``, which ends
+    up holding their x - y.
 
-    Draws x, y, the redraws of y on rows where x == y, then s, the same
-    numbers as whole int32 arrays, but _DRAW_BLOCK rows at a time.
+    Draws x, y, the redraws of y on rows where x == y, then s, each
+    _DRAW_BLOCK rows at a time straight into its use, so no block is
+    alive while the next one is drawn.
     """
+    size, width = x.shape
+
     def draw(rows: int) -> np.ndarray:
         return rng.integers(0, d, size=(rows, width), dtype=np.int32)
 
     blocks = [slice(i, min(i + _DRAW_BLOCK, size)) for i in range(0, size, _DRAW_BLOCK)]
-    x = np.empty((size, width), _difference_dtype(d))
     for b in blocks:
         x[b] = draw(b.stop - b.start)
-    # x becomes x - y; the rows where x == y keep their x in `same_x`.
-    same_rows, same_x = [], []
+    # x becomes x - y; the rows where x == y keep their x, which is y, in `xs`.
+    rows, xs = [np.empty(0, np.intp)], [np.empty((0, width), np.int32)]
     for b in blocks:
         y = draw(b.stop - b.start)
         xb = x[b]
         xb -= y
         same = ~xb.any(axis=1)
-        same_rows.append(np.flatnonzero(same) + b.start)
-        same_x.append(y[same])
-    rows, xs = np.concatenate(same_rows), np.concatenate(same_x)
+        if same.any():
+            rows.append(np.flatnonzero(same) + b.start)
+            xs.append(y[same])
+        del y  # not alive while the next block is drawn
+    rows, xs = np.concatenate(rows), np.concatenate(xs)
     while rows.size:
         y = draw(rows.size)
         same = (xs == y).all(axis=1)
         x[rows[~same]] = xs[~same] - y[~same]
         rows, xs = rows[same], xs[same]
     return sum(_parity_hits(draw(b.stop - b.start), x[b], d) for b in blocks)
-
-
-def _split_hits(rng: np.random.Generator, d: int, size: int, width: int):
-    """:func:`_chunk_hits` split by rows between the caller and one helper
-    thread, or None, with ``rng`` untouched, where the split does not
-    give the serial stream's numbers.
-
-    The first ``size // 2`` rows go to the helper and the rest to the
-    caller (see :func:`_rows_hits`).  Once both are joined, the stream's
-    six segments x0, x1, y0, y1, s0, s1 must meet: each one's end is the
-    next one's nominal start (see :func:`_place`).  A Lemire rejection
-    moves a segment's end; a row with x == y would redraw y and move s,
-    and ends its half early.  Then ``rng`` is set to the end of s1 and the
-    hits are those of :func:`_chunk_hits`.  A chunk that starts halfway
-    through a 64-bit word, which only a serial chunk can leave behind, is
-    not split.
-    """
-    start = rng.bit_generator.state
-    if start["has_uint32"]:
-        return None
-    halves = [None, None]
-    # Both halves fill one x - y allocated here: a half allocated on the
-    # helper came from a fresh malloc arena and raised the peak RSS.
-    x = np.empty((size, width), _difference_dtype(d))
-
-    def run(half: int, rows: slice):
-        halves[half] = _rows_hits(start, d, size, x[rows], rows.start)
-
-    middle = size // 2
-    split = _on_two_cpus(
-        lambda: run(0, slice(0, middle)), lambda: run(1, slice(middle, size)), "quditpure-lemma1"
-    )
-    if not split or None in halves:
-        return None
-    (hits0, segments0), (hits1, segments1) = halves
-    stream = [segment for pair in zip(segments0, segments1) for segment in pair]
-    if any(_place(end) != _place(begin) for (_, end), (begin, _) in zip(stream, stream[1:])):
-        return None
-    rng.bit_generator.state = stream[-1][1]
-    return hits0 + hits1
-
-
-def _place(state: dict):
-    """Where a PCG64 state stands in its stream: a stale ``uinteger`` is
-    never read, so only ``state`` and ``has_uint32`` count."""
-    return state["state"], state["has_uint32"]
-
-
-def _rows_hits(start: dict, d: int, size: int, x: np.ndarray, first: int):
-    """Colliding parities on the rows of a chunk that ``x`` holds, from
-    row ``first`` on, drawn with no redraws from a chunk that begins at
-    PCG64 state ``start``, and the (nominal start, end) states of their
-    x, y and s segments; None if a row has x == y.
-
-    Each segment draws from its own copy of ``start``, advanced to where
-    the serial stream reaches the segment's first row: (segment * size +
-    first) * width / 2 64-bit words, two int32 draws to a word, whole
-    since width = 2n is even.  Blocks are ``_DRAW_BLOCK // 4`` rows: the
-    helper's temporaries take a malloc arena of their own, which blocks
-    of 1,000 rows grew past the serial path's peak RSS.
-    """
-    bits = np.random.PCG64(0)  # any seed: every segment sets its state
-    generator = np.random.Generator(bits)
-
-    def seek(segment: int) -> dict:
-        bits.state = start
-        bits.advance((segment * size + first) * width // 2)
-        return bits.state
-
-    def draw(b: slice) -> np.ndarray:
-        return generator.integers(0, d, size=(b.stop - b.start, width), dtype=np.int32)
-
-    count, width = x.shape
-    step = _DRAW_BLOCK // 4
-    blocks = [slice(i, min(i + step, count)) for i in range(0, count, step)]
-    # Each block is drawn straight into its use, so none is held while the next is drawn.
-    begin = seek(0)
-    for b in blocks:
-        x[b] = draw(b)
-    segments = [(begin, bits.state)]
-    begin = seek(1)
-    for b in blocks:
-        xb = x[b]
-        xb -= draw(b)
-        if not xb.any(axis=1).all():
-            return None
-    segments.append((begin, bits.state))
-    begin = seek(2)
-    hits = sum(_parity_hits(draw(b), x[b], d) for b in blocks)
-    segments.append((begin, bits.state))
-    return hits, segments

@@ -1077,6 +1077,17 @@ class TestRangeLimit:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "2000000 values" in err
 
+    def test_rejects_ghz_grid_over_a_million_rows(self, capsys, monkeypatch):
+        """Each flag is within the limit, but 168 x 2 x 1,000,000 rows are not."""
+        def no_rows(d, N, F):
+            raise AssertionError("a row was computed before the grid size was checked")
+
+        monkeypatch.setattr(cli.multipartite, "isotropic_yield_formula", no_rows)
+        code, out, err = run_cli(capsys, ["ghz", "--d-list", "primes:2..1000", "--N-list", "2..3",
+                                          "--F-grid", "0.5:1:1000000"])
+        assert code == 2 and out == ""
+        assert err == "error: ghz grid has 168 x 2 x 1000000 = 336000000 rows, over 1000000\n"
+
     def test_limit_is_inclusive(self):
         cli._check_range_size(cli.MAX_RANGE_VALUES, "a..b")
         with pytest.raises(ValueError, match="values"):

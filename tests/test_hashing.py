@@ -31,13 +31,13 @@ def cpus(monkeypatch):
 
 
 @pytest.fixture
-def serial_chunks(monkeypatch):
-    """Counts the calls of the serial chunk, which a failed split falls back to."""
+def chunks(monkeypatch):
+    """Records the thread and the row count of every Lemma 1 chunk drawn."""
     calls, real = [], hashing._chunk_hits
 
-    def counted(*args):
-        calls.append(args[2])
-        return real(*args)
+    def counted(rng, d, x):
+        calls.append((threading.current_thread(), len(x)))
+        return real(rng, d, x)
 
     monkeypatch.setattr(hashing, "_chunk_hits", counted)
     return calls
@@ -490,28 +490,51 @@ class TestLemma1MonteCarlo:
     @pytest.mark.parametrize(
         "d, n, trials, seed, rate",
         [
-            (2, 8, 10_000, 0, 0.4961),
-            (2, 1, 10_007, 42, 0.5046467472769062),
-            (3, 5, 250_000, 7, 0.331844),
-            (5, 20, 130_001, 11, 0.19980615533726664),
-            (7, 3, 100_000, 3, 0.14108),
-            (2, 1, 250_000, 5, 0.49878),
-            (127, 3, 10_000, 4, 0.0071),
-            (131, 20, 10_000, 1, 0.0079),
-            (257, 1, 100_000, 3, 0.00417),
-            (32_771, 1, 200_000, 2, 3.5e-05),
+            (2, 8, 10_000, 0, 0.4975),
+            (2, 1, 10_007, 42, 0.5085440191865694),
+            (3, 5, 250_000, 7, 0.333428),
+            (5, 20, 130_001, 11, 0.20090614687579325),
+            (7, 3, 100_000, 3, 0.14067),
+            (2, 1, 250_000, 5, 0.500876),
+            (127, 3, 10_000, 4, 0.008),
+            (131, 20, 10_000, 1, 0.0078),
+            (257, 1, 100_000, 3, 0.00378),
+            (32_771, 1, 200_000, 2, 3e-05),
+            (1_431_655_777, 1, 150_000, 3, 0.0),
         ],
     )
     def test_pinned_rates(self, cpus, d, n, trials, seed, rate):
         """Exact floats, so any change to the draws or to the parity
-        arithmetic shows; 130,001 and 250,000 trials end on a partial
-        100,000-row chunk.  At d = 2, n = 1 a quarter of the rows redraw
-        y, in every chunk; d = 127, 131, 257 and 32,771 sit on either side
-        of the int8 and int16 limits of x - y.  The same on one CPU and on
-        two, where the chunks split by rows."""
+        arithmetic shows; 130,001 and 250,000 trials end each half on a
+        partial 50,000-row chunk, and 10,007 splits into unequal halves.
+        At d = 2, n = 1 a quarter of the rows redraw y, in every chunk;
+        d = 127, 131, 257 and 32,771 sit on either side of the int8 and
+        int16 limits of x - y; d = 1,431,655,777 is just above 2**32 / 3,
+        so numpy's bounded draw rejects about a third of its 32-bit words.
+        The same on one CPU and on two, where the halves run at once."""
         for count in (1, 2):
             cpus(count)
             assert lemma1_montecarlo(d, n, trials=trials, seed=seed) == rate
+
+    @pytest.mark.parametrize("d, n, trials, seed", [(2, 1, 10_007, 42), (7, 3, 120_001, 3)])
+    def test_matches_whole_array_reference(self, d, n, trials, seed):
+        """Each half draws its 50,000-row chunks from its own spawned
+        stream, as whole int32 arrays would give them."""
+        hits = 0
+        halves = (trials // 2, trials - trials // 2)
+        for size, stream in zip(halves, np.random.SeedSequence(seed).spawn(2)):
+            rng = np.random.default_rng(stream)
+            for start in range(0, size, 50_000):
+                rows = min(50_000, size - start)
+                x = rng.integers(0, d, (rows, 2 * n), dtype=np.int32)
+                y = rng.integers(0, d, (rows, 2 * n), dtype=np.int32)
+                same = np.flatnonzero((x == y).all(axis=1))
+                while same.size:
+                    y[same] = rng.integers(0, d, (same.size, 2 * n), dtype=np.int32)
+                    same = same[(x[same] == y[same]).all(axis=1)]
+                s = rng.integers(0, d, (rows, 2 * n), dtype=np.int32)
+                hits += int(np.count_nonzero((s.astype(np.int64) * (x - y)).sum(axis=1) % d == 0))
+        assert lemma1_montecarlo(d, n, trials=trials, seed=seed) == hits / trials
 
     @pytest.mark.parametrize("d", [2, 3, 5, 7])
     def test_collision_rate_matches_1_over_d(self, d):
@@ -549,6 +572,18 @@ class TestLemma1MonteCarlo:
     def test_accepts_integral_floats(self):
         assert lemma1_montecarlo(2, 8.0, trials=10_000.0) == lemma1_montecarlo(2, 8, trials=10_000)
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(1.5, r"^seed must be an integer, got 1\.5$"), (-1, "^seed must be at least 0, got -1$")],
+    )
+    def test_rejects_bad_seed_before_any_draw(self, seed, message, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a chunk was drawn before the seed was checked")
+
+        monkeypatch.setattr(hashing, "_chunk_hits", no_draws)
+        with pytest.raises(ValueError, match=message):
+            lemma1_montecarlo(5, 20, trials=10_000, seed=seed)
+
     # 2n (d - 1)**2 < 2**63 at n = 20 holds for d = 480_191_923, the largest
     # prime below the bound, and fails for the next prime, 480_191_951.
     @pytest.mark.parametrize("d", [480_191_951, 2_000_000_011])
@@ -556,8 +591,7 @@ class TestLemma1MonteCarlo:
         def no_draws(*args):
             raise AssertionError("a chunk was drawn before the bound was checked")
 
-        for entry in ("_chunk_hits", "_split_hits", "_rows_hits"):
-            monkeypatch.setattr(hashing, entry, no_draws)
+        monkeypatch.setattr(hashing, "_chunk_hits", no_draws)
         with pytest.raises(ValueError, match=r"2n \(d - 1\)\*\*2 < 2\*\*63"):
             lemma1_montecarlo(d, 20, trials=10_000)
 
@@ -568,11 +602,11 @@ class TestLemma1MonteCarlo:
         assert 0.0 <= rate < 1e-3
 
     @staticmethod
-    def traced_peaks(cpus):
-        """Traced peak of a 200,000-trial run at n = 20, on one CPU and on
-        two (tracemalloc sees both threads' arrays)."""
+    def traced_peaks(cpus, counts=(1, 2)):
+        """Traced peak of a 200,000-trial run at n = 20, per CPU count
+        (tracemalloc sees both threads' arrays)."""
         peaks = []
-        for count in (1, 2):
+        for count in counts:
             cpus(count)
             tracemalloc.start()
             try:
@@ -583,16 +617,22 @@ class TestLemma1MonteCarlo:
         return peaks
 
     def test_peak_memory_below_three_chunk_arrays(self, cpus):
-        """The run stays below three int32 chunk arrays (3 x 100,000 x 40 x
-        4 B) of traced memory."""
+        """The run stays below three int32 arrays of both halves' chunk
+        rows (3 x 100,000 x 40 x 4 B) of traced memory."""
         assert max(self.traced_peaks(cpus)) < 3 * 100_000 * 40 * 4
 
     def test_peak_memory_below_six_bytes_per_chunk_entry(self, cpus):
-        """Only x - y is a whole chunk (100,000 x 40 entries, int8 at d = 5),
-        which both halves fill on two CPUs; y and s come a block of rows at
-        a time.  Whole int32 y and x took 35 MB; this bound is 6 bytes per
-        chunk entry."""
+        """Only x - y is whole (both halves' chunks, 100,000 x 40 entries,
+        int8 at d = 5); y and s come a block of rows at a time.  Whole
+        int32 y and x took 35 MB; this bound is 6 bytes per entry of
+        x - y."""
         assert max(self.traced_peaks(cpus)) < 100_000 * 40 * 6
+
+    def test_one_cpu_peak_is_x_minus_y_and_half_a_megabyte(self, cpus):
+        """On one CPU, x - y (4.0 MB) and the blocks drawn into it: no
+        block is held while the next one is drawn."""
+        (peak,) = self.traced_peaks(cpus, counts=(1,))
+        assert peak < 100_000 * 40 + 500_000
 
     @pytest.mark.parametrize("d", [2, 3, 5, 7, 2**31 - 1])
     def test_int32_draws_match_default_int64_stream(self, d):
@@ -611,92 +651,58 @@ class TestLemma1MonteCarlo:
 
 
 class TestLemma1Split:
-    """On two CPUs each chunk's rows split between the caller and a helper
-    thread, which draw from PCG64 copies jumped to their rows' place in
-    the serial stream; a chunk whose segments do not meet falls back to
-    the serial ``_chunk_hits``."""
-
-    def test_redraw_chunks_fall_back(self, cpus, serial_chunks):
-        """At d = 2, n = 1 a quarter of the rows have x == y in every chunk."""
-        cpus(2)
-        assert lemma1_montecarlo(2, 1, trials=250_000, seed=5) == 0.49878
-        assert serial_chunks == [100_000, 100_000, 50_000]
-
-    def test_lemire_rejections_fall_back(self, cpus, serial_chunks):
-        """d = 1,431,655,777 is prime and just above 2**32 / 3, so numpy's
-        bounded draw rejects about a third of its 32-bit words."""
-        d = 1_431_655_777
-        assert indices.is_prime(d) and 2**32 % d / 2**32 > 0.33
-        cpus(1)
-        serial = lemma1_montecarlo(d, 1, trials=150_000, seed=3)
-        assert serial_chunks == [100_000, 50_000]
-        cpus(2)
-        assert lemma1_montecarlo(d, 1, trials=150_000, seed=3) == serial
-        assert serial_chunks == [100_000, 50_000] * 2
-
-    def test_no_fallback_on_the_benchmark_shape(self, cpus, serial_chunks):
-        """A fallback that always fired would keep every bit and lose the
-        gain: d = 5, n = 20 neither rejects nor redraws."""
-        cpus(2)
-        for seed in range(10):
-            lemma1_montecarlo(5, 20, trials=500_000, seed=seed)
-        assert serial_chunks == []
-
-    def test_chunk_starting_mid_word_is_not_split(self, cpus):
-        """After an odd number of 32-bit draws the stream starts halfway
-        through a 64-bit word, where no jumped copy can start."""
-        cpus(2)
-        rng = np.random.default_rng(0)
-        rng.integers(0, 5, size=1, dtype=np.int32)
-        state = rng.bit_generator.state
-        assert state["has_uint32"] == 1
-        assert hashing._split_hits(rng, 5, 10_000, 40) is None
-        assert rng.bit_generator.state == state
-        serial = hashing._chunk_hits(rng, 5, 10_000, 40)
-        rng.bit_generator.state = state
-        cpus(1)
-        assert hashing._chunk_hits(rng, 5, 10_000, 40) == serial
-
-    def test_split_leaves_the_serial_end_state(self, cpus):
-        cpus(2)
-        split, serial = np.random.default_rng(4), np.random.default_rng(4)
-        assert hashing._split_hits(split, 7, 30_001, 6) == hashing._chunk_hits(serial, 7, 30_001, 6)
-        assert split.bit_generator.state == serial.bit_generator.state
+    """On two CPUs the first half of the trials runs on one helper thread
+    and the second on the caller; on one CPU the caller runs both."""
 
     def test_helper_failure_reaches_caller_after_join(self, cpus, monkeypatch):
         cpus(2)
-        caller, real, helpers = threading.current_thread(), hashing._rows_hits, []
+        caller, real, helpers = threading.current_thread(), hashing._chunk_hits, []
 
-        def rows_hits(*args):
+        def chunk_hits(*args):
             if threading.current_thread() is not caller:
                 helpers.append(threading.current_thread())
                 time.sleep(0.05)  # the caller's rows end first, so it waits in the join
                 raise MemoryError("helper rows")
             return real(*args)
 
-        monkeypatch.setattr(hashing, "_rows_hits", rows_hits)
+        monkeypatch.setattr(hashing, "_chunk_hits", chunk_hits)
         with pytest.raises(MemoryError, match="helper rows"):
             lemma1_montecarlo(5, 20, trials=10_000)
         assert len(helpers) == 1 and not helpers[0].is_alive()
 
-    def test_unstartable_helper_leaves_the_caller_every_row(self, cpus, monkeypatch, serial_chunks):
+    def test_unstartable_helper_leaves_the_caller_every_row(self, cpus, monkeypatch, chunks):
         cpus(2)
-        real, threads = hashing._rows_hits, []
-
-        def rows_hits(*args):
-            threads.append(threading.current_thread())
-            return real(*args)
 
         def start(thread):
             raise RuntimeError("can't start new thread")
 
-        monkeypatch.setattr(hashing, "_rows_hits", rows_hits)
         monkeypatch.setattr(threading.Thread, "start", start)
-        assert lemma1_montecarlo(5, 20, trials=130_001, seed=11) == 0.19980615533726664
-        assert threads == [threading.current_thread()] * 4 and serial_chunks == []
+        assert lemma1_montecarlo(5, 20, trials=130_001, seed=11) == 0.20090614687579325
+        caller = threading.current_thread()
+        assert chunks == [(caller, 50_000), (caller, 15_000), (caller, 50_000), (caller, 15_001)]
 
-    def test_one_cpu_runs_serial_chunks_only(self, cpus, monkeypatch, serial_chunks):
+    def test_one_cpu_runs_serial_chunks_only(self, cpus, chunks):
         cpus(1)
-        monkeypatch.setattr(hashing, "_rows_hits", None)
         lemma1_montecarlo(5, 20, trials=130_001, seed=11)
-        assert serial_chunks == [100_000, 30_001]
+        caller = threading.current_thread()
+        assert chunks == [(caller, 50_000), (caller, 15_000), (caller, 50_000), (caller, 15_001)]
+
+    def test_halves_run_on_helper_and_caller(self, cpus, chunks):
+        cpus(2)
+        lemma1_montecarlo(5, 20, trials=130_001, seed=11)
+        caller = threading.current_thread()
+        assert sorted(rows for thread, rows in chunks if thread is not caller) == [15_000, 50_000]
+        assert sorted(rows for thread, rows in chunks if thread is caller) == [15_001, 50_000]
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_starts_at_most_one_thread_per_call(self, cpus, monkeypatch, count):
+        cpus(count)
+        real, starts = threading.Thread.start, []
+
+        def start(thread):
+            starts.append(thread.name)
+            real(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        lemma1_montecarlo(5, 20, trials=500_000, seed=0)
+        assert starts == ["quditpure-lemma1"] * (count - 1)
