@@ -325,11 +325,8 @@ def cmd_ghz(args) -> str:
     if count > MAX_RANGE_VALUES:
         raise ValueError(f"ghz grid has {len(ds)} x {len(Ns)} x {len(Fs)} = {count} rows,"
                          f" over {MAX_RANGE_VALUES}")
-    rows = []
-    for d in ds:
-        for N in Ns:
-            for F in Fs:
-                rows.append((d, N, F, multipartite.isotropic_yield_formula(d, N, F)))
+    rows = ((d, N, F, multipartite.isotropic_yield_formula(d, N, F))
+            for d in ds for N in Ns for F in Fs)
     header = ["d", "N", "F", "yield"]
     return _table(args.format, header, rows)
 

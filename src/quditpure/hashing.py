@@ -270,27 +270,30 @@ def lemma1_montecarlo(
 ) -> float:
     """Empirical collision rate of random parities over index strings.
 
-    Samples pairs of distinct strings x != y in [0, d)**(2n) and uniform
-    coefficient strings s, and returns the fraction of trials with
-    s . x = s . y (mod d).  For prime d the exact rate is 1/d regardless
-    of how x and y differ, which is what makes each parity round reveal
-    one base-d symbol of information.
+    Samples uniform nonzero difference strings delta in [0, d)**(2n) and
+    uniform coefficient strings s, and returns the fraction of trials
+    with s . delta = 0 (mod d).  This is the rate at which a parity fails
+    to tell two distinct strings x != y apart: for uniform x != y,
+    delta = x - y mod d is uniform on the d**(2n) - 1 nonzero strings, and
+    s . x = s . y exactly when s . delta = 0.  For prime d the exact rate
+    is 1/d whatever delta is (Lemma 1), which is what makes each parity
+    round reveal one base-d symbol of information.
 
     ``SeedSequence(seed).spawn(2)`` gives each half of the trials its own
     stream: rows [0, trials // 2) draw from the first, the rest from the
-    second.  Each half runs chunks of 50,000 rows, and each chunk draws x,
-    then y, then the redraws of y on rows where x == y, then s, in int32
-    and 500 rows at a time, keeping only x - y whole.  Below 2**32,
-    numpy's int32 draws give the numbers of its default int64 draws,
-    split at any size, so each block draws what whole arrays would.
-    x - y is one buffer for both halves' chunks, allocated once per call
-    in the narrowest signed type that holds +-(d - 1): int8 up to
-    d = 127, 4 MB at n = 20.
+    second.  Each half runs blocks of _BLOCK = 2,000 rows; each block
+    draws delta, then the redraws of its all-zero rows, then s, in the
+    narrowest unsigned type that holds d - 1 (uint8 up to d = 256, uint16
+    up to d = 65,536, uint32 above).  numpy's 8- and 16-bit bounded draws
+    discard the unused bytes of their buffer at the end of each call, so
+    the values drawn depend on the call size: _BLOCK is part of the
+    stream, and changing it changes every rate.  No array outlives its
+    block: 200,000 trials at d = 5, n = 20 peak at about 0.31 MB of
+    traced memory on one CPU and 0.62 MB on two.
     The parity is summed in int64, which is exact only while
     2n (d - 1)**2 < 2**63; a larger d or n raises ValueError before any
-    draw.  That bound keeps d below 2**31, so int32 holds every draw and
-    every difference x - y.  A negative or non-integral seed raises
-    ValueError too.
+    draw.  That bound keeps d below 2**31, so uint32 holds every draw.
+    A negative or non-integral seed raises ValueError too.
 
     With two CPUs or more, the first half runs on one helper thread and
     the second on the caller; numpy's draws release the GIL, so the two
@@ -308,19 +311,16 @@ def lemma1_montecarlo(
             f" got d={d}, n={n}"
         )
 
+    dtype = next(t for t in (np.uint8, np.uint16, np.uint32) if d - 1 <= np.iinfo(t).max)
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
     sizes = (trials // 2, trials - trials // 2)
-    first_rows = min(_CHUNK, sizes[0])
-    # Both halves fill one x - y allocated here: an array allocated on the
-    # helper came from a fresh malloc arena and raised the peak RSS.
-    x = np.empty((first_rows + min(_CHUNK, sizes[1]), width), _difference_dtype(d))
-    buffers = (x[:first_rows], x[first_rows:])
     hits = [0, 0]
 
     def run(half: int):
-        size, buffer = sizes[half], buffers[half]
-        for start in range(0, size, len(buffer)):
-            hits[half] += _chunk_hits(streams[half], d, buffer[:size - start])
+        size = sizes[half]
+        for start in range(0, size, _BLOCK):
+            rows = min(_BLOCK, size - start)
+            hits[half] += _block_hits(streams[half], d, (rows, width), dtype)
 
     if not _on_two_cpus(lambda: run(0), lambda: run(1), "quditpure-lemma1"):
         run(0)
@@ -328,57 +328,25 @@ def lemma1_montecarlo(
     return sum(hits) / trials
 
 
-# Rows of a lemma1_montecarlo chunk, and of the blocks a chunk draws and
-# reduces at a time.
-_CHUNK = 50_000
-_DRAW_BLOCK = 500
+# Rows of a lemma1_montecarlo block; part of its stream (see there).
+_BLOCK = 2_000
 
 
-def _difference_dtype(d: int):
-    """Narrowest signed type that holds every x - y, +-(d - 1)."""
-    return next(t for t in (np.int8, np.int16, np.int32) if d - 1 <= np.iinfo(t).max)
-
-
-def _parity_hits(s: np.ndarray, x: np.ndarray, d: int) -> int:
-    """Rows whose parity s . (x - y) is 0 mod d; ``x`` holds x - y.  Each
-    term is at most (d - 1)**2 in size, so the int64 sum of 2n of them is
-    exact under the bound lemma1_montecarlo checks."""
-    parity = np.einsum("ij,ij->i", s, x, dtype=np.int64) % d
+def _parity_hits(s: np.ndarray, delta: np.ndarray, d: int) -> int:
+    """Rows whose parity s . delta is 0 mod d.  Each term is at most
+    (d - 1)**2, so the int64 sum of 2n of them is exact under the bound
+    lemma1_montecarlo checks."""
+    parity = np.einsum("ij,ij->i", s, delta, dtype=np.int64) % d
     return int(np.count_nonzero(parity == 0))
 
 
-def _chunk_hits(rng: np.random.Generator, d: int, x: np.ndarray) -> int:
-    """Colliding parities among ``len(x)`` fresh trials of
-    :func:`lemma1_montecarlo`, drawn from ``rng`` into ``x``, which ends
-    up holding their x - y.
-
-    Draws x, y, the redraws of y on rows where x == y, then s, each
-    _DRAW_BLOCK rows at a time straight into its use, so no block is
-    alive while the next one is drawn.
-    """
-    size, width = x.shape
-
-    def draw(rows: int) -> np.ndarray:
-        return rng.integers(0, d, size=(rows, width), dtype=np.int32)
-
-    blocks = [slice(i, min(i + _DRAW_BLOCK, size)) for i in range(0, size, _DRAW_BLOCK)]
-    for b in blocks:
-        x[b] = draw(b.stop - b.start)
-    # x becomes x - y; the rows where x == y keep their x, which is y, in `xs`.
-    rows, xs = [np.empty(0, np.intp)], [np.empty((0, width), np.int32)]
-    for b in blocks:
-        y = draw(b.stop - b.start)
-        xb = x[b]
-        xb -= y
-        same = ~xb.any(axis=1)
-        if same.any():
-            rows.append(np.flatnonzero(same) + b.start)
-            xs.append(y[same])
-        del y  # not alive while the next block is drawn
-    rows, xs = np.concatenate(rows), np.concatenate(xs)
-    while rows.size:
-        y = draw(rows.size)
-        same = (xs == y).all(axis=1)
-        x[rows[~same]] = xs[~same] - y[~same]
-        rows, xs = rows[same], xs[same]
-    return sum(_parity_hits(draw(b.stop - b.start), x[b], d) for b in blocks)
+def _block_hits(rng: np.random.Generator, d: int, shape: tuple, dtype) -> int:
+    """Colliding parities among one block of fresh trials of
+    :func:`lemma1_montecarlo`, ``shape`` = (rows, 2n), drawn from ``rng``:
+    delta, then the redraws of its all-zero rows, then s."""
+    delta = rng.integers(0, d, shape, dtype=dtype)
+    zero = np.flatnonzero(~delta.any(axis=1))
+    while zero.size:
+        delta[zero] = rng.integers(0, d, (zero.size, shape[1]), dtype=dtype)
+        zero = zero[~delta[zero].any(axis=1)]
+    return _parity_hits(rng.integers(0, d, shape, dtype=dtype), delta, d)

@@ -709,6 +709,15 @@ class TestGhz:
         assert row["d"] == "2" and row["N"] == "3"
         assert float(row["yield"]) == pytest.approx(0.368005734043, abs=1e-10)
 
+    def test_long_grid_peak_follows_its_text(self, capsys):
+        """The grid's rows are made as _table formats them, a block at a
+        time.  One list of every row peaked at 7.1 times the text here."""
+        out, peak = traced_peak(
+            capsys, ["ghz", "--d-list", "2", "--N-list", "2", "--F-grid", "0.5:1:20000"]
+        )
+        assert out.count("\n") == 20_001
+        assert peak < 5 * len(out)
+
     def test_state_file_report(self, capsys, tmp_path):
         path = tmp_path / "ghz.json"
         path.write_text(

@@ -1,5 +1,6 @@
 """Tests for hashing yields, thresholds, and finite-size bounds."""
 
+import itertools
 import math
 import threading
 import time
@@ -31,15 +32,15 @@ def cpus(monkeypatch):
 
 
 @pytest.fixture
-def chunks(monkeypatch):
-    """Records the thread and the row count of every Lemma 1 chunk drawn."""
-    calls, real = [], hashing._chunk_hits
+def blocks(monkeypatch):
+    """Records the thread and the row count of every Lemma 1 block drawn."""
+    calls, real = [], hashing._block_hits
 
-    def counted(rng, d, x):
-        calls.append((threading.current_thread(), len(x)))
-        return real(rng, d, x)
+    def counted(rng, d, shape, dtype):
+        calls.append((threading.current_thread(), shape[0]))
+        return real(rng, d, shape, dtype)
 
-    monkeypatch.setattr(hashing, "_chunk_hits", counted)
+    monkeypatch.setattr(hashing, "_block_hits", counted)
     return calls
 
 
@@ -490,50 +491,56 @@ class TestLemma1MonteCarlo:
     @pytest.mark.parametrize(
         "d, n, trials, seed, rate",
         [
-            (2, 8, 10_000, 0, 0.4975),
-            (2, 1, 10_007, 42, 0.5085440191865694),
-            (3, 5, 250_000, 7, 0.333428),
-            (5, 20, 130_001, 11, 0.20090614687579325),
-            (7, 3, 100_000, 3, 0.14067),
-            (2, 1, 250_000, 5, 0.500876),
-            (127, 3, 10_000, 4, 0.008),
-            (131, 20, 10_000, 1, 0.0078),
-            (257, 1, 100_000, 3, 0.00378),
-            (32_771, 1, 200_000, 2, 3e-05),
+            (2, 8, 10_000, 0, 0.4954),
+            (2, 1, 10_007, 42, 0.5031477965424203),
+            (3, 5, 250_000, 7, 0.33324),
+            (5, 20, 130_001, 11, 0.19873693279282467),
+            (7, 3, 100_000, 3, 0.14317),
+            (2, 1, 250_000, 5, 0.499924),
+            (251, 3, 10_000, 4, 0.0035),
+            (257, 20, 10_000, 1, 0.0028),
+            (65_521, 1, 100_000, 3, 0.0),
+            (65_537, 1, 200_000, 2, 1.5e-05),
             (1_431_655_777, 1, 150_000, 3, 0.0),
         ],
     )
     def test_pinned_rates(self, cpus, d, n, trials, seed, rate):
         """Exact floats, so any change to the draws or to the parity
         arithmetic shows; 130,001 and 250,000 trials end each half on a
-        partial 50,000-row chunk, and 10,007 splits into unequal halves.
-        At d = 2, n = 1 a quarter of the rows redraw y, in every chunk;
-        d = 127, 131, 257 and 32,771 sit on either side of the int8 and
-        int16 limits of x - y; d = 1,431,655,777 is just above 2**32 / 3,
-        so numpy's bounded draw rejects about a third of its 32-bit words.
-        The same on one CPU and on two, where the halves run at once."""
+        partial 2,000-row block, and 10,007 splits into unequal halves.
+        At d = 2, n = 1 a quarter of the rows redraw delta, in every
+        block; d = 251, 257, 65,521 and 65,537 sit on either side of the
+        uint8 and uint16 limits of the draws; d = 1,431,655,777 is just
+        above 2**32 / 3, so numpy's bounded draw rejects about a third of
+        its 32-bit words.  The same on one CPU and on two, where the
+        halves run at once."""
         for count in (1, 2):
             cpus(count)
             assert lemma1_montecarlo(d, n, trials=trials, seed=seed) == rate
 
-    @pytest.mark.parametrize("d, n, trials, seed", [(2, 1, 10_007, 42), (7, 3, 120_001, 3)])
+    @pytest.mark.parametrize(
+        "d, n, trials, seed",
+        [(2, 1, 10_007, 42), (7, 3, 120_001, 3), (257, 2, 10_001, 1), (65_537, 1, 10_000, 5)],
+    )
     def test_matches_whole_array_reference(self, d, n, trials, seed):
-        """Each half draws its 50,000-row chunks from its own spawned
-        stream, as whole int32 arrays would give them."""
+        """Each half draws its 2,000-row blocks from its own spawned
+        stream: delta, then the redraws of its all-zero rows, then s, in
+        the narrowest unsigned type that holds d - 1."""
+        dtype = np.uint8 if d <= 256 else np.uint16 if d <= 65_536 else np.uint32
         hits = 0
         halves = (trials // 2, trials - trials // 2)
         for size, stream in zip(halves, np.random.SeedSequence(seed).spawn(2)):
             rng = np.random.default_rng(stream)
-            for start in range(0, size, 50_000):
-                rows = min(50_000, size - start)
-                x = rng.integers(0, d, (rows, 2 * n), dtype=np.int32)
-                y = rng.integers(0, d, (rows, 2 * n), dtype=np.int32)
-                same = np.flatnonzero((x == y).all(axis=1))
-                while same.size:
-                    y[same] = rng.integers(0, d, (same.size, 2 * n), dtype=np.int32)
-                    same = same[(x[same] == y[same]).all(axis=1)]
-                s = rng.integers(0, d, (rows, 2 * n), dtype=np.int32)
-                hits += int(np.count_nonzero((s.astype(np.int64) * (x - y)).sum(axis=1) % d == 0))
+            for start in range(0, size, 2_000):
+                rows = min(2_000, size - start)
+                delta = rng.integers(0, d, (rows, 2 * n), dtype=dtype)
+                zero = [i for i in range(rows) if not delta[i].any()]
+                while zero:
+                    delta[zero] = rng.integers(0, d, (len(zero), 2 * n), dtype=dtype)
+                    zero = [i for i in zero if not delta[i].any()]
+                s = rng.integers(0, d, (rows, 2 * n), dtype=dtype)
+                parity = (s.astype(np.int64) * delta.astype(np.int64)).sum(axis=1) % d
+                hits += int(np.count_nonzero(parity == 0))
         assert lemma1_montecarlo(d, n, trials=trials, seed=seed) == hits / trials
 
     @pytest.mark.parametrize("d", [2, 3, 5, 7])
@@ -578,9 +585,9 @@ class TestLemma1MonteCarlo:
     )
     def test_rejects_bad_seed_before_any_draw(self, seed, message, monkeypatch):
         def no_draws(*args):
-            raise AssertionError("a chunk was drawn before the seed was checked")
+            raise AssertionError("a block was drawn before the seed was checked")
 
-        monkeypatch.setattr(hashing, "_chunk_hits", no_draws)
+        monkeypatch.setattr(hashing, "_block_hits", no_draws)
         with pytest.raises(ValueError, match=message):
             lemma1_montecarlo(5, 20, trials=10_000, seed=seed)
 
@@ -589,9 +596,9 @@ class TestLemma1MonteCarlo:
     @pytest.mark.parametrize("d", [480_191_951, 2_000_000_011])
     def test_rejects_inexact_parity_sum_before_any_draw(self, d, monkeypatch):
         def no_draws(*args):
-            raise AssertionError("a chunk was drawn before the bound was checked")
+            raise AssertionError("a block was drawn before the bound was checked")
 
-        monkeypatch.setattr(hashing, "_chunk_hits", no_draws)
+        monkeypatch.setattr(hashing, "_block_hits", no_draws)
         with pytest.raises(ValueError, match=r"2n \(d - 1\)\*\*2 < 2\*\*63"):
             lemma1_montecarlo(d, 20, trials=10_000)
 
@@ -604,7 +611,9 @@ class TestLemma1MonteCarlo:
     @staticmethod
     def traced_peaks(cpus, counts=(1, 2)):
         """Traced peak of a 200,000-trial run at n = 20, per CPU count
-        (tracemalloc sees both threads' arrays)."""
+        (tracemalloc sees both threads' arrays).  A first untraced call
+        imports numpy.random, which the trace would otherwise count."""
+        lemma1_montecarlo(5, 20, trials=10_000)
         peaks = []
         for count in counts:
             cpus(count)
@@ -616,38 +625,37 @@ class TestLemma1MonteCarlo:
                 tracemalloc.stop()
         return peaks
 
-    def test_peak_memory_below_three_chunk_arrays(self, cpus):
-        """The run stays below three int32 arrays of both halves' chunk
-        rows (3 x 100,000 x 40 x 4 B) of traced memory."""
-        assert max(self.traced_peaks(cpus)) < 3 * 100_000 * 40 * 4
-
-    def test_peak_memory_below_six_bytes_per_chunk_entry(self, cpus):
-        """Only x - y is whole (both halves' chunks, 100,000 x 40 entries,
-        int8 at d = 5); y and s come a block of rows at a time.  Whole
-        int32 y and x took 35 MB; this bound is 6 bytes per entry of
-        x - y."""
-        assert max(self.traced_peaks(cpus)) < 100_000 * 40 * 6
-
     def test_one_cpu_peak_is_x_minus_y_and_half_a_megabyte(self, cpus):
-        """On one CPU, x - y (4.0 MB) and the blocks drawn into it: no
-        block is held while the next one is drawn."""
+        """No array outlives its block: one block's x - y (delta) and s,
+        uint8 at d = 5, and its parity sums.  Holding x - y for
+        50,000-row chunks peaked at 4.23 MB."""
         (peak,) = self.traced_peaks(cpus, counts=(1,))
-        assert peak < 100_000 * 40 + 500_000
+        assert peak < 500_000
 
-    @pytest.mark.parametrize("d", [2, 3, 5, 7, 2**31 - 1])
-    def test_int32_draws_match_default_int64_stream(self, d):
-        """lemma1_montecarlo draws int32 and relies on numpy drawing the
-        same numbers as its default int64 draws, whole or split."""
-        shape = (1_001, 13)
-        wide = np.random.default_rng(d).integers(0, d, shape)
-        assert wide.dtype == np.int64
-        narrow = np.random.default_rng(d).integers(0, d, shape, dtype=np.int32)
-        np.testing.assert_array_equal(narrow, wide)
-        rng = np.random.default_rng(d)
-        split = np.concatenate(
-            [rng.integers(0, d, (rows, 13), dtype=np.int32) for rows in (7, 1, 993)]
-        )
-        np.testing.assert_array_equal(split, wide)
+    def test_two_cpu_peak_is_below_a_megabyte(self, cpus):
+        """One block per half, the two halves at once (4.47 MB with
+        50,000-row chunks)."""
+        (peak,) = self.traced_peaks(cpus, counts=(2,))
+        assert peak < 1_000_000
+
+
+class TestLemma1Exact:
+    """Lemma 1 counted over every string, with no randomness: for prime d
+    and any nonzero delta in [0, d)**m, exactly d**(m - 1) of the d**m
+    strings s have s . delta = 0 (mod d)."""
+
+    @pytest.mark.parametrize("d, m", [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3), (5, 3)])
+    def test_every_nonzero_delta_has_d_to_the_m_minus_1_zero_parities(self, d, m):
+        strings = np.array(list(itertools.product(range(d), repeat=m)))
+        assert not strings[0].any() and strings[1:].any(axis=1).all()
+        zeros = np.count_nonzero(strings[1:] @ strings.T % d == 0, axis=1)
+        assert zeros.tolist() == [d ** (m - 1)] * (d**m - 1)
+
+    def test_composite_d_breaks_it(self):
+        """At d = 4, delta = (2, 0) has a zero parity for half of all s,
+        not a quarter: the reason require_prime guards the Monte Carlo."""
+        strings = np.array(list(itertools.product(range(4), repeat=2)))
+        assert np.count_nonzero(strings @ [2, 0] % 4 == 0) / len(strings) == 0.5
 
 
 class TestLemma1Split:
@@ -656,43 +664,46 @@ class TestLemma1Split:
 
     def test_helper_failure_reaches_caller_after_join(self, cpus, monkeypatch):
         cpus(2)
-        caller, real, helpers = threading.current_thread(), hashing._chunk_hits, []
+        caller, real, helpers = threading.current_thread(), hashing._block_hits, []
 
-        def chunk_hits(*args):
+        def block_hits(*args):
             if threading.current_thread() is not caller:
                 helpers.append(threading.current_thread())
                 time.sleep(0.05)  # the caller's rows end first, so it waits in the join
                 raise MemoryError("helper rows")
             return real(*args)
 
-        monkeypatch.setattr(hashing, "_chunk_hits", chunk_hits)
+        monkeypatch.setattr(hashing, "_block_hits", block_hits)
         with pytest.raises(MemoryError, match="helper rows"):
             lemma1_montecarlo(5, 20, trials=10_000)
         assert len(helpers) == 1 and not helpers[0].is_alive()
 
-    def test_unstartable_helper_leaves_the_caller_every_row(self, cpus, monkeypatch, chunks):
+    # The blocks of 130,001 trials: each half ends on a partial block.
+    HALVES = ([2_000] * 32 + [1_000], [2_000] * 32 + [1_001])
+
+    def test_unstartable_helper_leaves_the_caller_every_row(self, cpus, monkeypatch, blocks):
         cpus(2)
 
         def start(thread):
             raise RuntimeError("can't start new thread")
 
         monkeypatch.setattr(threading.Thread, "start", start)
-        assert lemma1_montecarlo(5, 20, trials=130_001, seed=11) == 0.20090614687579325
+        assert lemma1_montecarlo(5, 20, trials=130_001, seed=11) == 0.19873693279282467
         caller = threading.current_thread()
-        assert chunks == [(caller, 50_000), (caller, 15_000), (caller, 50_000), (caller, 15_001)]
+        assert blocks == [(caller, rows) for rows in self.HALVES[0] + self.HALVES[1]]
 
-    def test_one_cpu_runs_serial_chunks_only(self, cpus, chunks):
+    def test_one_cpu_runs_serial_chunks_only(self, cpus, blocks):
         cpus(1)
         lemma1_montecarlo(5, 20, trials=130_001, seed=11)
         caller = threading.current_thread()
-        assert chunks == [(caller, 50_000), (caller, 15_000), (caller, 50_000), (caller, 15_001)]
+        assert blocks == [(caller, rows) for rows in self.HALVES[0] + self.HALVES[1]]
 
-    def test_halves_run_on_helper_and_caller(self, cpus, chunks):
+    def test_halves_run_on_helper_and_caller(self, cpus, blocks):
         cpus(2)
         lemma1_montecarlo(5, 20, trials=130_001, seed=11)
         caller = threading.current_thread()
-        assert sorted(rows for thread, rows in chunks if thread is not caller) == [15_000, 50_000]
-        assert sorted(rows for thread, rows in chunks if thread is caller) == [15_001, 50_000]
+        assert [rows for thread, rows in blocks if thread is not caller] == self.HALVES[0]
+        assert [rows for thread, rows in blocks if thread is caller] == self.HALVES[1]
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_starts_at_most_one_thread_per_call(self, cpus, monkeypatch, count):
