@@ -625,6 +625,18 @@ class TestLemma1MonteCarlo:
                 tracemalloc.stop()
         return peaks
 
+    def test_peak_memory_below_three_chunk_arrays(self, cpus):
+        """On one CPU and on two, the run stays below three int32 arrays
+        of both halves' 50,000-row chunks (3 x 100,000 x 40 x 4 B), the
+        bound of the x - y design; the block draws sit far below it."""
+        assert max(self.traced_peaks(cpus)) < 3 * 100_000 * 40 * 4
+
+    def test_peak_memory_below_six_bytes_per_chunk_entry(self, cpus):
+        """On one CPU and on two, below 6 bytes per entry of both halves'
+        chunks (100,000 x 40), the bound that held x - y whole per chunk;
+        whole int32 y and x took 35 MB."""
+        assert max(self.traced_peaks(cpus)) < 100_000 * 40 * 6
+
     def test_one_cpu_peak_is_x_minus_y_and_half_a_megabyte(self, cpus):
         """No array outlives its block: one block's x - y (delta) and s,
         uint8 at d = 5, and its parity sums.  Holding x - y for
