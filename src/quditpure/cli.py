@@ -21,7 +21,7 @@ import functools
 import itertools
 import json
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -178,8 +178,35 @@ def _parse_d_range(text: str) -> list[int]:
     return _parse_int_list(text)
 
 
-def _parse_float_grid(text: str) -> list[float]:
-    """Parse "x", "x,y,z" or "lo:hi:count" into a float list."""
+class _FloatGrid(Sequence):
+    """``np.linspace(lo, hi, n).tolist()``, made _ROW_BLOCK values at a time in
+    linspace's arithmetic, so that a long grid is never held whole."""
+
+    def __init__(self, lo: float, hi: float, n: int):
+        self.lo, self.hi, self.n = lo, hi, n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i: int) -> float:
+        i = range(self.n)[i]
+        return self._block(i, i + 1)[0]
+
+    def __iter__(self):
+        for i in range(0, self.n, _ROW_BLOCK):
+            yield from self._block(i, min(i + _ROW_BLOCK, self.n))
+
+    def _block(self, start: int, stop: int) -> list[float]:
+        """``i * step + lo``, ``(i / div) * delta + lo`` where the step underflows to 0."""
+        i, div, delta = np.arange(start, stop, dtype=float), max(self.n - 1, 1), self.hi - self.lo
+        y = (i / div * delta if delta / div == 0 else i * (delta / div)) + self.lo
+        if stop == self.n > 1:
+            y[-1] = self.hi  # the last point is hi
+        return y.tolist()
+
+
+def _parse_float_grid(text: str) -> Sequence[float]:
+    """Parse "x", "x,y,z" or "lo:hi:count" (a :class:`_FloatGrid`) into floats."""
     if not text.replace(",", "").strip():
         raise ValueError(f"no values in {text!r}")
     if ":" in text:
@@ -192,7 +219,7 @@ def _parse_float_grid(text: str) -> list[float]:
         if count < 1:
             raise ValueError(f"grid count must be positive, got {count}")
         _check_range_size(count, text)
-        return np.linspace(lo, hi, count).tolist()
+        return _FloatGrid(lo, hi, count)
     form = "grid must look like x,y,z or lo:hi:count with numbers"
     return _numbers(float, [p for p in text.split(",") if p.strip()], form, text)
 
@@ -344,6 +371,7 @@ def _add_output_flags(sub) -> None:
     sub.add_argument("--format", choices=("csv", "json"))
 
 
+@functools.cache  # once per process: parsing leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quditpure",

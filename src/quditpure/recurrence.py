@@ -307,19 +307,18 @@ def _fft_blocks(a: np.ndarray, out: np.ndarray, copies: int, starts: range, widt
 
 
 def _conv_round(a: np.ndarray, dims, copies: int, adaptive: bool):
-    """Normalized weights, success probability and ``rows`` of a round on
-    ``copies`` copies of ``a``: ``adaptive`` with phase errors dominating runs it
-    along rows (the Fourier-conjugated round).  ``dims`` is unused (one conv signature)."""
+    """Raw weights, success probability and ``rows`` of a round on ``copies`` copies
+    of ``a``, which it does not write: ``adaptive`` with phase errors dominating runs
+    it along rows (the Fourier-conjugated round, stored transposed).  ``dims`` is unused."""
     rows = adaptive and _phase_dominates(a)
     if rows:
         # The FFT blocks read either layout; the gather's sums keep C order.
         a = a.T if a.shape[0] > GATHER_MAX_D else np.ascontiguousarray(a.T)
     raw = _phase_power(a, copies)
-    prob = raw.sum()
+    prob = float(np.add.reduce(raw, axis=None))
     if prob <= 0.0:
         raise ValueError("no surviving branch; state weights are degenerate")
-    raw /= prob
-    return (raw.T if rows else raw), float(prob), rows
+    return raw, prob, rows
 
 
 def p1_map(state: CoeffMatrix) -> tuple[CoeffMatrix, float]:
@@ -336,8 +335,8 @@ def p1_map(state: CoeffMatrix) -> tuple[CoeffMatrix, float]:
     Returns the normalized output state and the success probability
     (the sum of squared column sums).
     """
-    mapped, prob, _ = _conv_round(state.alpha, state.d, 2, False)
-    return CoeffMatrix(mapped), prob
+    raw, prob, _ = _conv_round(state.alpha, state.d, 2, False)
+    return CoeffMatrix(np.divide(raw, prob, out=raw)), prob
 
 
 def p2_map(state: CoeffMatrix) -> tuple[CoeffMatrix, float]:
@@ -359,8 +358,8 @@ def three_copy_map(state: CoeffMatrix) -> tuple[CoeffMatrix, float]:
     weights are the cyclic triple self-convolution of each amplitude
     column, and the success probability is the sum of cubed column sums.
     """
-    mapped, prob, _ = _conv_round(state.alpha, state.d, 3, False)
-    return CoeffMatrix(mapped), prob
+    raw, prob, _ = _conv_round(state.alpha, state.d, 3, False)
+    return CoeffMatrix(np.divide(raw, prob, out=raw)), prob
 
 
 def choose_subroutine(state: CoeffMatrix) -> str:
@@ -375,7 +374,7 @@ def choose_subroutine(state: CoeffMatrix) -> str:
 
 def _phase_dominates(a: np.ndarray) -> bool:
     """The choice rule of :func:`choose_subroutine` on a weight array."""
-    return float(a[:, 0].sum()) > float(a[0, :].sum())
+    return np.add.reduce(a[:, 0]) > np.add.reduce(a[0])
 
 
 def noisy_step(state: CoeffMatrix, Q: float) -> CoeffMatrix:
@@ -396,7 +395,8 @@ def dejmps_map(state: CoeffMatrix, Q: float = 1.0) -> tuple[CoeffMatrix, float]:
     bilateral Fourier swap so that phase and amplitude errors trade
     places between rounds, as in the DEJMPS qubit protocol.
     """
-    _, mapped, prob = _round(DEJMPS, state.d, Q, _conv_round)(state.alpha)
+    advance, k = _round(DEJMPS, state.d, Q, _conv_round)
+    _, mapped, prob = advance(state.alpha, k)
     return CoeffMatrix(mapped), prob
 
 
@@ -415,7 +415,8 @@ def bbpssw_step(F: float, d: int, Q: float = 1.0) -> tuple[float, float]:
     """
     d = check_dimension(d)
     check_unit_interval(F, "fidelity")
-    _, s, prob = _round(BBPSSW, d, Q, _sector_conv)(preset_block("isotropic", d, F, 0.0))
+    advance, k = _round(BBPSSW, d, Q, _sector_conv)
+    _, s, prob = advance(preset_block("isotropic", d, F, 0.0), k)
     return float(s[0, 0]), float(prob)
 
 
@@ -475,21 +476,21 @@ def _constants(d, Q):
 
 
 def _round(protocol: str, d: int, Q: float, conv):
-    """Check a run's protocol and retention Q once and return its noisy
-    round on bare weights, ``a -> (label, weights, prob)``: on the d x d
-    matrix with ``conv=_conv_round``, on the sector block with ``_sector_conv``."""
+    """Check a run's protocol and retention Q once; return its noisy round on bare
+    weights, ``advance(a, k) -> (label, weights, prob)``, and its constants k: on
+    the d x d matrix with ``conv=_conv_round``, on the sector block with ``_sector_conv``."""
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     check_unit_interval(Q, "retention Q")
-    advance, k = _noisy_round(protocol, conv), _constants(d, Q)
-    return lambda a: advance(a, k)
+    return _noisy_round(protocol, conv), _constants(d, Q)
 
 
 def _noisy_round(protocol: str, conv):
-    """:func:`_round` as ``(a, k) -> (label, weights, prob)``, on the
-    :func:`_constants` ``k``: scalars, or lane arrays for sector lanes."""
+    """:func:`_round`'s ``advance``, on the :func:`_constants` ``k``: scalars,
+    or lane arrays for sector lanes."""
     copies = 3 if protocol == THREE_COPY else 2
     adaptive = protocol in (P1P2, THREE_COPY)
+    matrix = conv is _conv_round
 
     def advance(a, k):
         r, mix, errors, dm1, dm2 = k
@@ -497,10 +498,16 @@ def _noisy_round(protocol: str, conv):
             # The twirl protocol lives on isotropic states; twirling the input
             # is a no-op once the iteration is underway.
             a = twirled(a, errors)
-        a, prob, rows = conv(r * a + mix, (dm1, dm2), copies, adaptive)  # depolarized
-        if protocol == DEJMPS:
-            a = a.swapaxes(0, 1)
-        elif protocol == BBPSSW:
+        # At r = 1 the matrix round skips the mix 1.0 * a + 0.0, which keeps a's
+        # bits: no stored state holds -0.0, and _conv_round does not write a.
+        raw, prob, rows = conv(a if matrix and r == 1.0 else r * a + mix,  # depolarized
+                               (dm1, dm2), copies, adaptive)
+        if rows or protocol == DEJMPS:  # the transpose, written once the mix is freed
+            a = np.empty_like(raw.swapaxes(0, 1))
+            np.divide(raw, prob, out=a.swapaxes(0, 1))
+        else:
+            a = np.divide(raw, prob, out=raw)
+        if protocol == BBPSSW:
             a = twirled(a, errors)
         return (P2 if rows else P1) if protocol == P1P2 else protocol, a, prob
 
@@ -523,7 +530,7 @@ def run_protocol(
     adaptive P1P2 protocol re-picks its subroutine every round, on the
     state as it enters the gates, after the round's noise.
     """
-    advance = _round(protocol, state.d, noise.Q, _conv_round)
+    advance, k = _round(protocol, state.d, noise.Q, _conv_round)
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     max_iters = check_count(max_iters, "max_iters", 1)
@@ -535,9 +542,9 @@ def run_protocol(
     cum_yield = 1.0
     stall = 0
     while F < target and len(steps) < max_iters:
-        label, mapped, prob = advance(current.alpha)
+        label, mapped, prob = advance(current.alpha, k)
         current = CoeffMatrix._adopt(mapped)
-        del mapped  # a view's base dies now, not after the next round
+        del mapped  # renormalized weights leave the raw ones to die now
         cum_yield *= prob / copies
         steps.append(TrajectoryStep(label, current, prob, cum_yield))
         new_F = current.fidelity
@@ -580,7 +587,7 @@ def _sector_conv(s: np.ndarray, dims, copies: int, adaptive: bool):
     z > x, a swap F cannot see, so ``adaptive`` keeps z <= x instead.  Each
     lane is bit-identical to a one-lane run, so powers are plain products
     (``**`` rounds differently on a lane array); ``dims`` is (d - 1.0, d - 2.0),
-    floats or lane arrays.  Returns ``(s, prob, False)``.
+    floats or lane arrays.  Returns the raw block, prob and False.
     """
     dm1, dm2 = dims
     if adaptive:
@@ -598,9 +605,7 @@ def _sector_conv(s: np.ndarray, dims, copies: int, adaptive: bool):
     for _ in range(copies - 2):
         cpow = cpow * c
     prob = c[0] * cpow[0] + dm1 * c[1] * cpow[1]
-    s = np.array((u, v))
-    s /= prob
-    return s, prob, False
+    return np.array((u, v)), prob, False
 
 
 def _lanes_improve(

@@ -45,13 +45,13 @@ PRESET_KINDS = ("isotropic", "x_only", "z_only", "xz_mixture")
 def checked_weights(a: np.ndarray, kind: str) -> np.ndarray:
     """Apply the policy above to the fresh float array ``a`` of a state
     ``kind`` ("matrix" or "vector"), clamping negatives down to NEG_TOL
-    to 0; returns the weights read-only."""
-    least = a.min()
+    to 0; returns the weights read-only.  No weight it returns is -0.0."""
+    least = float(np.minimum.reduce(a, axis=None))
     if least < NEG_TOL:
         raise ValueError(f"negative weight {least:g} in state {kind}")
     if least <= 0.0:  # a zero may be -0.0, which the clamp makes +0.0
         np.maximum(a, 0.0, out=a)
-    drift = abs(a.sum() - 1.0)
+    drift = abs(float(np.add.reduce(a, axis=None)) - 1.0)
     # Written so that a NaN or infinite sum fails too: NaN compares
     # False both ways, and ``least`` above is NaN when any weight is.
     if not drift <= RENORM_TOL:
@@ -80,14 +80,12 @@ class CoeffMatrix:
 
     @classmethod
     def _adopt(cls, a: np.ndarray) -> "CoeffMatrix":
-        """The state of a round's fresh d x d float output ``a``: no shape
-        check and no copy, unless ``a`` is a view, which is copied as
-        ``__init__`` copies it; the weights get :func:`checked_weights`.
-        A P2 round's output is the transpose of the kernel's C-ordered
-        result, and ``np.array`` keeps its layout, so that state is stored
-        Fortran-ordered; the next round's kernel reads either layout."""
+        """The state of a round's fresh d x d float output ``a``, which owns its
+        data: no shape check and no copy; the weights get :func:`checked_weights`.
+        A P2 round and DEJMPS store the transpose of the kernel's C-ordered result,
+        which the normalizing division writes Fortran-ordered; kernels read either."""
         state = cls.__new__(cls)
-        state.alpha = checked_weights(a if a.base is None else np.array(a), "matrix")
+        state.alpha = checked_weights(a, "matrix")
         return state
 
     @property

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quditpure import cli, hashing, indices, oracle, recurrence
 from quditpure.states import (
@@ -695,6 +695,48 @@ class TestCsvFormatting:
         assert all(type(v) is float for v in cli._parse_float_grid("0.5:1:11"))
 
 
+def linspace_bits(values):
+    return np.array(list(values), dtype=float).tobytes()
+
+
+class TestFloatGrid:
+    """A lo:hi:count grid is made a block at a time, with linspace's bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lo=st.floats(-1e300, 1e300), hi=st.floats(-1e300, 1e300),
+           count=st.integers(1, 3 * cli._ROW_BLOCK))
+    @example(lo=0.0, hi=5e-324, count=3)  # the step underflows to 0
+    @example(lo=0.0, hi=1e-320, count=2500)
+    @example(lo=-5e-324, hi=5e-324, count=4)
+    @example(lo=0.5, hi=0.5, count=7)
+    @example(lo=1.0, hi=0.0, count=2)
+    @example(lo=0.9, hi=0.2, count=1)
+    @example(lo=-0.0, hi=1.0, count=1)
+    @example(lo=0.5, hi=1.0, count=2 * cli._ROW_BLOCK + 1)
+    def test_matches_linspace(self, lo, hi, count):
+        grid = cli._FloatGrid(lo, hi, count)
+        expected = np.linspace(lo, hi, count).tolist()
+        assert len(grid) == count
+        assert linspace_bits(grid) == linspace_bits(expected)
+        assert linspace_bits(grid) == linspace_bits(grid)  # it iterates again
+        for i in {0, count // 2, count - 1, -1, -count}:
+            assert linspace_bits([grid[i]]) == linspace_bits([expected[i]])
+        assert all(type(v) is float for v in grid)
+        with pytest.raises(IndexError):
+            grid[count]
+
+    def test_range_is_not_held_as_a_list(self):
+        """A million-point grid held 32 MB of floats as a list."""
+        tracemalloc.start()
+        try:
+            grid = cli._parse_float_grid("0.5:1:1000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(grid) == 1_000_000 and grid[-1] == 1.0
+        assert peak < 100_000
+
+
 class TestGhz:
     def test_grid_csv(self, capsys):
         code, out, _ = run_cli(
@@ -1179,3 +1221,32 @@ class TestSubprocess:
     def test_unknown_flag_exits_2(self):
         proc = run_process(["thresholds", "--no-such-flag"])
         assert proc.returncode == 2 and "unrecognized arguments" in proc.stderr
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process, and a parse that
+    fails leaves it as it was."""
+
+    COMMANDS = [
+        ["ghz", "--d-list", "2,3", "--N-list", "2", "--F-grid", "0.5:1:3"],
+        ["thresholds", "--no-such-flag"],
+        ["recurrence-run", "--d", "1", "--F", "0.5"],
+        ["recurrence-run", "--d", "3", "--F", "0.6", "--protocol", "dejmps"],
+    ]
+
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_commands_in_one_process_match_alone(self, capsys):
+        """Good, bad (a flag argparse rejects, then input a handler
+        rejects) and good again, in one process, give each command's
+        stdout, stderr and exit code as a process of its own."""
+        for argv in self.COMMANDS:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            proc = run_process(argv)
+            assert (code, captured.out, captured.err) == (proc.returncode, proc.stdout,
+                                                          proc.stderr)

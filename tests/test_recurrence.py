@@ -2,9 +2,11 @@
 
 import dataclasses
 import functools
+import hashlib
 import itertools
 import math
 import re
+import struct
 import sys
 import threading
 import time
@@ -286,6 +288,28 @@ class TestPhaseKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < bound * d * d * 8
+
+    @pytest.mark.parametrize("d, bound", [(401, 2.95), (1009, 2.5)])
+    @pytest.mark.parametrize("protocol, kind", [(P1P2, "z_only"), (DEJMPS, "isotropic")])
+    @pytest.mark.parametrize("Q", [1.0, 0.98])
+    def test_stored_round_memory_peak(self, monkeypatch, d, bound, protocol, kind, Q):
+        """A P2 round and a DEJMPS round store the transpose of the
+        kernel's result, written by the normalizing division once the
+        round's depolarized copy is gone.  Measured through one
+        ``run_protocol`` round before that store existed (a view copied
+        into the state): 2.82-2.92 d x d arrays at d = 401 and 2.32 at
+        1009.  Dividing while the depolarized copy lived took both to 3.0
+        at Q = 0.98; at Q = 1, which makes no copy, the store peaks at 2.0-2.1."""
+        monkeypatch.setattr(indices, "_cpu_count", lambda: 2)
+        state = preset(kind, d, 0.6)
+        tracemalloc.start()
+        try:
+            traj = run_protocol(protocol, state, NoiseParams(Q=Q), max_iters=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.steps[0].step == (P2 if protocol == P1P2 else DEJMPS)
         assert peak < bound * d * d * 8
 
 
@@ -684,15 +708,15 @@ class TestDejmps:
 def matrix_round(protocol, state, Q):
     """``run_protocol``'s round: ``_round`` on the weight matrix, the
     result stored as one validated state."""
-    label, mapped, prob = recurrence._round(protocol, state.d, Q, recurrence._conv_round)(
-        state.alpha
-    )
+    advance, k = recurrence._round(protocol, state.d, Q, recurrence._conv_round)
+    label, mapped, prob = advance(state.alpha, k)
     return label, CoeffMatrix(mapped), prob
 
 
 def sector_round(protocol, s, d, Q):
     """``_lanes_improve``'s round: ``_round`` on the sector block."""
-    _, s, prob = recurrence._round(protocol, d, Q, recurrence._sector_conv)(s)
+    advance, k = recurrence._round(protocol, d, Q, recurrence._sector_conv)
+    _, s, prob = advance(s, k)
     return s, prob
 
 
@@ -742,6 +766,27 @@ class TestAdvance:
     def test_unknown_protocol(self):
         with pytest.raises(ValueError, match="unknown protocol"):
             matrix_round("bogus", preset("isotropic", 2, 0.8), 1.0)
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("d", [3, 37])
+    def test_q1_round_from_signed_zeros(self, protocol, d):
+        """At Q = 1 the round skips the depolarizing mix ``1.0 * a + 0.0``,
+        which would turn a -0.0 weight into +0.0.  Inputs written with -0.0
+        in place of every zero, and tiny negatives, are stored without
+        them, so the skipped round still gives the composed public maps'
+        bytes, with phase errors dominating (P2) and not."""
+        for kind in ("x_only", "z_only"):
+            a = preset(kind, d, 0.5).alpha.copy()
+            a[a == 0.0] = -0.0
+            a[-1, -1] = -1e-13
+            state = CoeffMatrix(a)
+            assert not np.signbit(state.alpha).any()
+            for _ in range(3):
+                label, mapped, prob = matrix_round(protocol, state, 1.0)
+                ref_label, ref_mapped, ref_prob = composed_round(protocol, state, 1.0)
+                assert (label, prob) == (ref_label, ref_prob)
+                assert mapped.alpha.tobytes() == ref_mapped.alpha.tobytes()
+                state = mapped
 
 
 def bad_retention(Q):
@@ -821,6 +866,50 @@ class TestStoredSteps:
         with pytest.raises(dataclasses.FrozenInstanceError):
             step.success_prob = 0.5
         assert not hasattr(step, "__dict__")
+
+
+# SHA-256 of every step of steps_digest(protocol), pinned on numpy
+# STEP_DIGEST_NUMPY, whose FFT and einsum give these bits.
+STEP_DIGEST_NUMPY = "2.4.6"
+STEP_DIGESTS = {
+    P1P2: "6ac6c5b089ec54565916840033d3b475726f880b33b665a56bfaafb5a192b720",
+    DEJMPS: "444f2e947a99d4205d367ee750eceeaf102f75eeca2c777b8b5fe629f553a89c",
+    BBPSSW: "a98a417fe81fd5470a8e0e86f59375c74281b2a26c07a1c88a5ec4faa87dad8a",
+    THREE_COPY: "b8968db640b84f383f149684d5707e969a198bbdc2734b677c8fadbf80c5e79a",
+}
+
+
+def steps_digest(protocol):
+    """SHA-256 over the label, success probability, cumulative yield and
+    weight bytes of every ``run_protocol`` step, up to 12 rounds from a
+    random, an x_only and a z_only start at each d and Q."""
+    digest = hashlib.sha256()
+    for d in (2, 3, 5, 7, 31, 37, 101):
+        rng = np.random.default_rng(d)
+        starts = [random_state(d, rng), preset("x_only", d, 0.5), preset("z_only", d, 0.5)]
+        for Q in (1.0, 0.98):
+            for state in starts:
+                traj = run_protocol(protocol, state, NoiseParams(Q=Q), epsilon=1e-12,
+                                    max_iters=12)
+                for step in traj.steps:
+                    digest.update(step.step.encode())
+                    digest.update(struct.pack("<2d", step.success_prob, step.cumulative_yield))
+                    digest.update(step.state.alpha.tobytes())
+    return digest.hexdigest()
+
+
+class TestStepDigest:
+    """``run_protocol``'s bits, pinned.  TestAdvance and TestStoredSteps
+    compare rounds with public maps that run the same kernel, so a change
+    that moves the bits of every round at once passes them; the digests,
+    computed before the matrix round dropped its Q = 1 mix and its copy of
+    a transposed store, catch it."""
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_steps_match_pinned_digest(self, protocol):
+        if np.__version__ != STEP_DIGEST_NUMPY:
+            pytest.skip(f"digests pinned on numpy {STEP_DIGEST_NUMPY}")
+        assert steps_digest(protocol) == STEP_DIGESTS[protocol]
 
 
 class TestStopReason:
@@ -1199,8 +1288,8 @@ class TestSector:
         full[0, 0], full[0, 1:], full[1:, 0] = F, x, z
         cube = roll_phase_conv(roll_phase_conv(full, full), full)
         prob = cube.sum()
-        three = recurrence._round(THREE_COPY, d, 1.0, recurrence._sector_conv)
-        _, s, sector_prob = three(block.copy())
+        three, k = recurrence._round(THREE_COPY, d, 1.0, recurrence._sector_conv)
+        _, s, sector_prob = three(block.copy(), k)
         assert sector_prob == pytest.approx(prob, rel=1e-14)
         assert_on_sector(CoeffMatrix(cube / prob), *s.ravel(), unordered_xz=False)
 

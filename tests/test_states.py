@@ -70,6 +70,42 @@ class TestCoeffMatrix:
             m.alpha[0, 0] = 0.9
 
 
+def signed_zero_inputs():
+    """Weight matrices with -0.0 in place of zeros, and one with a tiny
+    negative weight above NEG_TOL, at d = 2 and 7 and in both layouts."""
+    out = []
+    for d in (2, 7):
+        a = np.zeros((d, d))
+        a[0, 0], a[0, 1] = 0.75, 0.25
+        a[a == 0.0] = -0.0
+        b = a.copy()
+        b[-1, -1] = NEG_TOL / 2
+        out += [a, b, np.asfortranarray(a)]
+    return out
+
+
+class TestNoNegativeZero:
+    """No stored weight is -0.0.  A matrix round at Q = 1 skips the mix
+    ``1.0 * a + 0.0``, which would turn -0.0 into +0.0, so its bits rest on
+    this (TestAdvance in test_recurrence.py runs such a round)."""
+
+    @pytest.mark.parametrize("a", signed_zero_inputs())
+    def test_constructor_adopt_and_transpose(self, a):
+        assert np.signbit(a).any()
+        for state in (CoeffMatrix(a), CoeffMatrix._adopt(a.copy(order="K")),
+                      CoeffMatrix(a).transpose()):
+            assert not np.signbit(state.alpha).any()
+
+    @pytest.mark.parametrize("kind", PRESET_KINDS)
+    @pytest.mark.parametrize("F", [-0.0, 0.0, 0.6, 1.0])
+    @pytest.mark.parametrize("x_weight", [-0.0, 0.25, 1.0])
+    def test_presets(self, kind, F, x_weight):
+        """A -0.0 fidelity or x_weight puts -0.0 into the preset's block."""
+        for d in (2, 5):
+            state = make_preset(StatePreset(kind, F, x_weight), d)
+            assert not np.signbit(state.alpha).any()
+
+
 def loop_make_preset(kind, F, x_weight, d):
     """The preset weight matrix as built before ``preset_block``: one
     branch per kind, kept as the byte-for-byte reference."""
