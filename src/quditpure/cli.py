@@ -22,6 +22,7 @@ import itertools
 import json
 import sys
 from collections.abc import Iterable, Sequence
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -53,18 +54,49 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# printf codes that give _fmt's text for values of exactly these types.
-_CODES = {int: "%d", float: "%.12g", str: "%s"}
+_BOOLS = ("false", "true")
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+# Per format: the separator of two rows, the text of any value, and per exact
+# value type a printf code, or a function for %s, that gives that text faster.
+_FORMATS = {
+    "csv": ("\n", _fmt, {int: "%d", float: "%.12g", str: "%s", bool: _BOOLS.__getitem__}),
+    "json": (",\n", json.dumps, {
+        int: "%d", float: lambda v: _NON_FINITE.get(text := float.__repr__(v), text),
+        str: encode_basestring_ascii, bool: _BOOLS.__getitem__}),
+}
 
 
 @functools.cache
-def _row_formatter(types: tuple):
-    """Format a CSV row of these value types as _fmt would, value by value."""
-    codes = [_CODES.get(t) for t in types]
-    template = ",".join(c or "%s" for c in codes)
-    if None not in codes:
-        return template.__mod__
-    return lambda row: template % tuple(v if c else _fmt(v) for v, c in zip(row, codes))
+def _row_formatter(fmt: str, header: tuple, constants: tuple, types: tuple):
+    """The text of a block of rows of these value ``types`` in _table's
+    ``fmt``: one printf template per row, with each ``(name, text)`` of
+    ``constants`` written into it.  JSON keys go in sorted order.  Values with
+    no printf code, and columns the keys reorder, go through a column at a time."""
+    sep, fallback, codes = _FORMATS[fmt]
+    codes = [codes.get(t, fallback) for t in types]
+    constants = dict(constants)
+    column = dict(zip([name for name in header if name not in constants], range(len(types))))
+    parts, order = [], []
+    for name in sorted(header) if fmt == "json" else header:
+        if name in constants:
+            text = constants[name]
+        elif name in column:
+            order.append(column[name])
+            text = "%s" if callable(codes[order[-1]]) else codes[order[-1]]
+        else:
+            continue
+        parts.append(text if fmt == "csv" else
+                     f"\n    {encode_basestring_ascii(name).replace('%', '%%')}: {text}")
+    template = ",".join(parts) if fmt == "csv" else "  {%s\n  }" % ",".join(parts)
+    convert = [c if callable(c) else None for c in codes]
+    if not any(convert) and order == sorted(order):
+        return lambda rows: sep.join(map(template.__mod__, rows))
+
+    def text(rows):
+        columns = [map(f, c) if f else c for f, c in zip(convert, zip(*rows))]
+        return sep.join(map(template.__mod__, zip(*map(columns.__getitem__, order))))
+    return text
 
 
 # Rows a table formats at a time: a long table never holds all its row
@@ -79,39 +111,35 @@ def _blocks(rows: Iterable[tuple]):
         yield block
 
 
-def _csv(header: list[str], rows: Iterable[tuple], types: tuple | None = None) -> str:
-    """CSV text; ``types``, when given, are the value types of every row."""
-    if types is None:
-        def line(row):
-            return _row_formatter(tuple(map(type, row)))(row)
-    else:
-        line = _row_formatter(types)
-    lines = [",".join(header)]
-    lines.extend("\n".join(map(line, block)) for block in _blocks(rows))
-    lines.append("")  # the final newline, without a copy of the text
-    return "\n".join(lines)
-
-
 def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _table(
-    fmt: str | None, header: list[str], rows: Iterable[tuple], types: tuple | None = None
-) -> str:
-    """JSON records or CSV text; ``types`` as for :func:`_csv`."""
-    if fmt != "json":
-        return _csv(header, rows, types)
-    # Each block's list without its "[\n" and "\n]\n", so that the blocks
-    # join into the text of one list.
-    records = ",\n".join(_json([dict(zip(header, row)) for row in block])[2:-3]
-                          for block in _blocks(rows))
-    return f"[\n{records}\n]\n" if records else _json([])
+def _table(fmt: str | None, header: list[str], rows: Iterable[tuple],
+           types: tuple | None = None, /, **constants) -> str:
+    """CSV text (the default) with _fmt's text of each value, or JSON records
+    as json.dumps(indent=2, sort_keys=True) prints them.  ``constants`` are the
+    columns with one value on every row, which ``rows`` leave out; ``types``,
+    when given, are the value types of every row, else each row takes its own."""
+    fmt = "json" if fmt == "json" else "csv"
+    sep, fallback = _FORMATS[fmt][:2]
+    # Texts, not values, key the cache: -0.0 == 0.0 and True == 1.
+    key = (fmt, tuple(header), tuple((k, fallback(v).replace("%", "%%"))
+                                     for k, v in constants.items()))
+    if types is None:
+        def text(block):
+            return sep.join(_row_formatter(*key, tuple(map(type, row)))([row]) for row in block)
+    else:
+        text = _row_formatter(*key, types)
+    if fmt == "csv":
+        return "\n".join([",".join(header), *map(text, _blocks(rows)), ""])
+    records = ",\n".join(map(text, _blocks(rows)))
+    return f"[\n{records}\n]\n" if records else "[]\n"
 
 
 def _record(fmt: str | None, obj: dict) -> str:
     if fmt == "csv":
-        return _csv(list(obj), [tuple(obj.values())])
+        return _table(fmt, list(obj), [tuple(obj.values())])
     return _json(obj)
 
 
@@ -271,7 +299,7 @@ def cmd_recurrence_run(args) -> str:
                 "steps": [dict(zip(header, r)) for r in rows],
             }
         )
-    return _csv(header, rows)
+    return _table("csv", header, rows)
 
 
 def cmd_thresholds(args) -> str:
@@ -281,10 +309,11 @@ def cmd_thresholds(args) -> str:
     d_values = _parse_d_range(args.d_range)
     table = recurrence.threshold_table(protocol, d_values, args.Q, args.preset, q_tol=args.q_tol,
                                        grid=args.grid, iterations=args.iterations)
-    rows = [(d, protocol, args.Q, q_th, regime.F_min, regime.F_max, regime.purifiable)
+    rows = [(d, q_th, regime.F_min, regime.F_max, regime.purifiable)
             for d, (q_th, regime) in zip(d_values, table)]
     header = ["d", "protocol", "Q", "Q_th", "F_min", "F_max", "purifiable"]
-    return _table(args.format, header, rows)
+    return _table(args.format, header, rows, (int, float, float, float, bool),
+                  protocol=protocol, Q=args.Q)
 
 
 def cmd_hashing(args) -> str:
@@ -310,7 +339,7 @@ def cmd_hashing(args) -> str:
             p_min, q_min = hashing.noisy_thresholds(d)
             rows.append((d, F_min, p_min, q_min, hashing.universal_threshold(d)))
         header = ["d", "F_min", "p_min", "q_min", "universal_q_th"]
-        return _table(args.format, header, rows)
+        return _table(args.format, header, rows, (int, float, float, float, float))
 
     if args.d is None or args.F is None:
         raise ValueError("finite-size hashing needs --d and --F")
@@ -320,13 +349,15 @@ def cmd_hashing(args) -> str:
 
     ns = _parse_sweep(args.n_sweep)
     header = ["n", "delta", "S", "r", "yield", "p1_bound", "p2", "F_out_bound"]
-    # The sweep's columns a block at a time; the first block checks every input.
+    # The sweep's columns a block at a time; the first block checks every
+    # input.  S, the same on every row, goes into the row template once.
     blocks = (hashing.finite_size_columns(args.d, ns[i:i + _ROW_BLOCK], args.F, args.delta)
               for i in range(0, len(ns), _ROW_BLOCK))
-    rows = itertools.chain.from_iterable(zip(*map(c.get, header)) for c in blocks)
+    rows = itertools.chain.from_iterable(zip(*map(c.get, header[:2] + header[3:])) for c in blocks)
     first = next(rows)
     # Each column holds values of one type, so every row has the first row's.
-    return _table(args.format, header, itertools.chain([first], rows), tuple(map(type, first)))
+    return _table(args.format, header, itertools.chain([first], rows), tuple(map(type, first)),
+                  S=hashing.isotropic_entropy(args.d, args.F))
 
 
 def cmd_ghz(args) -> str:
@@ -355,7 +386,7 @@ def cmd_ghz(args) -> str:
     rows = ((d, N, F, multipartite.isotropic_yield_formula(d, N, F))
             for d in ds for N in Ns for F in Fs)
     header = ["d", "N", "F", "yield"]
-    return _table(args.format, header, rows)
+    return _table(args.format, header, rows, (int, int, float, float))
 
 
 def cmd_oracle_check(args) -> str:

@@ -14,6 +14,7 @@ strings are measured jointly, so only the worst one is charged).
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -80,19 +81,17 @@ def _check_parties(N) -> int:
     return check_count(N, "party count N", 2)
 
 
-def _isotropic_size(d: int, N, F: float, limit: int) -> int:
-    """d**N, once N, d**N <= limit and the isotropic fidelity range
-    [1/d**N, 1] are checked."""
-    size = checked_power(d, _check_parties(N), limit)
+def _check_fidelity(F: float, size: int) -> None:
+    """Check F against the isotropic fidelity range [1/d**N, 1]; size = d**N."""
     if not 1.0 / size <= F <= 1.0:
         raise ValueError(f"fidelity must be in [1/d**N, 1], got {F}")
-    return size
 
 
 def ghz_isotropic(d: int, N: int, F: float) -> GhzCoeffs:
     """GHZ-diagonal state with weight F on the target and a uniform tail."""
     d = check_dimension(d)
-    size = _isotropic_size(d, N, F, MAX_INDEX)
+    size = checked_power(d, _check_parties(N), MAX_INDEX)
+    _check_fidelity(F, size)
     a = np.full(size, (1.0 - F) / (size - 1))
     a[0] = F
     return GhzCoeffs(d, N, a)
@@ -154,17 +153,26 @@ def isotropic_yield_formula(d: int, N: int, F: float) -> float:
         Y = 1 + 2 (p_a log_d p_a + (d - 1) p_b log_d p_b)
 
     clamped at 0.  Matches :func:`multipartite_yield` on
-    :func:`ghz_isotropic` inputs.
+    :func:`ghz_isotropic` inputs.  d and N are checked once per (d, N) in
+    a process (see :func:`_yield_terms`), F on every call.
     """
-    d = require_prime(d)
-    size = _isotropic_size(d, N, F, MAX_FLOAT_SIZE)
-    p_a = F + (1.0 - F) * (d ** (N - 1) - 1.0) / (size - 1.0)
-    p_b = (1.0 - F) * d ** (N - 1) / (size - 1.0)
-    log_d = math.log(d)
+    d, size, power, log_d = _yield_terms(d, N)
+    _check_fidelity(F, size)
+    p_a = F + (1.0 - F) * (power - 1.0) / (size - 1.0)
+    p_b = (1.0 - F) * power / (size - 1.0)
     total = p_a * math.log(p_a) / log_d if p_a > 0.0 else 0.0
     if p_b > 0.0:
         total += (d - 1.0) * p_b * math.log(p_b) / log_d
     return max(0.0, 1.0 + 2.0 * total)
+
+
+@functools.lru_cache(typed=True)
+def _yield_terms(d: int, N: int) -> tuple[int, int, int, float]:
+    """d as a plain int, d**N, d**(N-1) and ln d, once d is prime, N >= 2 and
+    d**N <= MAX_FLOAT_SIZE; the cache keeps no error, so each bad call raises."""
+    d = require_prime(d)
+    size = checked_power(d, _check_parties(N), MAX_FLOAT_SIZE)
+    return d, size, d ** (N - 1), math.log(d)
 
 
 def ghz_to_json(state: GhzCoeffs) -> dict:

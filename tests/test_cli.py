@@ -531,10 +531,20 @@ class TestTableGoldens:
                 ["hashing", "--threshold", "--d-range", "primes:2..200"],
                 "b35b3c0c627b3953039c80c72ab9df2bb29ef3aaab397f9ad4c8a22d7e8619d5",
             ),
+            # JSON with str and bool columns, and with constant columns.
+            (
+                ["thresholds", "--protocol", "bbpssw", "--d-range", "2..50", "--format", "json"],
+                "f06ec3e158a8d62beb44c29c9a6f7773fb3c017c9a88ff67163f6148028afede",
+            ),
+            (
+                ["hashing", "--threshold", "--d-range", "primes:2..200", "--format", "json"],
+                "51aef60935bcb1099f9c01c37bf06cc70a78c5d5297d33627eab9bc518a832d6",
+            ),
         ],
         ids=["npow", "fixed", "n_to_1", "pure", "n_to_1_json", "single_csv",
              "single_json", "ghz", "ghz_json", "bbpssw", "bench_sweep",
-             "bench_sweep_json", "hashing_threshold"],
+             "bench_sweep_json", "hashing_threshold", "bbpssw_json",
+             "hashing_threshold_json"],
     )
     def test_golden_sha256(self, capsys, argv, digest):
         code, out, err = run_cli(capsys, argv)
@@ -686,13 +696,76 @@ class TestCsvFormatting:
             (),
         ]
         header = [f"c{i}" for i in range(14)]
-        assert cli._csv(header, rows) == self.join_fmt(header, rows)
+        assert cli._table("csv", header, rows) == self.join_fmt(header, rows)
         for row in rows:
             types = tuple(map(type, row))
-            assert cli._csv(header, [row, row], types) == self.join_fmt(header, [row, row])
+            assert cli._table("csv", header, [row, row], types) == self.join_fmt(header, [row, row])
 
     def test_float_grid_is_python_floats(self):
         assert all(type(v) is float for v in cli._parse_float_grid("0.5:1:11"))
+
+
+# Column values for TestTableFormatting, with the edge cases of both formats.
+TABLE_VALUES = {
+    int: st.one_of(st.integers(), st.sampled_from([2**63, 2**64 + 1, -(2**70), 0])),
+    float: st.one_of(st.floats(), st.sampled_from(
+        [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1, 1e16])),
+    str: st.one_of(st.text(max_size=8), st.sampled_from(["%", "%s", "%%d", '"', "\\", "\u00e9", ""])),
+    bool: st.booleans(),
+}
+
+
+@st.composite
+def random_tables(draw):
+    """(header, rows, types, constants) of a table whose columns each hold
+    one type, some of them one value on every row; the rows leave the
+    constant columns out.  Rows repeat a few drawn ones, so that a table
+    can span several _ROW_BLOCK blocks."""
+    names = st.one_of(st.text(min_size=1, max_size=6),
+                      st.sampled_from(["%", "%d", "types", "fmt", "rows", "header", "a b"]))
+    header = draw(st.lists(names, min_size=1, max_size=6, unique=True))
+    kinds = [draw(st.sampled_from(list(TABLE_VALUES))) for _ in header]
+    constant = [draw(st.booleans()) for _ in header]
+    constants = {name: draw(TABLE_VALUES[kind])
+                 for name, kind, c in zip(header, kinds, constant) if c}
+    types = tuple(kind for kind, c in zip(kinds, constant) if not c)
+    pool = draw(st.lists(st.tuples(*(TABLE_VALUES[t] for t in types)), min_size=1, max_size=5))
+    count = draw(st.sampled_from([0, 1, 3, cli._ROW_BLOCK, cli._ROW_BLOCK + 1,
+                                  2 * cli._ROW_BLOCK + 3]))
+    return header, [pool[i % len(pool)] for i in range(count)], types, constants
+
+
+class TestTableFormatting:
+    """_table's templates give the bytes of the reference routes: _fmt per
+    value joined by commas for CSV, json.dumps(indent=2, sort_keys=True)
+    for JSON, with the constant columns put back into every row."""
+
+    @staticmethod
+    def full_rows(header, rows, constants):
+        for row in rows:
+            values = iter(row)
+            yield [constants[name] if name in constants else next(values) for name in header]
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_tables())
+    @example((["a", "%s", "c"], [(1, "x%d")] * (cli._ROW_BLOCK + 1), (int, str), {"%s": math.nan}))
+    @example((["n", "S"], [(2**63,), (-1,)], (int,), {"S": -0.0}))
+    def test_matches_reference_routes(self, table):
+        header, rows, types, constants = table
+        full = list(self.full_rows(header, rows, constants))
+        csv_text = "\n".join([",".join(header)] + [",".join(map(cli._fmt, r)) for r in full]) + "\n"
+        json_text = json.dumps([dict(zip(header, r)) for r in full], indent=2, sort_keys=True) + "\n"
+        for given_types in (types, None):
+            assert cli._table("csv", header, iter(rows), given_types, **constants) == csv_text
+            assert cli._table("json", header, iter(rows), given_types, **constants) == json_text
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_equal_constants_keep_their_own_text(self, fmt):
+        """-0.0 == 0.0 and True == 1 == 1.0, yet each constant prints its own
+        text, in whatever order the tables come."""
+        for value in (0.0, -0.0, 1, True, 1.0, 0.0, True):
+            expected = "n,c\n1,%s\n" % cli._fmt(value) if fmt == "csv" else cli._json([{"n": 1, "c": value}])
+            assert cli._table(fmt, ["n", "c"], [(1,)], (int,), c=value) == expected
 
 
 def linspace_bits(values):
@@ -750,6 +823,20 @@ class TestGhz:
         row = dict(zip(lines[0].split(","), lines[2].split(",")))
         assert row["d"] == "2" and row["N"] == "3"
         assert float(row["yield"]) == pytest.approx(0.368005734043, abs=1e-10)
+
+    @pytest.mark.parametrize("grid, message", [
+        (["2..5", "2", "0.2,0.9"], "fidelity must be in [1/d**N, 1], got 0.2"),
+        (["3..5", "2", "0.2,0.9"], "dimension must be prime for this operation, got 4"),
+        (["5", "1..3", "0.9"], "party count N must be at least 2, got 1"),
+        (["2", "1020..1030", "0.9"], "d**1024 must be at most 1.79769e+308, got d=2"),
+        (["5", "2", "0.9,0.5,0.01"], "fidelity must be in [1/d**N, 1], got 0.01"),
+    ])
+    def test_grid_fails_at_its_first_bad_row(self, capsys, grid, message):
+        """The rows are made in order, so the first bad row's message is the
+        error, on a repeat run as well (the (d, N) cache keeps no error)."""
+        argv = ["ghz", "--d-list", grid[0], "--N-list", grid[1], "--F-grid", grid[2]]
+        for _ in range(2):
+            assert run_cli(capsys, argv) == (2, "", f"error: {message}\n")
 
     def test_long_grid_peak_follows_its_text(self, capsys):
         """The grid's rows are made as _table formats them, a block at a

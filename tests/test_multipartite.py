@@ -157,6 +157,50 @@ class TestMultipartiteYield:
             isotropic_yield_formula(d, N, 0.9)
 
 
+class TestYieldFormulaChecks:
+    """isotropic_yield_formula checks d and N once per (d, N) and F on every
+    call, with the messages and the order of the checks of one call per row."""
+
+    @pytest.mark.parametrize("d, N, F, message", [
+        (4, 3, 0.9, "dimension must be prime for this operation, got 4"),
+        (6, 2, 0.9, "dimension must be prime for this operation, got 6"),
+        (2.5, 2, 0.9, "qudit dimension must be an integer, got 2.5"),
+        (True, 2, 0.9, "qudit dimension must be at least 2, got 1"),
+        (5, 1, 0.9, "party count N must be at least 2, got 1"),
+        (5, 2.5, 0.9, "party count N must be an integer, got 2.5"),
+        (4, 1, 0.01, "dimension must be prime for this operation, got 4"),
+        (5, 1, 0.01, "party count N must be at least 2, got 1"),
+        (2, 1024, 0.9, r"d\*\*1024 must be at most 1.79769e\+308, got d=2"),
+        (3, 647, 2.0, r"d\*\*647 must be at most 1.79769e\+308, got d=3"),
+        (5, 2, 0.01, r"fidelity must be in \[1/d\*\*N, 1\], got 0.01"),
+        (5, 2, 1.5, r"fidelity must be in \[1/d\*\*N, 1\], got 1.5"),
+        (5, 2, float("nan"), r"fidelity must be in \[1/d\*\*N, 1\], got nan"),
+    ])
+    def test_every_call_raises_its_message(self, d, N, F, message):
+        """The same messages as before the (d, N) checks were cached; a
+        cache keeps no exception, so a second call raises again."""
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                isotropic_yield_formula(d, N, F)
+
+    def test_fidelity_is_checked_after_a_good_call(self):
+        assert isotropic_yield_formula(7, 3, 0.9) > 0.0
+        with pytest.raises(ValueError, match=r"got 0.001$"):
+            isotropic_yield_formula(7, 3, 0.001)  # below 1/7**3
+
+    def test_equal_inputs_of_other_types(self):
+        """Values equal to an int d take their own cache entries and give
+        the int's float; a bool equal to a good d still fails."""
+        value = isotropic_yield_formula(5, 2, 0.9)
+        assert value == 0.4999987137857862
+        for d in (5.0, np.int64(5)):
+            result = isotropic_yield_formula(d, 2, 0.9)
+            assert type(result) is float and result == value
+        isotropic_yield_formula(2, 2, 0.9)
+        with pytest.raises(ValueError, match="at least 2, got 1"):
+            isotropic_yield_formula(2, True, 0.9)
+
+
 class TestIndexCorrelation:
     def test_product_distribution_uncorrelated(self):
         p = np.array([0.7, 0.3])
