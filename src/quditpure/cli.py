@@ -67,7 +67,7 @@ _FORMATS = {
 }
 
 
-@functools.cache
+@functools.lru_cache(maxsize=64)  # keyed by constant texts too, so bounded
 def _row_formatter(fmt: str, header: tuple, constants: tuple, types: tuple):
     """The text of a block of rows of these value ``types`` in _table's
     ``fmt``: one printf template per row, with each ``(name, text)`` of
@@ -350,14 +350,15 @@ def cmd_hashing(args) -> str:
     ns = _parse_sweep(args.n_sweep)
     header = ["n", "delta", "S", "r", "yield", "p1_bound", "p2", "F_out_bound"]
     # The sweep's columns a block at a time; the first block checks every
-    # input.  S, the same on every row, goes into the row template once.
+    # input.  Each block binds S, the one value of its S column, which goes
+    # into the row template once.
     blocks = (hashing.finite_size_columns(args.d, ns[i:i + _ROW_BLOCK], args.F, args.delta)
               for i in range(0, len(ns), _ROW_BLOCK))
-    rows = itertools.chain.from_iterable(zip(*map(c.get, header[:2] + header[3:])) for c in blocks)
+    rows = itertools.chain.from_iterable(zip(*map(c.get, header[:2] + header[3:]))
+                                         for c in blocks if [S := c["S"][0]])
     first = next(rows)
     # Each column holds values of one type, so every row has the first row's.
-    return _table(args.format, header, itertools.chain([first], rows), tuple(map(type, first)),
-                  S=hashing.isotropic_entropy(args.d, args.F))
+    return _table(args.format, header, itertools.chain([first], rows), tuple(map(type, first)), S=S)
 
 
 def cmd_ghz(args) -> str:

@@ -290,9 +290,9 @@ def lemma1_montecarlo(
     stream, and changing it changes every rate.  No array outlives its
     block: 200,000 trials at d = 5, n = 20 peak at about 0.31 MB of
     traced memory on one CPU and 0.62 MB on two.
-    The parity is summed in uint16, uint32 or int64, the narrowest that
-    holds 2n (d - 1)**2; a d or n that takes that to 2**63 or past raises
-    ValueError before any draw.  So d < 2**31, and uint32 holds every draw.
+    The parity is summed in uint16 while 2n (d - 1)**2 < 2**16, else in
+    int64; a d or n that takes that to 2**63 or past raises ValueError
+    before any draw.  So d < 2**31, and uint32 holds every draw.
     A negative or non-integral seed raises ValueError too.
 
     With two CPUs or more, the first half runs on one helper thread and
@@ -333,11 +333,10 @@ _BLOCK = 2_000
 
 
 def _parity_hits(s: np.ndarray, delta: np.ndarray, d: int) -> int:
-    """Rows whose parity s . delta is 0 mod d, summed in the narrowest of
-    uint16, uint32 and int64 that holds 2n (d - 1)**2, the most a row can
-    sum to (int64 holds it under the bound lemma1_montecarlo checks)."""
-    bound = s.shape[1] * (d - 1) ** 2
-    dtype = np.uint16 if bound < 2**16 else np.uint32 if bound < 2**32 else np.int64
+    """Rows whose parity s . delta is 0 mod d, summed in uint16 when it holds
+    2n (d - 1)**2, the most a row can sum to, else in int64 (exact under the
+    bound lemma1_montecarlo checks)."""
+    dtype = np.uint16 if s.shape[1] * (d - 1) ** 2 < 2**16 else np.int64
     parity = np.einsum("ij,ij->i", s, delta, dtype=dtype) % d
     return int(np.count_nonzero(parity == 0))
 

@@ -156,7 +156,10 @@ def isotropic_yield_formula(d: int, N: int, F: float) -> float:
     :func:`ghz_isotropic` inputs.  d and N are checked once per (d, N) in
     a process (see :func:`_yield_terms`), F on every call.
     """
-    d, size, power, log_d = _yield_terms(d, N)
+    try:
+        d, size, power, log_d = _yield_terms(d, N)
+    except TypeError:  # an unhashable d or N: the checks raise without the cache
+        d, size, power, log_d = _yield_terms.__wrapped__(d, N)
     _check_fidelity(F, size)
     p_a = F + (1.0 - F) * (power - 1.0) / (size - 1.0)
     p_b = (1.0 - F) * power / (size - 1.0)

@@ -759,6 +759,14 @@ class TestTableFormatting:
             assert cli._table("csv", header, iter(rows), given_types, **constants) == csv_text
             assert cli._table("json", header, iter(rows), given_types, **constants) == json_text
 
+    def test_template_cache_stays_bounded(self):
+        """Constant texts key the template cache, so every new Q or S is a
+        new key; a process that prints many tables keeps a bounded number."""
+        for i in range(200):
+            assert cli._table("csv", ["n", "c"], [(1,)], (int,), c=float(i)) == f"n,c\n1,{i}\n"
+        info = cli._row_formatter.cache_info()
+        assert info.currsize <= info.maxsize
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_equal_constants_keep_their_own_text(self, fmt):
         """-0.0 == 0.0 and True == 1 == 1.0, yet each constant prints its own

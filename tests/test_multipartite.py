@@ -175,6 +175,11 @@ class TestYieldFormulaChecks:
         (5, 2, 0.01, r"fidelity must be in \[1/d\*\*N, 1\], got 0.01"),
         (5, 2, 1.5, r"fidelity must be in \[1/d\*\*N, 1\], got 1.5"),
         (5, 2, float("nan"), r"fidelity must be in \[1/d\*\*N, 1\], got nan"),
+        # Unhashable d or N, which the cache cannot key: checked uncached.
+        (np.array(5), 2, 0.9, r"qudit dimension must be an integer, got array\(5\)"),
+        ([5], 2, 0.9, r"qudit dimension must be an integer, got \[5\]"),
+        (5, np.array(2), 0.9, r"party count N must be an integer, got array\(2\)"),
+        (5, [2], 0.9, r"party count N must be an integer, got \[2\]"),
     ])
     def test_every_call_raises_its_message(self, d, N, F, message):
         """The same messages as before the (d, N) checks were cached; a
