@@ -6,8 +6,9 @@ Clifford operations used by purification circuits permute these labels
 (global phases drop out for the diagonal ensembles handled by this
 package), so whole protocols can be tracked exactly on index data.  The
 dense simulator in :mod:`quditpure.oracle` pins every map defined here
-against literal unitary conjugation.  The argument checks and the
-two-CPU runner that the other modules share live here too.
+against literal unitary conjugation.  The argument checks that the
+other modules share live here too, and the two-CPU runner of the Lemma 1
+Monte Carlo.
 """
 
 from __future__ import annotations

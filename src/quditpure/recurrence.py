@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indices import _on_two_cpus, check_count, check_dimension, check_unit_interval
+from .indices import check_count, check_dimension, check_unit_interval
 # make_preset and depolarize_channel stay bound here although nothing here
 # calls them: bench/tracer.py wraps them in every module that imports them.
 from .states import (
@@ -175,24 +175,11 @@ def _no_regime(d: int) -> PurificationRegime:
 GATHER_MAX_D = 31
 
 # Columns per FFT block, each one rfft and one irfft for two copies or
-# three.  On one thread, 32 and 64 columns ran equally fast at d = 211
-# and 401 on the same VM, 64 ran 10-15% faster at d = 101, 16 lost time
-# to the loop, and 128 or all columns at once ran 5-35% slower.  Two
-# threads take blocks half as wide, so the padded temporaries in flight
-# stay those of one block: at d = 401 a round peaks at 2.0-2.1 d x d
-# arrays for two copies and 2.2-2.3 for three, where two 64-column
-# blocks in flight reached 2.6 and 3.4.  The bits do not depend on the
-# width or on the thread that runs a block (see _fft_blocks).
+# three.  On a 2-CPU x86 VM, 32 and 64 columns ran equally fast at d = 211
+# and 401, 64 ran 10-15% faster at d = 101, 16 lost time to the loop, and
+# 128 or all columns at once ran 5-35% slower.  The bits do not depend on
+# the width (see _phase_power).
 _FFT_BLOCK = 64
-
-# Smallest d whose FFT blocks are split between the calling thread and
-# one helper, when the process may run on two CPUs or more.  Starting and
-# joining the helper costs 0.05-0.2 ms, and the two threads slow each
-# other down by a quarter; on the same VM they lost at d = 101 (0.37
-# against 0.60 ms for two copies), broke even near d = 163 and won at
-# d = 211 for three copies (2.2 against 1.5 ms) and at 251 (2.4 against
-# 1.9 ms for two copies).
-_THREAD_MIN_D = 160
 
 
 @functools.cache
@@ -239,13 +226,13 @@ def _phase_power(a: np.ndarray, copies: int) -> np.ndarray:
     rows from d on fold back modulo d.  Exact zeros can round slightly
     negative; :class:`CoeffMatrix` clamps them once per round.
 
-    From d = ``_THREAD_MIN_D`` on, with two CPUs or more, one helper
-    thread takes every other block of ``_FFT_BLOCK // 2`` columns, from the
-    first, and the caller the rest; numpy's FFT and array loops release
-    the GIL, so the two run at once.  Each block reads ``a`` and writes
-    only its own columns of ``out``, so the threads share no other state.
-    ``indices._on_two_cpus`` runs the two halves: the helper is joined
-    before the call returns, and its exception, if any, is raised here.
+    A block works on the rows of its transposed copy, which are
+    contiguous, and stores its columns of ``out`` once.  Sums and products
+    keep the order of the whole-matrix form ``out = c a0**(c-1) a;
+    out[0] = a0**c; out += lin[s:s + d]``, so the bits do not depend on
+    the block; the three-copy product is taken as written, ``spec * (spec
+    + 3 a0)``, which numpy's temporary elision would reverse on arrays of
+    256 KiB or more.
     """
     d = a.shape[0]
     if d <= GATHER_MAX_D:
@@ -253,35 +240,16 @@ def _phase_power(a: np.ndarray, copies: int) -> np.ndarray:
         for _ in range(copies - 1):
             out = np.einsum("mj,kmj->kj", out, shifted)
         return out
-    # Every block writes its columns whole.  C order whatever a's layout
-    # (a P2 round stores a Fortran-ordered state), so the round's sum adds
-    # in one order.
-    out = np.empty((d, d))
-    width = _FFT_BLOCK // 2
-    starts = range(0, d, width)
-    blocks = functools.partial(_fft_blocks, a, out, copies, width=width)
-    if d < _THREAD_MIN_D or not _on_two_cpus(
-        lambda: blocks(starts[::2]), lambda: blocks(starts[1::2]), "quditpure-fft"
-    ):
-        _fft_blocks(a, out, copies, range(0, d, _FFT_BLOCK), _FFT_BLOCK)
-    return out
-
-
-def _fft_blocks(a: np.ndarray, out: np.ndarray, copies: int, starts: range, width: int):
-    """Write the columns of :func:`_phase_power`'s large-d result for the
-    blocks that begin at ``starts``.  A block works on the rows of its
-    transposed copy, which are contiguous, and stores its columns of
-    ``out`` once.  Sums and products keep the order of the whole-matrix
-    form ``out = c a0**(c-1) a; out[0] = a0**c; out += lin[s:s + d]``, so
-    the bits do not depend on the block; the three-copy product is taken
-    as written, ``spec * (spec + 3 a0)``, which numpy's temporary elision
-    would reverse on arrays of 256 KiB or more."""
-    d = a.shape[0]
     length = copies * (d - 1) + 1
     n = _smooth_length(length)
     a0 = a[0]
     scale, head = copies * a0 ** (copies - 1), a0 ** copies
-    for j in starts:
+    # Every block writes its columns whole.  C order whatever a's layout
+    # (a P2 round stores a Fortran-ordered state), so the round's sum adds
+    # in one order.
+    out = np.empty((d, d))
+    width = _FFT_BLOCK
+    for j in range(0, d, width):
         cols = slice(j, j + width)
         r = a[:, cols].T.copy()
         r[:, 0] = 0.0
@@ -304,6 +272,7 @@ def _fft_blocks(a: np.ndarray, out: np.ndarray, copies: int, starts: range, widt
             acc[:, :rows] += lin[:, s:s + rows]
         out[:, cols] = acc.T
         del r, acc, lin  # before the next block allocates
+    return out
 
 
 def _conv_round(a: np.ndarray, dims, copies: int, adaptive: bool):

@@ -67,9 +67,9 @@ IMPORTED_WITH_PACKAGE = {
 
 
 def test_package_import_loads_nothing_more():
-    """The helper threads (FFT kernel, Lemma 1 Monte Carlo) come from
-    ``threading``, which the interpreter has loaded before numpy: no
-    executor or pool module joins."""
+    """The Lemma 1 Monte Carlo's helper thread comes from ``threading``,
+    which the interpreter has loaded before numpy: no executor or pool
+    module joins."""
     code = (
         "import json, sys, numpy; before = set(sys.modules); "
         "import quditpure, quditpure.cli; "

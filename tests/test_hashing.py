@@ -708,6 +708,25 @@ class TestLemma1Split:
             lemma1_montecarlo(5, 20, trials=10_000)
         assert len(helpers) == 1 and not helpers[0].is_alive()
 
+    def test_caller_failure_joins_helper(self, cpus, monkeypatch):
+        cpus(2)
+        caller, real, helpers, helper_rows = threading.current_thread(), hashing._block_hits, [], []
+
+        def block_hits(*args):
+            if threading.current_thread() is caller:
+                raise MemoryError("caller rows")
+            helpers.append(threading.current_thread())
+            time.sleep(0.05)  # the caller fails first, while the helper draws
+            hits = real(*args)
+            helper_rows.append(args[2][0])
+            return hits
+
+        monkeypatch.setattr(hashing, "_block_hits", block_hits)
+        with pytest.raises(MemoryError, match="caller rows"):
+            lemma1_montecarlo(5, 20, trials=10_000)
+        assert helper_rows == [2_000, 2_000, 1_000] and not helpers[0].is_alive()
+        assert not [t for t in threading.enumerate() if t.name.startswith("quditpure-")]
+
     # The blocks of 130,001 trials: each half ends on a partial block.
     HALVES = ([2_000] * 32 + [1_000], [2_000] * 32 + [1_001])
 

@@ -9,7 +9,6 @@ import re
 import struct
 import sys
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -161,9 +160,10 @@ def roll_phase_conv(a, b):
 
 
 def serial_phase_power(a, copies):
-    """Reference large-d kernel: the single-thread form that the split
-    kernel replaced, 64-column blocks transformed down the strided columns
-    of ``a``, the three-copy product written as one expression."""
+    """Reference large-d kernel: the whole-matrix form that the
+    transposed-block kernel replaced, 64-column blocks transformed down the
+    strided columns of ``a``, the three-copy product written as one
+    expression."""
     d = a.shape[0]
     length = copies * (d - 1) + 1
     n = recurrence._smooth_length(length)
@@ -246,41 +246,32 @@ class TestPhaseKernel:
     def test_one_transform_pair_per_block(self, monkeypatch, d, kernel):
         """Two and three copies each take one rfft and one irfft per
         column block: the three-copy round is one convolution power, not
-        nested convolutions (which take 3 rffts and 2 irffts a block).
-        From d = 160 on two threads split blocks half as wide, and both
-        count, so the count takes a lock."""
-        monkeypatch.setattr(indices, "_cpu_count", lambda: 2)
+        nested convolutions (which take 3 rffts and 2 irffts a block)."""
         calls = {"rfft": 0, "irfft": 0}
-        lock = threading.Lock()
 
         def spy(name):
             real = getattr(np.fft, name)
 
             def counted(*args, **kwargs):
-                with lock:
-                    calls[name] += 1
+                calls[name] += 1
                 return real(*args, **kwargs)
             return counted
 
         for name in calls:
             monkeypatch.setattr(np.fft, name, spy(name))
         kernel(random_state(d, np.random.default_rng(d)))
-        threaded = d >= recurrence._THREAD_MIN_D
-        width = recurrence._FFT_BLOCK // 2 if threaded else recurrence._FFT_BLOCK
-        blocks = -(-d // width)
+        blocks = -(-d // recurrence._FFT_BLOCK)
         assert calls == {"rfft": blocks, "irfft": blocks}
 
     @pytest.mark.parametrize("d", [401, 1009])
     @pytest.mark.parametrize("kernel, bound", [(p1_map, 2.5), (three_copy_map, 3.0)])
-    def test_memory_peak(self, monkeypatch, d, kernel, bound):
-        """The padded FFT runs on column blocks and the state's weight
-        policy clamps in place, so one round's peak allocation stays a few
-        d x d arrays (numpy reports to tracemalloc).  Two threads each
-        hold a half-width block, and both are traced.  Measured at d = 401
-        and 1009: p1_map 2.0 and 2.0, three_copy_map 2.24-2.34 and 2.0;
-        two full-width blocks in flight took them to 2.6 and 3.4, and a
-        clamp into a new array took both maps to 3.0 or more."""
-        monkeypatch.setattr(indices, "_cpu_count", lambda: 2)
+    def test_memory_peak(self, d, kernel, bound):
+        """The padded FFT runs on column blocks, one at a time, and the
+        state's weight policy clamps in place, so one round's peak
+        allocation stays a few d x d arrays (numpy reports to tracemalloc).
+        Measured at d = 401 and 1009: p1_map 2.0 and 2.0, three_copy_map
+        2.24-2.34 and 2.0; two 64-column blocks in flight took them to 2.6
+        and 3.4, and a clamp into a new array took both maps to 3.0 or more."""
         state = random_state(d, np.random.default_rng(d))
         tracemalloc.start()
         try:
@@ -293,7 +284,7 @@ class TestPhaseKernel:
     @pytest.mark.parametrize("d, bound", [(401, 2.95), (1009, 2.5)])
     @pytest.mark.parametrize("protocol, kind", [(P1P2, "z_only"), (DEJMPS, "isotropic")])
     @pytest.mark.parametrize("Q", [1.0, 0.98])
-    def test_stored_round_memory_peak(self, monkeypatch, d, bound, protocol, kind, Q):
+    def test_stored_round_memory_peak(self, d, bound, protocol, kind, Q):
         """A P2 round and a DEJMPS round store the transpose of the
         kernel's result, written by the normalizing division once the
         round's depolarized copy is gone.  Measured through one
@@ -301,7 +292,6 @@ class TestPhaseKernel:
         into the state): 2.82-2.92 d x d arrays at d = 401 and 2.32 at
         1009.  Dividing while the depolarized copy lived took both to 3.0
         at Q = 0.98; at Q = 1, which makes no copy, the store peaks at 2.0-2.1."""
-        monkeypatch.setattr(indices, "_cpu_count", lambda: 2)
         state = preset(kind, d, 0.6)
         tracemalloc.start()
         try:
@@ -313,21 +303,14 @@ class TestPhaseKernel:
         assert peak < bound * d * d * 8
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """The kernel sees two CPUs, so from d = 160 on it splits its blocks
-    between the caller and a helper thread on any machine."""
-    monkeypatch.setattr(indices, "_cpu_count", lambda: 2)
-
-
-@pytest.mark.usefixtures("two_cpus")
 class TestFftWorkers:
-    """Above ``_THREAD_MIN_D`` the FFT blocks run on two threads.  Two
-    copies match the serial reference bit for bit; three copies take their
-    complex product in the written order, which numpy's temporary elision
-    reversed on the reference's blocks of 256 KiB or more, so they match
-    within 4 ulp of the largest entry (2 ulp measured at d = 211 and 401).
-    A P2 round stores a Fortran-ordered state, so both layouts are fed."""
+    """The FFT blocks run on the calling thread, whatever the CPU count.
+    Two copies match the serial reference bit for bit; three copies take
+    their complex product in the written order, which numpy's temporary
+    elision reversed on the reference's blocks of 256 KiB or more, so they
+    match within 4 ulp of the largest entry (2 ulp measured at d = 211 and
+    401).  A P2 round stores a Fortran-ordered state, so both layouts are
+    fed."""
 
     @staticmethod
     def weights(d, order):
@@ -355,24 +338,20 @@ class TestFftWorkers:
 
     @pytest.mark.parametrize("copies", [2, 3])
     @pytest.mark.parametrize("d", [129, 211])
-    def test_bits_do_not_depend_on_width_or_threads(self, monkeypatch, d, copies):
+    def test_bits_do_not_depend_on_width(self, monkeypatch, d, copies):
         a = self.weights(d, "F")
         expected = recurrence._phase_power(a, copies)
         for width in (8, 16, 32, 64, 128):
             monkeypatch.setattr(recurrence, "_FFT_BLOCK", width)
             np.testing.assert_array_equal(recurrence._phase_power(a, copies), expected)
-        monkeypatch.setattr(indices, "_cpu_count", lambda: 1)
-        np.testing.assert_array_equal(recurrence._phase_power(a, copies), expected)
 
-    def test_concurrent_callers_get_the_serial_bits(self, monkeypatch):
-        """Four callers at once, each with its helper, on a 1 us switch
-        interval: a block that wrote another call's columns, or state
-        shared between calls, would show as a changed bit."""
+    def test_concurrent_callers_get_the_serial_bits(self):
+        """Four callers at once on a 1 us switch interval: a block that
+        wrote another call's columns, or state shared between calls, would
+        show as a changed bit."""
         inputs = [(self.weights(d, order), copies)
                   for d, order, copies in [(211, "C", 2), (211, "F", 3), (401, "F", 2), (401, "C", 3)]]
-        with monkeypatch.context() as m:
-            m.setattr(indices, "_cpu_count", lambda: 1)
-            serial = [recurrence._phase_power(a, copies) for a, copies in inputs]
+        serial = [recurrence._phase_power(a, copies) for a, copies in inputs]
         results = [[] for _ in inputs]
 
         def call(i):
@@ -396,41 +375,12 @@ class TestFftWorkers:
             for out in got:
                 np.testing.assert_array_equal(out, expected)
 
-    def test_helper_failure_reaches_caller_after_join(self, monkeypatch):
-        caller, real = threading.current_thread(), np.fft.irfft
-
-        def irfft(*args, **kwargs):
-            if threading.current_thread() is not caller:
-                time.sleep(0.05)  # the caller's blocks end first, so it waits in the join
-                raise MemoryError("helper block")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, "irfft", irfft)
-        before = threading.active_count()
-        with pytest.raises(MemoryError, match="helper block"):
-            recurrence._phase_power(self.weights(211, "C"), 2)
-        assert threading.active_count() == before
-
-    def test_caller_failure_joins_helper(self, monkeypatch):
-        caller, real = threading.current_thread(), np.fft.rfft
-        helper_done = threading.Event()
-
-        def rfft(*args, **kwargs):
-            if threading.current_thread() is caller:
-                raise MemoryError("caller block")
-            out = real(*args, **kwargs)
-            time.sleep(0.05)
-            helper_done.set()
-            return out
-
-        monkeypatch.setattr(np.fft, "rfft", rfft)
-        before = threading.active_count()
-        with pytest.raises(MemoryError, match="caller block"):
-            recurrence._phase_power(self.weights(211, "C"), 3)
-        assert helper_done.is_set() and threading.active_count() == before
-
-    @staticmethod
-    def count_starts(monkeypatch):
+    @pytest.mark.parametrize("protocol", [P1P2, THREE_COPY])
+    @pytest.mark.parametrize("d", [211, 401])
+    def test_rounds_start_no_thread(self, monkeypatch, d, protocol):
+        """With two CPUs to run on, a large-d trajectory still runs every
+        block on the caller: no thread starts."""
+        monkeypatch.setattr(indices, "_cpu_count", lambda: 2)
         starts, real = [], threading.Thread.start
 
         def start(thread):
@@ -438,29 +388,8 @@ class TestFftWorkers:
             real(thread)
 
         monkeypatch.setattr(threading.Thread, "start", start)
-        return starts
-
-    @pytest.mark.parametrize("d, per_round", [(101, 0), (211, 1)])
-    def test_threads_only_from_threshold(self, monkeypatch, d, per_round):
-        starts = self.count_starts(monkeypatch)
-        traj = run_protocol(P1P2, random_state(d, np.random.default_rng(d)), max_iters=3)
-        assert len(starts) == per_round * traj.iterations
-
-    def test_one_cpu_starts_no_thread(self, monkeypatch):
-        starts = self.count_starts(monkeypatch)
-        monkeypatch.setattr(indices, "_cpu_count", lambda: 1)
-        recurrence._phase_power(self.weights(401, "C"), 2)
-        assert starts == []
-
-    def test_unstartable_helper_leaves_the_caller_every_block(self, monkeypatch):
-        a = self.weights(211, "C")
-        expected = recurrence._phase_power(a, 2)
-
-        def start(thread):
-            raise RuntimeError("can't start new thread")
-
-        monkeypatch.setattr(threading.Thread, "start", start)
-        np.testing.assert_array_equal(recurrence._phase_power(a, 2), expected)
+        traj = run_protocol(protocol, random_state(d, np.random.default_rng(d)), max_iters=3)
+        assert traj.iterations == 3 and starts == []
 
 
 class TestThreeCopyMap:
